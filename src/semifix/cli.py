@@ -25,7 +25,6 @@ from semifix.grammar import grammar_with_constants, tree_sum
 from semifix.munchausen import (
     Coeff,
     Held,
-    evaluate_grammar,
     indexed_grammar_of,
     indexed_to_json,
     left_linear_completion_grammar,
@@ -271,10 +270,24 @@ def _budget(args) -> int | None:
     env = os.environ.get("SEMIFIX_BUDGET")
     if env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise BadUsage(f"SEMIFIX_BUDGET must be an integer, got {env!r}")
+        if value < 0:
+            raise BadUsage(f"SEMIFIX_BUDGET must be non-negative, got {env!r}")
+        return value
     return None
+
+
+def _count(text: str) -> int:
+    """Argument type for step, level, dimension and budget counts."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 class BadUsage(ValueError):
@@ -485,16 +498,15 @@ def _run_tensor(args, sys: EquationSystem) -> int:
     if getattr(sys.semiring, "q", None) is None:
         raise BadUsage(f"tensor command needs a relation system, got {sys.semiring.name}")
     got = tensor_pipeline(sys, args.level)
-    ref = evaluate_grammar(
-        munchausen_grammar(sys, args.level), dict(sys.a), _budget(args)
-    )
-    agree = ref.stabilized and vector_eq(got, ref.value)
+    seq = munchausen_sequence(sys, args.level, budget=_budget(args))
+    ref = seq.iterates[args.level] if seq.stabilized else None
+    agree = ref is not None and vector_eq(got, ref)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "tensor",
         "level": args.level,
         "values": _rendered(sys, got),
-        "reference": _rendered(sys, ref.value) if ref.stabilized else None,
+        "reference": _rendered(sys, ref) if ref is not None else None,
         "verdict": "OK" if agree else "DIFFER",
     }
     lines = [f"{x} = {payload['values'][x]}" for x in sys.variables]
@@ -521,24 +533,24 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("kleene", "newton", "munchausen"),
         default="kleene",
     )
-    p.add_argument("--steps", type=int, default=3, help="iterates for the accelerated methods")
-    p.add_argument("--budget", type=int, help="iteration budget override")
+    p.add_argument("--steps", type=_count, default=3, help="iterates for the accelerated methods")
+    p.add_argument("--budget", type=_count, help="iteration budget override")
 
     p = sub.add_parser("compare", help="run all methods and diff the results")
     common(p)
-    p.add_argument("--steps", type=int, default=2)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--steps", type=_count, default=2)
+    p.add_argument("--budget", type=_count)
 
     p = sub.add_parser("oracle", help="sum derivation trees by dimension")
     common(p)
-    p.add_argument("--dim", type=int, default=2, help="dimension bound")
+    p.add_argument("--dim", type=_count, default=2, help="dimension bound")
     p.add_argument(
         "--complete",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="restrict to fully expanded trees",
     )
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--node-budget", type=_count, default=DEFAULT_NODE_BUDGET)
 
     p = sub.add_parser("completion", help="substitution closure of the system")
     common(p)
@@ -550,17 +562,17 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--table", action="store_true", help="tabulate the closure over a finite instance"
     )
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_count)
 
     p = sub.add_parser("grammar", help="emit the doubling ladder grammar")
     common(p)
-    p.add_argument("--level", type=int, default=1, help="number of doublings")
+    p.add_argument("--level", type=_count, default=1, help="number of doublings")
     p.add_argument("--indexed", action="store_true", help="emit the stack indexed form")
 
     p = sub.add_parser("tensor", help="solve through the tensor companion")
     common(p)
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--level", type=_count, default=1)
+    p.add_argument("--budget", type=_count)
 
     return top
 

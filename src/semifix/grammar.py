@@ -47,9 +47,6 @@ class Cfg:
     nonterminals: tuple[str, ...]
     rules: dict[str, tuple[tuple[Symbol, ...], ...]]
 
-    def rule(self, var: str, index: int) -> tuple[Symbol, ...]:
-        return self.rules[var][index]
-
 
 def _word_of(sr: Semiring, m: Monomial) -> tuple[Symbol, ...]:
     return tuple(Lit(f) if isinstance(f, Value) else Ref(f) for f in m.factors())

@@ -139,7 +139,12 @@ def solve_linear(lin: LinearSystem, max_iters: int | None = None) -> SolveOutcom
 def newton_step(
     sys: EquationSystem, v: Mapping[str, Value], max_linear_iters: int | None = None
 ) -> SolveOutcome:
-    """One update: least solution of u = v + D(u) with D taken around v."""
+    """The completion step C(v): least solution of u = v + D(u), D taken around v.
+
+    Newton iteration, the idempotent doubling iterates and the
+    differential star all apply this one step.  It depends on v alone,
+    so once C(v) == v every further application repeats it exactly.
+    """
     lin = LinearSystem(
         sys.semiring,
         sys.variables,
@@ -154,10 +159,12 @@ def newton_solve(
 ) -> SequenceOutcome:
     """Newton iterates from the constant vector.
 
-    Returns the iterates up to and including step n_steps.  The update
-    relies on idempotent addition; running it anyway on other instances
-    is allowed for comparison and flagged with a warning.  A linear
-    solve that exhausts its budget aborts the run with partial results.
+    Returns the iterates up to and including step n_steps.  Once a step
+    leaves its vector unchanged no further linear system is solved: the
+    remaining iterates repeat that fixed point.  The update relies on
+    idempotent addition; running it anyway on other instances is allowed
+    for comparison and flagged with a warning.  A linear solve that
+    exhausts its budget aborts the run with partial results.
     """
     if not sys.semiring.is_idempotent:
         warnings.warn(
@@ -165,10 +172,15 @@ def newton_solve(
             RuntimeWarning,
             stacklevel=2,
         )
-    iterates = [eval_rhs(sys, zero_vector(sys))]
+    v = eval_rhs(sys, zero_vector(sys))
+    iterates = [v]
+    fixed = False
     for _ in range(n_steps):
-        outcome = newton_step(sys, iterates[-1], max_linear_iters)
-        if not outcome.stabilized:
-            return SequenceOutcome(iterates, BUDGET_EXHAUSTED)
-        iterates.append(outcome.value)
+        if not fixed:
+            outcome = newton_step(sys, v, max_linear_iters)
+            if not outcome.stabilized:
+                return SequenceOutcome(iterates, BUDGET_EXHAUSTED)
+            fixed = outcome.value == v
+            v = outcome.value
+        iterates.append(v)
     return SequenceOutcome(iterates, STABILIZED)

@@ -292,8 +292,10 @@ def tensor_pipeline(
     """Accelerated iterate n computed by repeated tensor solves.
 
     Each cycle regularizes the completion system at the current vector,
-    solves it with one matrix star, and reads the result back; 2^n
-    cycles match the n-th doubling iterate.
+    solves it with one matrix star, and reads the result back: one
+    completion step C.  The n-th doubling iterate is C^(2^n)(b), so at
+    most 2^n cycles run, and none after the readout repeats its input,
+    since C depends on the vector alone.
     """
     if n < 0:
         raise InvariantError("iterate count must be nonnegative")
@@ -307,5 +309,8 @@ def tensor_pipeline(
     v = dict(b) if b is not None else dict(sys.a)
     for _ in range(2**n):
         y = solve_left_linear(regularize(eq1_of_completion(sys, v), ops))
-        v = {x: ops.readout(y[x]) for x in sys.variables}
+        nxt = {x: ops.readout(y[x]) for x in sys.variables}
+        if nxt == v:
+            break
+        v = nxt
     return v

@@ -216,3 +216,32 @@ def test_budget_env_variable(tmp_path, capsys, monkeypatch):
     assert data["steps"] == 25
     monkeypatch.setenv("SEMIFIX_BUDGET", "lots")
     assert main(["solve", divergent]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--method", "munchausen", "--steps", "-1"],
+        ["solve", "--budget", "-1"],
+        ["compare", "--steps", "-1"],
+        ["oracle", "--dim", "-1"],
+        ["oracle", "--node-budget", "-1"],
+        ["completion", "--budget", "-1"],
+        ["grammar", "--level", "-1"],
+        ["tensor", "--level", "-1"],
+        ["tensor", "--budget", "-1"],
+    ],
+)
+def test_negative_counts_are_usage_errors(tmp_path, capsys, argv):
+    path = write(tmp_path, "semiring relation 2;\nvars x;\nx = x*x + [[0,1],[1,0]];\n")
+    assert main([argv[0], path, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-negative" in captured.err
+
+
+def test_negative_budget_env_variable(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, CHAIN)
+    monkeypatch.setenv("SEMIFIX_BUDGET", "-1")
+    assert main(["solve", path]) == 1
+    assert "non-negative" in capsys.readouterr().err

@@ -6,6 +6,8 @@ from itertools import product
 import pytest
 
 from gen import instances_for_order_tests, random_point, random_system
+from semifix import solver
+from semifix.cli import parse
 from semifix.munchausen import (
     LinearCfg,
     NonTerm,
@@ -30,10 +32,12 @@ from semifix.munchausen import (
 from semifix.polynomial import (
     InvariantError,
     equation_system,
+    eval_rhs,
     monomial,
     poly_of_value,
     poly_of_var,
     polynomial,
+    zero_vector,
 )
 from semifix.semiring import (
     BOOLEAN,
@@ -42,7 +46,7 @@ from semifix.semiring import (
     relation_semiring,
     vector_eq,
 )
-from semifix.solver import BudgetExhaustedError, kleene_solve, newton_solve
+from semifix.solver import BudgetExhaustedError, kleene_solve, newton_solve, newton_step
 
 
 def counting_chain():
@@ -150,6 +154,79 @@ def test_matches_newton_at_powers_of_two():
             assert seq.stabilized and nwt.stabilized
             for n in range(3):
                 assert vector_eq(seq.iterates[n], nwt.iterates[2**n])
+
+
+# Relation systems whose later completion steps need more linear
+# iterations than the first, so a small budget cuts the sequence after
+# a nonempty prefix.
+LATE_CUT_SYSTEMS = (
+    """semiring relation 2; vars x y z;
+    x = [[0,1],[1,1]]*x + [[1,1],[1,0]]*y + x + [[1,0],[1,0]];
+    y = [[1,0],[1,0]]*z*[[1,0],[0,0]]*z + y*y*[[1,1],[0,0]];
+    z = [[0,1],[1,0]]*x*x + x*y;""",
+    """semiring relation 2; vars x y;
+    x = y*y + [[0,1],[1,0]]*x*x*[[0,0],[1,1]];
+    y = y + [[1,0],[1,1]]*y + [[0,0],[1,1]]*y*y + [[0,1],[0,0]];""",
+)
+
+
+def test_idempotent_sequence_matches_ladder_oracle():
+    # the completion-step chain against the ladder evaluation it stands for
+    rng = random.Random(37)
+    systems = [
+        random_system(sr, rng, rng.randint(1, 3))
+        for sr in instances_for_order_tests()
+        for _ in range(12)
+    ]
+    systems += [parse(text) for text in LATE_CUT_SYSTEMS]
+    partial = exhausted = 0
+    for sys in systems:
+        lfp = kleene_solve(sys)
+        assert lfp.stabilized
+        for b in (dict(sys.a), lfp.value):
+            for budget in (None, 1, 2, 3, 4):
+                seq = munchausen_sequence(sys, 3, b, budget)
+                for k in range(4):
+                    oracle = evaluate_grammar(munchausen_grammar(sys, k), b, budget)
+                    assert (k < len(seq.iterates)) == oracle.stabilized
+                    if oracle.stabilized:
+                        assert vector_eq(seq.iterates[k], oracle.value)
+                assert seq.stabilized == (len(seq.iterates) == 4)
+                exhausted += not seq.stabilized
+                partial += 0 < len(seq.iterates) < 4
+    # the tiny budgets cut some sequences short, some after a prefix
+    assert exhausted and partial
+
+
+def test_newton_stops_at_fixed_point_and_pads(monkeypatch):
+    rng = random.Random(41)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return newton_step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_step", counted)
+    early = 0
+    for sr in instances_for_order_tests():
+        for _ in range(10):
+            sys = random_system(sr, rng, rng.randint(1, 3))
+            by_hand = [eval_rhs(sys, zero_vector(sys))]
+            for _ in range(8):
+                out = newton_step(sys, by_hand[-1])
+                assert out.stabilized
+                by_hand.append(out.value)
+            needed = next(
+                (j + 1 for j in range(8) if by_hand[j + 1] == by_hand[j]), 8
+            )
+            calls.clear()
+            seq = newton_solve(sys, 8)
+            assert seq.stabilized and len(seq.iterates) == 9
+            for got, want in zip(seq.iterates, by_hand):
+                assert vector_eq(got, want)
+            assert len(calls) == needed
+            early += needed < 8
+    assert early
 
 
 def test_start_vector_at_solution_is_fixed():
