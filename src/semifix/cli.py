@@ -50,7 +50,6 @@ from semifix.semiring import (
     InstanceMismatchError,
     NotFiniteError,
     Semiring,
-    Value,
     instance_by_name,
     vector_eq,
 )
@@ -299,12 +298,11 @@ def _run_solve(args, sys: EquationSystem) -> int:
     if args.method == "kleene":
         out = kleene_solve(sys, budget if budget is not None else DEFAULT_KLEENE_BUDGET)
         values, status, steps = out.value, out.status, out.steps_used
-    elif args.method == "newton":
-        seq = newton_solve(sys, args.steps, budget)
-        values = seq.iterates[-1] if seq.iterates else None
-        status, steps = seq.status, max(len(seq.iterates) - 1, 0)
     else:
-        seq = munchausen_sequence(sys, args.steps, budget=budget)
+        if args.method == "newton":
+            seq = newton_solve(sys, args.steps, budget)
+        else:
+            seq = munchausen_sequence(sys, args.steps, budget=budget)
         values = seq.iterates[-1] if seq.iterates else None
         status, steps = seq.status, max(len(seq.iterates) - 1, 0)
     shown = _rendered(sys, values) if values is not None else None
@@ -329,16 +327,12 @@ def _run_compare(args, sys: EquationSystem) -> int:
     results = {}
     out = kleene_solve(sys, budget if budget is not None else DEFAULT_KLEENE_BUDGET)
     results["kleene"] = (out.value if out.stabilized else None, out.status)
-    seq = newton_solve(sys, args.steps, budget)
-    results["newton"] = (
-        seq.iterates[-1] if seq.stabilized and seq.iterates else None,
-        seq.status,
-    )
-    seq = munchausen_sequence(sys, args.steps, budget=budget)
-    results["munchausen"] = (
-        seq.iterates[-1] if seq.stabilized and seq.iterates else None,
-        seq.status,
-    )
+    for method, seq in (
+        ("newton", newton_solve(sys, args.steps, budget)),
+        ("munchausen", munchausen_sequence(sys, args.steps, budget=budget)),
+    ):
+        last = seq.iterates[-1] if seq.stabilized and seq.iterates else None
+        results[method] = (last, seq.status)
     methods = list(results)
     verdicts = []
     for i, a in enumerate(methods):

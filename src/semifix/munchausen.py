@@ -6,13 +6,10 @@ small linear grammar; gluing a copy of the grammar on top of itself
 doubles the number of substitution rounds captured per evaluation, so n
 doublings squash 2^n rounds into one grammar evaluation.
 
-Ladder layer j is the completion step C applied to layer j - 1, and
-layer 1 is C(b).  Over idempotent instances the accelerated iterates
-are therefore taken from the chain b, C(b), C(C(b)), ... of
-`solver.newton_step`, sampled at powers of two and cut off at the first
-fixed point.  The ladder itself remains the construction behind the
-`grammar` command and the non-idempotent (counting) iterates, and the
-oracle the tests check that chain against.
+Ladder layer j is one completion step S applied to layer j - 1, so
+every accelerated iterate is read off one chain b, S(b), S(S(b)), ...
+at powers of two (`solver.sample_chain`).  The ladder itself remains
+only behind the `grammar` command and the tests' oracles.
 """
 
 from __future__ import annotations
@@ -48,6 +45,7 @@ from semifix.solver import (
     SolveOutcome,
     kleene_solve,
     newton_step,
+    sample_chain,
     solve_linear,
 )
 
@@ -277,21 +275,20 @@ def _layer_linear(lg, layer, keys, b, solved, budget):
     return {nt: out.value[names[nt]] for nt in keys}, out.steps_used, out.stabilized
 
 
-def _layer_expansion(lg, layer, keys, b, solved, budget, spent):
-    """Sum distinct fully expanded words of one layer, breadth first.
+def _layer_expansion(lg, layer, keys, budget, spent):
+    """Distinct fully expanded words of one layer per key, breadth first.
 
     Works without idempotence: every distinct sentential form counts
     once, and expansion always rewrites the leftmost same-layer
-    nonterminal.  Exact when the layer's spine graph is acyclic.
+    nonterminal.  Finishes when the layer's spine graph is acyclic.
     """
-    sr = lg.semiring
-    values: dict[NonTerm, Value] = {}
+    words: dict[NonTerm, list[tuple[LSym, ...]]] = {}
     ok = True
     for nt in keys:
         start = (nt,)
         seen = {start}
         queue = deque([start])
-        finished = []
+        finished = words[nt] = []
         while queue:
             form = queue.popleft()
             pos = next(
@@ -314,14 +311,14 @@ def _layer_expansion(lg, layer, keys, b, solved, budget, spent):
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
-        values[nt] = add_all(
-            sr,
-            (
-                mul_all(sr, (_plug_value(s, layer, b, solved) for s in form))
-                for form in finished
-            ),
-        )
-    return values, ok
+    return words, ok
+
+
+def _word_sum(sr, forms, layer, b, solved) -> Value:
+    """Sum of expanded words, plugs read from b and the solved layers."""
+    return add_all(
+        sr, (mul_all(sr, (_plug_value(s, layer, b, solved) for s in form)) for form in forms)
+    )
 
 
 def evaluate_grammar(
@@ -349,15 +346,16 @@ def evaluate_grammar(
             values, used, ok = _layer_linear(lg, layer, keys, b, solved, budget)
             steps += used
         else:
-            values, ok = _layer_expansion(
+            words, ok = _layer_expansion(
                 lg,
                 layer,
                 keys,
-                b,
-                solved,
                 DEFAULT_EXPANSION_BUDGET if budget is None else budget,
                 spent,
             )
+            values = {
+                nt: _word_sum(lg.semiring, words[nt], layer, b, solved) for nt in keys
+            }
             steps = spent[0]
         solved.update(values)
         if not ok:
@@ -395,40 +393,38 @@ def munchausen_sequence(
 ) -> SequenceOutcome:
     """Accelerated iterates 0..n at b; iterate k is the 2^k-layer ladder's value.
 
-    Over idempotent instances iterate k is C^(2^k)(b) for the completion
-    step C, so the completion step is applied at most 2^n times and the
-    iterates are read off after steps 1, 2, 4, ...; from the first fixed
-    point on they repeat it.  `budget` bounds each linear solve.  Other
-    instances evaluate the ladder of every level, with `budget` bounding
-    the word expansions.  The default start vector is the constant part.
-    A custom start is sanity checked against the least solution when one
-    is cheap to get.  On budget exhaustion the finished prefix is
-    returned, flagged.
+    Every instance reads iterate k as S^(2^k)(b) off one chain b, S(b),
+    S(S(b)), ..., so the ladder remains only behind `grammar` and the
+    oracles.  Over idempotent instances S is `newton_step` and `budget`
+    bounds each linear solve.  Otherwise S sums the completion grammar's
+    words, expanded once in c expansions, and iterate k exists only if
+    2^k * c <= budget, as for its ladder.  The default b is the constant
+    part; a custom one is sanity checked when that is cheap.  On budget
+    exhaustion the finished prefix is returned, flagged.
     """
     if b is None:
         b = dict(sys.a)
     else:
         b = dict(b)
         _check_b_vector(sys, b)
-    iterates = []
     if sys.semiring.is_idempotent:
-        v, steps, fixed = b, 0, False
-        for k in range(n + 1):
-            while steps < 2**k and not fixed:
-                out = newton_step(sys, v, budget)
-                if not out.stabilized:
-                    return SequenceOutcome(iterates, BUDGET_EXHAUSTED)
-                fixed = out.value == v
-                v = out.value
-                steps += 1
-            iterates.append(v)
-        return SequenceOutcome(iterates, STABILIZED)
-    for k in range(n + 1):
-        out = evaluate_grammar(munchausen_grammar(sys, k), b, budget)
-        if not out.stabilized:
-            return SequenceOutcome(iterates, BUDGET_EXHAUSTED)
-        iterates.append(out.value)
-    return SequenceOutcome(iterates, STABILIZED)
+        return sample_chain(
+            lambda v: newton_step(sys, v, budget), b, n + 1, lambda k: 1 << k
+        )
+    budget = DEFAULT_EXPANSION_BUDGET if budget is None else budget
+    keys = [NonTerm(y, 1) for y in sys.variables]
+    spent = [0]
+    words, ok = _layer_expansion(linear_completion_grammar(sys), 1, keys, budget, spent)
+    top = -1  # last iterate whose ladder fits the budget
+    while ok and top < n and spent[0] << (top + 1) <= budget:
+        top += 1
+
+    def step(v):
+        sums = {nt.var: _word_sum(sys.semiring, words[nt], 1, v, {}) for nt in keys}
+        return SolveOutcome(sums, STABILIZED, 0)
+
+    iterates = sample_chain(step, b, top + 1, lambda k: 1 << k).iterates
+    return SequenceOutcome(iterates, STABILIZED if top == n else BUDGET_EXHAUSTED)
 
 
 @dataclass(frozen=True)
@@ -551,30 +547,21 @@ def completion_via_differential_star(
 def completion_function_table(sys: EquationSystem) -> dict[str, Value]:
     """The completion as explicit tables over a finite instance.
 
-    Solves the completion grammar once over the pointwise table instance,
-    variable terminals becoming projections, so the result maps every
-    argument vector at once.
+    One completion step over the pointwise table instance, taken at the
+    projections, so the result maps every argument vector at once.
     """
     fs = make_function_semiring(sys.semiring, sys.variables)
-    lg = linear_completion_grammar(sys)
-    rhs = {}
-    for y in sys.variables:
-        monos = []
-        for word in lg.rules[NonTerm(y, 1)]:
-            factors = []
-            for sym in word:
-                if isinstance(sym, Terminal):
-                    factors.append(fs.constant(sym.value))
-                elif isinstance(sym, VarTerminal):
-                    factors.append(fs.projection(sym.var))
-                else:
-                    factors.append(sym.var)
-            monos.append(monomial(fs, factors))
-        rhs[y] = polynomial(fs, monos)
-    lin = LinearSystem(
-        fs, sys.variables, rhs, {y: fs.zero() for y in sys.variables}
+
+    def lift(m):
+        return monomial(fs, [f if isinstance(f, str) else fs.constant(f) for f in m.factors()])
+
+    tables = EquationSystem(
+        fs,
+        sys.variables,
+        {y: polynomial(fs, map(lift, sys.f[y].monomials)) for y in sys.variables},
+        {y: fs.constant(sys.a[y]) for y in sys.variables},
     )
-    out = solve_linear(lin)
+    out = newton_step(tables, {y: fs.projection(y) for y in sys.variables})
     if not out.stabilized:
         raise BudgetExhaustedError("table solve did not stabilize")
     return out.value

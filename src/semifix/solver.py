@@ -1,10 +1,11 @@
-"""Fixed-point solvers: Kleene iteration, linear systems, Newton steps."""
+"""Fixed-point solvers: Kleene iteration, linear systems, completion-step chains."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import repeat
+from typing import Callable, Mapping
 
 from semifix.polynomial import (
     EquationSystem,
@@ -141,9 +142,9 @@ def newton_step(
 ) -> SolveOutcome:
     """The completion step C(v): least solution of u = v + D(u), D taken around v.
 
-    Newton iteration, the idempotent doubling iterates and the
-    differential star all apply this one step.  It depends on v alone,
-    so once C(v) == v every further application repeats it exactly.
+    Newton iteration, the idempotent accelerated iterates, the
+    differential star and the function table all apply it.  It depends
+    on v alone, so once C(v) == v every further application repeats it.
     """
     lin = LinearSystem(
         sys.semiring,
@@ -154,17 +155,44 @@ def newton_step(
     return solve_linear(lin, max_linear_iters)
 
 
+def sample_chain(
+    step: Callable[[dict[str, Value]], SolveOutcome],
+    v: dict[str, Value],
+    samples: int,
+    steps_at: Callable[[int], int],
+) -> SequenceOutcome:
+    """Samples 0..samples-1 of the chain v, step(v), step(step(v)), ...
+
+    Sample k is taken after steps_at(k) steps, nondecreasing in k.  The
+    first fixed point fills all later samples, whose step counts are not
+    computed; a step that does not stabilize ends the run, flagged.
+    """
+    iterates: list[dict[str, Value]] = []
+    taken = 0
+    for k in range(samples):
+        target = steps_at(k)
+        while taken < target:
+            out = step(v)
+            if not out.stabilized:
+                return SequenceOutcome(iterates, BUDGET_EXHAUSTED)
+            taken += 1
+            if out.value == v:
+                iterates.extend(repeat(v, samples - k))
+                return SequenceOutcome(iterates, STABILIZED)
+            v = out.value
+        iterates.append(v)
+    return SequenceOutcome(iterates, STABILIZED)
+
+
 def newton_solve(
     sys: EquationSystem, n_steps: int, max_linear_iters: int | None = None
 ) -> SequenceOutcome:
-    """Newton iterates from the constant vector.
+    """Newton iterates 0..n_steps from the constant vector.
 
-    Returns the iterates up to and including step n_steps.  Once a step
-    leaves its vector unchanged no further linear system is solved: the
-    remaining iterates repeat that fixed point.  The update relies on
-    idempotent addition; running it anyway on other instances is allowed
-    for comparison and flagged with a warning.  A linear solve that
-    exhausts its budget aborts the run with partial results.
+    They sample the chain of completion steps at every step count.  The
+    update relies on idempotent addition; other instances are run for
+    comparison and flagged with a warning.  A linear solve that exhausts
+    its budget aborts the run with partial results.
     """
     if not sys.semiring.is_idempotent:
         warnings.warn(
@@ -173,14 +201,6 @@ def newton_solve(
             stacklevel=2,
         )
     v = eval_rhs(sys, zero_vector(sys))
-    iterates = [v]
-    fixed = False
-    for _ in range(n_steps):
-        if not fixed:
-            outcome = newton_step(sys, v, max_linear_iters)
-            if not outcome.stabilized:
-                return SequenceOutcome(iterates, BUDGET_EXHAUSTED)
-            fixed = outcome.value == v
-            v = outcome.value
-        iterates.append(v)
-    return SequenceOutcome(iterates, STABILIZED)
+    return sample_chain(
+        lambda u: newton_step(sys, u, max_linear_iters), v, n_steps + 1, lambda k: k
+    )

@@ -30,6 +30,7 @@ from semifix.semiring import (
     relation_semiring,
     star,
 )
+from semifix.solver import STABILIZED, SolveOutcome, sample_chain
 
 
 @dataclass
@@ -293,9 +294,8 @@ def tensor_pipeline(
 
     Each cycle regularizes the completion system at the current vector,
     solves it with one matrix star, and reads the result back: one
-    completion step C.  The n-th doubling iterate is C^(2^n)(b), so at
-    most 2^n cycles run, and none after the readout repeats its input,
-    since C depends on the vector alone.
+    completion step C.  Iterate n is C^(2^n)(b), read off the chain of
+    cycles by `solver.sample_chain` like every accelerated iterate.
     """
     if n < 0:
         raise InvariantError("iterate count must be nonnegative")
@@ -306,11 +306,10 @@ def tensor_pipeline(
                 f"no admissible tensor operations known for {sys.semiring.name}"
             )
         ops = relation_admissible(q)
-    v = dict(b) if b is not None else dict(sys.a)
-    for _ in range(2**n):
+
+    def cycle(v):
         y = solve_left_linear(regularize(eq1_of_completion(sys, v), ops))
-        nxt = {x: ops.readout(y[x]) for x in sys.variables}
-        if nxt == v:
-            break
-        v = nxt
-    return v
+        return SolveOutcome({x: ops.readout(y[x]) for x in sys.variables}, STABILIZED, 0)
+
+    start = dict(b) if b is not None else dict(sys.a)
+    return sample_chain(cycle, start, n + 1, lambda k: 1 << k).iterates[n]

@@ -1,11 +1,17 @@
 """Completion grammars, index doubling, and accelerated iteration."""
 
 import random
+import time
 from itertools import product
 
 import pytest
 
-from gen import instances_for_order_tests, random_point, random_system
+from gen import (
+    instances_for_order_tests,
+    random_point,
+    random_system,
+    random_triangular_system,
+)
 from semifix import solver
 from semifix.cli import parse
 from semifix.munchausen import (
@@ -196,6 +202,53 @@ def test_idempotent_sequence_matches_ladder_oracle():
                 partial += 0 < len(seq.iterates) < 4
     # the tiny budgets cut some sequences short, some after a prefix
     assert exhausted and partial
+
+
+def test_sequence_after_fixed_point_costs_no_steps():
+    # fixed after one completion step; the later iterates only repeat it
+    sys = parse("semiring boolean; vars x; x = x*x + 1;")
+    start = time.perf_counter()
+    seq = munchausen_sequence(sys, 10**6)
+    assert time.perf_counter() - start < 10
+    assert seq.stabilized and len(seq.iterates) == 10**6 + 1
+    assert seq.iterates[0] == seq.iterates[-1] == {"x": BOOLEAN.one()}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_counting_sequence_matches_ladder_oracle():
+    # the word-sum chain against the per-level ladder evaluation; random
+    # start vectors may leave the bracket the start check warns about
+    rng = random.Random(43)
+    budgets = (0, 1, 2, 5, 13, 30, 200)
+    cases = []
+    for _ in range(15):
+        sys = random_system(COUNTING, rng, rng.randint(1, 3))
+        cases += [(sys, None, budget) for budget in budgets]
+    for _ in range(15):
+        sys = random_triangular_system(COUNTING, rng, rng.randint(1, 4))
+        for b in (None, random_point(COUNTING, rng, sys.variables)):
+            cases += [(sys, b, budget) for budget in budgets + (None,)]
+    partial = 0
+    for sys, b, budget in cases:
+        seq = munchausen_sequence(sys, 3, b, budget)
+        for k in range(4):
+            oracle = evaluate_grammar(munchausen_grammar(sys, k), b or sys.a, budget)
+            assert (k < len(seq.iterates)) == oracle.stabilized
+            if oracle.stabilized:
+                assert vector_eq(seq.iterates[k], oracle.value)
+        assert seq.stabilized == (len(seq.iterates) == 4)
+        partial += 0 < len(seq.iterates) < 4
+    # some budgets cut a sequence after a nonempty prefix
+    assert partial
+
+
+def test_counting_chain_stops_at_the_expansion_budget():
+    # y doubles at every step and never settles; the budget caps the samples
+    start = time.perf_counter()
+    seq = munchausen_sequence(counting_chain(), 40)
+    assert time.perf_counter() - start < 2
+    assert not seq.stabilized and len(seq.iterates) == 14
+    assert seq.iterates[2]["x"].payload == 104
 
 
 def test_newton_stops_at_fixed_point_and_pads(monkeypatch):
@@ -390,16 +443,17 @@ def test_evaluate_rejects_fragments_and_partial_vectors():
 
 def test_function_table_matches_pointwise_evaluation():
     rng = random.Random(41)
-    for _ in range(8):
-        sys = random_system(BOOLEAN, rng, 2)
-        table = completion_function_table(sys)
-        fs = table[sys.variables[0]].semiring
-        lg = linear_completion_grammar(sys)
-        for pt in product([False, True], repeat=len(sys.variables)):
-            v = {x: BOOLEAN.value(b) for x, b in zip(sys.variables, pt)}
-            want = evaluate_grammar(lg, v).value
-            for x in sys.variables:
-                assert fs.apply(table[x], v) == want[x]
+    for sr in (BOOLEAN, relation_semiring(2)):
+        for _ in range(8):
+            sys = random_system(sr, rng, 2)
+            table = completion_function_table(sys)
+            fs = table[sys.variables[0]].semiring
+            lg = linear_completion_grammar(sys)
+            for pt in product(sr.elements(), repeat=len(sys.variables)):
+                v = dict(zip(sys.variables, pt))
+                want = evaluate_grammar(lg, v).value
+                for x in sys.variables:
+                    assert fs.apply(table[x], v) == want[x]
 
 
 def test_json_exports():
