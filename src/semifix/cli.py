@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from semifix.grammar import grammar_with_constants, tree_sum
 from semifix.munchausen import (
-    Coeff,
-    Held,
+    NonTerm,
+    Terminal,
     indexed_grammar_of,
     indexed_to_json,
     left_linear_completion_grammar,
@@ -54,6 +54,7 @@ from semifix.semiring import (
     vector_eq,
 )
 from semifix.solver import (
+    DEFAULT_KLEENE_BUDGET,
     BudgetExhaustedError,
     kleene_solve,
     newton_solve,
@@ -61,7 +62,6 @@ from semifix.solver import (
 from semifix.tensor import tensor_pipeline
 
 SCHEMA_VERSION = "v1"
-DEFAULT_KLEENE_BUDGET = 10_000
 DEFAULT_NODE_BUDGET = 5_000
 
 
@@ -407,17 +407,9 @@ def _run_oracle(args, sys: EquationSystem) -> int:
 
 
 def _run_completion(args, sys: EquationSystem) -> int:
-    if args.grammar:
-        lg = linear_completion_grammar(sys)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "completion",
-            "grammar": lincfg_to_json(lg),
-        }
-        _emit(args, payload, _grammar_lines(lg))
-        return 0
-    if args.left_linear:
-        lg = left_linear_completion_grammar(sys)
+    if args.grammar or args.left_linear:
+        build = linear_completion_grammar if args.grammar else left_linear_completion_grammar
+        lg = build(sys)
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "completion",
@@ -464,15 +456,15 @@ def _run_grammar(args, sys: EquationSystem) -> int:
             "indexed": indexed_to_json(ig),
         }
         def spell(s):
-            if isinstance(s, Coeff):
+            if isinstance(s, Terminal):
                 return s.value.semiring.render(s.value)
-            return f"{s.var}[s]" if isinstance(s, Held) else f"{s.var}[1.s]"
+            return f"{s.var}[1.s]" if isinstance(s, NonTerm) else f"{s.var}[s]"
 
         lines = []
         for y, words in ig.recursion.items():
             for w in words:
                 lines.append(f"{y}[1.s] -> {' '.join(spell(s) for s in w)}")
-        for y in ig.pop_variables:
+        for y in ig.variables:
             lines.append(f"{y}[1.s] -> {y}[s]")
             lines.append(f"{y}[0] -> {y}")
         _emit(args, payload, lines)

@@ -23,6 +23,7 @@ from semifix.polynomial import (
     EquationSystem,
     InvariantError,
     Monomial,
+    equation_system,
     mono_of_value,
     monomial,
     polynomial,
@@ -40,7 +41,6 @@ from semifix.solver import (
     BUDGET_EXHAUSTED,
     STABILIZED,
     BudgetExhaustedError,
-    LinearSystem,
     SequenceOutcome,
     SolveOutcome,
     kleene_solve,
@@ -265,13 +265,7 @@ def _layer_linear(lg, layer, keys, b, solved, budget):
                     factors.append(_plug_value(sym, layer, b, solved))
             monos.append(monomial(sr, factors))
         rhs[names[nt]] = polynomial(sr, monos)
-    lin = LinearSystem(
-        sr,
-        tuple(names[nt] for nt in keys),
-        rhs,
-        {names[nt]: sr.zero() for nt in keys},
-    )
-    out = solve_linear(lin, budget)
+    out = solve_linear(equation_system(sr, [names[nt] for nt in keys], rhs), budget)
     return {nt: out.value[names[nt]] for nt in keys}, out.steps_used, out.stabilized
 
 
@@ -427,36 +421,14 @@ def munchausen_sequence(
     return SequenceOutcome(iterates, STABILIZED if top == n else BUDGET_EXHAUSTED)
 
 
-@dataclass(frozen=True)
-class Coeff:
-    """Indexed rule symbol: a fixed value, stack ignored."""
-
-    value: Value
-
-
-@dataclass(frozen=True)
-class Held:
-    """Indexed rule symbol: a variable continued one stack level down."""
-
-    var: str
-
-
-@dataclass(frozen=True)
-class Spine:
-    """Indexed rule symbol: the variable that keeps the full stack."""
-
-    var: str
-
-
-ISym = Union[Coeff, Held, Spine]
-
-
 @dataclass
 class IndexedGrammar:
     """One rule set driving every layer through a unary stack.
 
-    Each variable carries the recursion rules of its nonterminal with a
-    nonempty stack plus one implicit pop rule: with symbols left the
+    The recursion words are the completion grammar's, without its
+    closing rule: `NonTerm(v, 1)` keeps the full stack, `VarTerminal(v)`
+    continues one stack level down, and `Terminal`s ignore the stack.
+    Each variable also has one implicit pop rule: with symbols left the
     nonterminal drops one, on the empty stack it becomes the plain
     variable.  The rule count never depends on how many layers get
     expanded.
@@ -464,11 +436,7 @@ class IndexedGrammar:
 
     semiring: Semiring
     variables: tuple[str, ...]
-    recursion: dict[str, tuple[tuple[ISym, ...], ...]]
-
-    @property
-    def pop_variables(self) -> tuple[str, ...]:
-        return self.variables
+    recursion: dict[str, tuple[tuple[LSym, ...], ...]]
 
     @property
     def rule_count(self) -> int:
@@ -476,23 +444,22 @@ class IndexedGrammar:
 
 
 def indexed_grammar_of(sys: EquationSystem) -> IndexedGrammar:
-    """Fold the whole ladder into stack-indexed rules."""
-    recursion: dict[str, tuple[tuple[ISym, ...], ...]] = {}
-    for y in sys.variables:
-        words = []
-        for m in sys.f[y].monomials:
-            for occ in range(m.degree):
-                word: list[ISym] = []
-                var_pos = 0
-                for f in m.factors():
-                    if isinstance(f, str):
-                        word.append(Spine(f) if var_pos == occ else Held(f))
-                        var_pos += 1
-                    else:
-                        word.append(Coeff(f))
-                words.append(tuple(word))
-        recursion[y] = tuple(words)
+    """Fold the whole ladder into stack-indexed rules.
+
+    They are the rules of `linear_completion_grammar` with the closing
+    rule of each variable dropped, since the pop rule takes its place.
+    """
+    lg = linear_completion_grammar(sys)
+    recursion = {y: lg.rules[NonTerm(y, 1)][:-1] for y in sys.variables}
     return IndexedGrammar(sys.semiring, sys.variables, recursion)
+
+
+def _unfold_sym(sym: LSym, layer: int) -> LSym:
+    if isinstance(sym, NonTerm):
+        return NonTerm(sym.var, layer)
+    if isinstance(sym, VarTerminal) and layer > 1:
+        return NonTerm(sym.var, layer - 1)
+    return sym
 
 
 def expand_indexed(ig: IndexedGrammar, n: int) -> LinearCfg:
@@ -502,23 +469,8 @@ def expand_indexed(ig: IndexedGrammar, n: int) -> LinearCfg:
     rules: dict[NonTerm, tuple[tuple[LSym, ...], ...]] = {}
     for layer in range(1, 2**n + 1):
         for y in ig.variables:
-            words = []
-            for rule in ig.recursion[y]:
-                word: list[LSym] = []
-                for sym in rule:
-                    if isinstance(sym, Coeff):
-                        word.append(Terminal(sym.value))
-                    elif isinstance(sym, Spine):
-                        word.append(NonTerm(sym.var, layer))
-                    elif layer == 1:
-                        word.append(VarTerminal(sym.var))
-                    else:
-                        word.append(NonTerm(sym.var, layer - 1))
-                words.append(tuple(word))
-            pop: tuple[LSym, ...] = (
-                (VarTerminal(y),) if layer == 1 else (NonTerm(y, layer - 1),)
-            )
-            words.append(pop)
+            words = [tuple(_unfold_sym(s, layer) for s in rule) for rule in ig.recursion[y]]
+            words.append((_unfold_sym(VarTerminal(y), layer),))
             rules[NonTerm(y, layer)] = tuple(words)
     return LinearCfg(ig.semiring, ig.variables, n, rules)
 
@@ -590,10 +542,10 @@ def lincfg_to_json(lg: LinearCfg) -> dict:
 
 
 def indexed_to_json(ig: IndexedGrammar) -> dict:
-    def sym(s: ISym):
-        if isinstance(s, Coeff):
+    def sym(s: LSym):
+        if isinstance(s, Terminal):
             return {"kind": "value", "value": s.value.semiring.render(s.value)}
-        if isinstance(s, Held):
+        if isinstance(s, VarTerminal):
             return {"kind": "variable", "name": s.var, "stack": "pop"}
         return {"kind": "spine", "name": s.var, "stack": "keep"}
 
@@ -604,5 +556,5 @@ def indexed_to_json(ig: IndexedGrammar) -> dict:
             for y, words in ig.recursion.items()
             for word in words
         ],
-        "pop": list(ig.pop_variables),
+        "pop": list(ig.variables),
     }

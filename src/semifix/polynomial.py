@@ -10,7 +10,7 @@ constant part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 from semifix.semiring import (
@@ -19,7 +19,6 @@ from semifix.semiring import (
     add,
     add_all,
     mul,
-    mul_all,
 )
 
 
@@ -97,10 +96,6 @@ def monomial(sr: Semiring, factors: Sequence[Factor]) -> Monomial:
     if any(c == zero for c in coefficients):
         return Monomial(sr, (zero,), ())
     return Monomial(sr, tuple(coefficients), tuple(variables))
-
-
-def mono_zero(sr: Semiring) -> Monomial:
-    return Monomial(sr, (sr.zero(),), ())
 
 
 def mono_of_value(sr: Semiring, v: Value) -> Monomial:

@@ -1,4 +1,9 @@
-"""Fixed-point solvers: Kleene iteration, linear systems, completion-step chains."""
+"""Fixed-point solvers: Kleene iteration, linear systems, completion-step chains.
+
+A linear system is an `EquationSystem` whose monomials hold one variable
+each; `kleene_solve` and `solve_linear` run the same iteration from zero
+and differ only in their budgets and the degree check.
+"""
 
 from __future__ import annotations
 
@@ -10,13 +15,11 @@ from typing import Callable, Mapping
 from semifix.polynomial import (
     EquationSystem,
     InvariantError,
-    Polynomial,
     differential_full,
-    eval_poly,
     eval_rhs,
     zero_vector,
 )
-from semifix.semiring import Semiring, Value, add
+from semifix.semiring import Value
 
 STABILIZED = "stabilized"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -59,12 +62,11 @@ class SequenceOutcome:
         return self.status == STABILIZED
 
 
-def kleene_solve(sys: EquationSystem, max_iters: int = 10000) -> SolveOutcome:
-    """Ascending iteration of the right-hand sides from the zero vector.
+DEFAULT_KLEENE_BUDGET = 10_000
 
-    Stops as soon as one application leaves the vector unchanged, which
-    over finite or saturating carriers also catches diverging chains.
-    """
+
+def _iterate(sys: EquationSystem, max_iters: int) -> SolveOutcome:
+    """Apply the right-hand sides from zero until the vector stops changing."""
     v = zero_vector(sys)
     for used in range(max_iters):
         nxt = eval_rhs(sys, v)
@@ -74,28 +76,13 @@ def kleene_solve(sys: EquationSystem, max_iters: int = 10000) -> SolveOutcome:
     return SolveOutcome(v, BUDGET_EXHAUSTED, max_iters)
 
 
-@dataclass
-class LinearSystem:
-    """Equations u = seed + rhs(u) whose monomials hold at most one variable."""
+def kleene_solve(sys: EquationSystem, max_iters: int = DEFAULT_KLEENE_BUDGET) -> SolveOutcome:
+    """Ascending iteration of the right-hand sides from the zero vector.
 
-    semiring: Semiring
-    variables: tuple[str, ...]
-    rhs: dict[str, Polynomial]
-    seed: dict[str, Value]
-
-    def __post_init__(self):
-        declared = set(self.variables)
-        if set(self.rhs) != declared or set(self.seed) != declared:
-            raise InvariantError("linear system must cover exactly its variables")
-        for x in self.variables:
-            for m in self.rhs[x].monomials:
-                if m.degree > 1:
-                    raise InvariantError(
-                        f"linear right-hand side for {x!r} has a degree {m.degree} monomial"
-                    )
-                for y in m.variables:
-                    if y not in declared:
-                        raise InvariantError(f"undeclared variable {y!r} in linear system")
+    Stops as soon as one application leaves the vector unchanged, which
+    over finite or saturating carriers also catches diverging chains.
+    """
+    return _iterate(sys, max_iters)
 
 
 def _magnitude(v: Value) -> int:
@@ -107,34 +94,36 @@ def _magnitude(v: Value) -> int:
     return 0
 
 
-def default_linear_budget(lin: LinearSystem) -> int:
+def default_linear_budget(sys: EquationSystem) -> int:
     """Iteration allowance scaled by system size and coefficient growth."""
     magnitudes = [0]
-    for v in lin.seed.values():
+    for v in sys.a.values():
         magnitudes.append(_magnitude(v))
-    for p in lin.rhs.values():
+    for p in sys.f.values():
         for m in p.monomials:
             for c in m.coefficients:
                 magnitudes.append(_magnitude(c))
-    return 10 * (len(lin.variables) + 1) * max(64, max(magnitudes))
+    return 10 * (len(sys.variables) + 1) * max(64, max(magnitudes))
 
 
-def solve_linear(lin: LinearSystem, max_iters: int | None = None) -> SolveOutcome:
-    """Least solution of u = seed + rhs(u) by iteration from zero.
+def solve_linear(sys: EquationSystem, max_iters: int | None = None) -> SolveOutcome:
+    """Least solution of a system whose monomials hold one variable each.
 
-    Each iterate equals the sum of all application chains up to that
-    length, so the run is exact even without idempotence; it just may
-    not stabilize within the budget when the system keeps growing.
+    The same iteration from zero as `kleene_solve`.  Each iterate equals
+    the sum of all application chains up to that length, so the run is
+    exact even without idempotence; it just may not stabilize within the
+    budget when the system keeps growing.  A monomial of higher degree
+    is rejected.
     """
+    for x in sys.variables:
+        for m in sys.f[x].monomials:
+            if m.degree > 1:
+                raise InvariantError(
+                    f"linear right-hand side for {x!r} has a degree {m.degree} monomial"
+                )
     if max_iters is None:
-        max_iters = default_linear_budget(lin)
-    u = {x: lin.semiring.zero() for x in lin.variables}
-    for used in range(max_iters):
-        nxt = {x: add(lin.seed[x], eval_poly(lin.rhs[x], u)) for x in lin.variables}
-        if nxt == u:
-            return SolveOutcome(u, STABILIZED, used)
-        u = nxt
-    return SolveOutcome(u, BUDGET_EXHAUSTED, max_iters)
+        max_iters = default_linear_budget(sys)
+    return _iterate(sys, max_iters)
 
 
 def newton_step(
@@ -146,12 +135,7 @@ def newton_step(
     differential star and the function table all apply it.  It depends
     on v alone, so once C(v) == v every further application repeats it.
     """
-    lin = LinearSystem(
-        sys.semiring,
-        sys.variables,
-        differential_full(sys.f, v),
-        dict(v),
-    )
+    lin = EquationSystem(sys.semiring, sys.variables, differential_full(sys.f, v), dict(v))
     return solve_linear(lin, max_linear_iters)
 
 
@@ -200,7 +184,6 @@ def newton_solve(
             RuntimeWarning,
             stacklevel=2,
         )
-    v = eval_rhs(sys, zero_vector(sys))
     return sample_chain(
-        lambda u: newton_step(sys, u, max_linear_iters), v, n_steps + 1, lambda k: k
+        lambda u: newton_step(sys, u, max_linear_iters), dict(sys.a), n_steps + 1, lambda k: k
     )

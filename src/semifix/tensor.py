@@ -285,17 +285,15 @@ def eq1_of_completion(sys: EquationSystem, v: Mapping[str, Value]) -> Eq1System:
 
 
 def tensor_pipeline(
-    sys: EquationSystem,
-    n: int,
-    b: Mapping[str, Value] | None = None,
-    ops: AdmissibleOps | None = None,
+    sys: EquationSystem, n: int, ops: AdmissibleOps | None = None
 ) -> dict[str, Value]:
     """Accelerated iterate n computed by repeated tensor solves.
 
     Each cycle regularizes the completion system at the current vector,
     solves it with one matrix star, and reads the result back: one
-    completion step C.  Iterate n is C^(2^n)(b), read off the chain of
-    cycles by `solver.sample_chain` like every accelerated iterate.
+    completion step C.  Iterate n is C^(2^n)(a), a the constant vector,
+    read off the chain of cycles by `solver.sample_chain` like every
+    accelerated iterate.
     """
     if n < 0:
         raise InvariantError("iterate count must be nonnegative")
@@ -311,5 +309,4 @@ def tensor_pipeline(
         y = solve_left_linear(regularize(eq1_of_completion(sys, v), ops))
         return SolveOutcome({x: ops.readout(y[x]) for x in sys.variables}, STABILIZED, 0)
 
-    start = dict(b) if b is not None else dict(sys.a)
-    return sample_chain(cycle, start, n + 1, lambda k: 1 << k).iterates[n]
+    return sample_chain(cycle, dict(sys.a), n + 1, lambda k: 1 << k).iterates[n]

@@ -405,7 +405,6 @@ def test_left_linear_rejects_noncommutative():
 def test_indexed_grammar_counts():
     ig = indexed_grammar_of(counting_chain())
     assert [len(ig.recursion[v]) for v in ("x", "y", "z")] == [2, 1, 0]
-    assert ig.pop_variables == ("x", "y", "z")
     assert ig.rule_count == 6
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from gen import instances_for_order_tests, random_system
 from semifix.polynomial import (
+    EquationSystem,
     InvariantError,
     differential_full,
     equation_system,
@@ -31,7 +32,6 @@ from semifix.semiring import (
 from semifix.solver import (
     BUDGET_EXHAUSTED,
     STABILIZED,
-    LinearSystem,
     SolveOutcome,
     default_linear_budget,
     kleene_solve,
@@ -137,20 +137,22 @@ def test_kleene_counting_saturates_to_infinity():
 
 def test_linear_system_rejects_higher_degrees():
     with pytest.raises(InvariantError):
-        LinearSystem(
-            BOOLEAN,
-            ("x",),
-            {"x": polynomial(BOOLEAN, [monomial(BOOLEAN, ["x", "x"])])},
-            {"x": BOOLEAN.zero()},
+        solve_linear(
+            EquationSystem(
+                BOOLEAN,
+                ("x",),
+                {"x": polynomial(BOOLEAN, [monomial(BOOLEAN, ["x", "x"])])},
+                {"x": BOOLEAN.zero()},
+            )
         )
     with pytest.raises(InvariantError):
-        LinearSystem(BOOLEAN, ("x",), {"x": poly_of_var(BOOLEAN, "y")}, {"x": BOOLEAN.zero()})
+        EquationSystem(BOOLEAN, ("x",), {"x": poly_of_var(BOOLEAN, "y")}, {"x": BOOLEAN.zero()})
     with pytest.raises(InvariantError):
-        LinearSystem(BOOLEAN, ("x",), {}, {"x": BOOLEAN.zero()})
+        EquationSystem(BOOLEAN, ("x",), {}, {"x": BOOLEAN.zero()})
 
 
 def test_solve_linear_chain():
-    lin = LinearSystem(
+    lin = EquationSystem(
         COUNTING,
         ("x", "y"),
         {"x": poly_of_var(COUNTING, "y"), "y": poly_zero(COUNTING)},
@@ -167,13 +169,13 @@ def test_solve_linear_solution_satisfies_equation():
         for _ in range(30):
             sys = random_system(sr, rng, 3)
             point = {x: sr.zero() for x in sys.variables}
-            lin = LinearSystem(
+            lin = EquationSystem(
                 sr, sys.variables, differential_full(sys.f, point), dict(sys.a)
             )
             out = solve_linear(lin)
             assert out.status == STABILIZED
             for x in lin.variables:
-                assert out.value[x] == add(lin.seed[x], eval_poly(lin.rhs[x], out.value))
+                assert out.value[x] == add(lin.a[x], eval_poly(lin.f[x], out.value))
 
 
 def test_solve_linear_is_least_for_boolean():
@@ -181,14 +183,14 @@ def test_solve_linear_is_least_for_boolean():
     for _ in range(20):
         sys = random_system(BOOLEAN, rng, 2)
         point = {x: BOOLEAN.zero() for x in sys.variables}
-        lin = LinearSystem(
+        lin = EquationSystem(
             BOOLEAN, sys.variables, differential_full(sys.f, point), dict(sys.a)
         )
         out = solve_linear(lin)
         for bits in itertools.product(BOOLEAN.elements(), repeat=2):
             candidate = dict(zip(lin.variables, bits))
             fixed = all(
-                candidate[x] == add(lin.seed[x], eval_poly(lin.rhs[x], candidate))
+                candidate[x] == add(lin.a[x], eval_poly(lin.f[x], candidate))
                 for x in lin.variables
             )
             if fixed:
@@ -196,7 +198,7 @@ def test_solve_linear_is_least_for_boolean():
 
 
 def test_solve_linear_geometric_growth_saturates():
-    lin = LinearSystem(
+    lin = EquationSystem(
         COUNTING,
         ("x",),
         {"x": polynomial(COUNTING, [monomial(COUNTING, [ct(2), "x"])])},
@@ -208,11 +210,11 @@ def test_solve_linear_geometric_growth_saturates():
 
 
 def test_solve_linear_additive_growth_exhausts_budget():
-    lin = LinearSystem(
+    lin = EquationSystem(
         COUNTING,
         ("x",),
-        {"x": polynomial(COUNTING, [mono_of_var(COUNTING, "x"), monomial(COUNTING, [ct(1)])])},
-        {"x": ct(0)},
+        {"x": polynomial(COUNTING, [mono_of_var(COUNTING, "x")])},
+        {"x": ct(1)},
     )
     out = solve_linear(lin)
     assert out.status == BUDGET_EXHAUSTED
@@ -220,13 +222,13 @@ def test_solve_linear_additive_growth_exhausts_budget():
 
 
 def test_default_linear_budget_scales_with_magnitude():
-    small = LinearSystem(
+    small = EquationSystem(
         MIN_PLUS,
         ("x",),
         {"x": poly_zero(MIN_PLUS)},
         {"x": MIN_PLUS.value(3)},
     )
-    big = LinearSystem(
+    big = EquationSystem(
         MIN_PLUS,
         ("x",),
         {"x": poly_zero(MIN_PLUS)},

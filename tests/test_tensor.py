@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gen import random_eq1, random_system
+from gen import random_eq1, random_point, random_system
 from semifix.munchausen import (
     evaluate_grammar,
     linear_completion_grammar,
@@ -20,13 +20,14 @@ from semifix.polynomial import (
 from semifix.semiring import (
     BOOLEAN,
     COUNTING,
+    MIN_PLUS,
     add,
     mul,
     relation_semiring,
     star,
     vector_eq,
 )
-from semifix.solver import kleene_solve
+from semifix.solver import kleene_solve, newton_step, solve_linear
 from semifix.tensor import (
     AdmissibleOps,
     Eq1System,
@@ -232,3 +233,15 @@ def test_pipeline_needs_known_companion():
     sys = equation_system(BOOLEAN, ("x",), {"x": poly_of_var(BOOLEAN, "x")})
     with pytest.raises(InvariantError, match="admissible"):
         tensor_pipeline(sys, 1)
+
+
+def test_completion_system_solves_like_newton_step():
+    rng = random.Random(17)
+    for sr in (BOOLEAN, MIN_PLUS, REL2, COUNTING):
+        for _ in range(40):
+            sys = random_system(sr, rng, rng.randint(1, 3))
+            for v in (dict(sys.a), random_point(sr, rng, sys.variables)):
+                got = solve_linear(as_equation_system(eq1_of_completion(sys, v)))
+                want = newton_step(sys, v)
+                assert got.value == want.value
+                assert (got.status, got.steps_used) == (want.status, want.steps_used)
