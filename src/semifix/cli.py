@@ -21,7 +21,7 @@ import os
 import sys as _sys
 from dataclasses import dataclass
 
-from semifix.grammar import grammar_with_constants, tree_sum
+from semifix.grammar import DEFAULT_NODE_BUDGET, grammar_with_constants, tree_sum
 from semifix.munchausen import (
     NonTerm,
     Terminal,
@@ -44,7 +44,8 @@ from semifix.polynomial import (
     equation_system,
     monomial,
     polynomial,
-    render_monomial,
+    render_polynomial,
+    rhs_poly,
 )
 from semifix.semiring import (
     InstanceMismatchError,
@@ -62,7 +63,6 @@ from semifix.solver import (
 from semifix.tensor import tensor_pipeline
 
 SCHEMA_VERSION = "v1"
-DEFAULT_NODE_BUDGET = 5_000
 
 
 class EquationSyntaxError(ValueError):
@@ -241,12 +241,7 @@ def render(sys: EquationSystem) -> str:
     q = getattr(sr, "q", None)
     header = f"semiring relation {q}" if q is not None else f"semiring {sr.name}"
     lines = [header + ";", "vars " + " ".join(sys.variables) + ";"]
-    zero = sr.zero()
-    for x in sys.variables:
-        parts = [render_monomial(m) for m in sys.f[x].monomials]
-        if sys.a[x] != zero:
-            parts.append(sr.render(sys.a[x]))
-        lines.append(f"{x} = {' + '.join(parts) if parts else sr.render(zero)};")
+    lines += [f"{x} = {render_polynomial(rhs_poly(sys, x))};" for x in sys.variables]
     return "\n".join(lines) + "\n"
 
 
@@ -255,8 +250,10 @@ def _rendered(sys: EquationSystem, v) -> dict[str, str]:
 
 
 def _emit(args, payload: dict, text_lines: list[str]):
+    """Print the payload, behind the schema and command envelope, or the text."""
     if args.json:
-        print(jsonlib.dumps(payload, indent=2))
+        envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}
+        print(jsonlib.dumps({**envelope, **payload}, indent=2))
     else:
         for line in text_lines:
             print(line)
@@ -307,8 +304,6 @@ def _run_solve(args, sys: EquationSystem) -> int:
         status, steps = seq.status, max(len(seq.iterates) - 1, 0)
     shown = _rendered(sys, values) if values is not None else None
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "solve",
         "method": args.method,
         "semiring": sys.semiring.name,
         "variables": list(sys.variables),
@@ -347,8 +342,6 @@ def _run_compare(args, sys: EquationSystem) -> int:
                 }
             )
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "compare",
         "semiring": sys.semiring.name,
         "steps": args.steps,
         "results": {
@@ -380,8 +373,6 @@ def _run_oracle(args, sys: EquationSystem) -> int:
         sums[x] = res.value
         all_stable = all_stable and res.stabilized
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "oracle",
         "semiring": sys.semiring.name,
         "dim": args.dim,
         "complete": args.complete,
@@ -407,35 +398,22 @@ def _run_oracle(args, sys: EquationSystem) -> int:
 
 
 def _run_completion(args, sys: EquationSystem) -> int:
+    if args.left_linear and not sys.semiring.is_commutative:
+        raise BadUsage(f"--left-linear needs a commutative instance, got {sys.semiring.name}")
     if args.grammar or args.left_linear:
         build = linear_completion_grammar if args.grammar else left_linear_completion_grammar
         lg = build(sys)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "completion",
-            "grammar": lincfg_to_json(lg),
-        }
-        _emit(args, payload, _grammar_lines(lg))
+        _emit(args, {"grammar": lincfg_to_json(lg)}, _grammar_lines(lg))
         return 0
     if args.table:
         table = completion_function_table(sys)
         fs = table[sys.variables[0]].semiring
         shown = {x: fs.render(table[x]) for x in sys.variables}
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "completion",
-            "table": shown,
-        }
-        _emit(args, payload, [f"{x}: {shown[x]}" for x in sys.variables])
+        _emit(args, {"table": shown}, [f"{x}: {shown[x]}" for x in sys.variables])
         return 0
     values = completion_via_differential_star(sys, dict(sys.a), _budget(args))
     shown = _rendered(sys, values)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "completion",
-        "values": shown,
-    }
-    _emit(args, payload, [f"{x} = {shown[x]}" for x in sys.variables])
+    _emit(args, {"values": shown}, [f"{x} = {shown[x]}" for x in sys.variables])
     return 0
 
 
@@ -450,11 +428,7 @@ def _grammar_lines(lg) -> list[str]:
 def _run_grammar(args, sys: EquationSystem) -> int:
     if args.indexed:
         ig = indexed_grammar_of(sys)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "grammar",
-            "indexed": indexed_to_json(ig),
-        }
+
         def spell(s):
             if isinstance(s, Terminal):
                 return s.value.semiring.render(s.value)
@@ -467,16 +441,10 @@ def _run_grammar(args, sys: EquationSystem) -> int:
         for y in ig.variables:
             lines.append(f"{y}[1.s] -> {y}[s]")
             lines.append(f"{y}[0] -> {y}")
-        _emit(args, payload, lines)
+        _emit(args, {"indexed": indexed_to_json(ig)}, lines)
         return 0
     lg = munchausen_grammar(sys, args.level)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "grammar",
-        "level": args.level,
-        "grammar": lincfg_to_json(lg),
-    }
-    _emit(args, payload, _grammar_lines(lg))
+    _emit(args, {"level": args.level, "grammar": lincfg_to_json(lg)}, _grammar_lines(lg))
     return 0
 
 
@@ -488,8 +456,6 @@ def _run_tensor(args, sys: EquationSystem) -> int:
     ref = seq.iterates[args.level] if seq.stabilized else None
     agree = ref is not None and vector_eq(got, ref)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "tensor",
         "level": args.level,
         "values": _rendered(sys, got),
         "reference": _rendered(sys, ref) if ref is not None else None,
@@ -543,7 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--grammar", action="store_true", help="emit the closure grammar")
     mode.add_argument(
-        "--left-linear", action="store_true", help="emit the left linear variant"
+        "--left-linear",
+        action="store_true",
+        help="emit the left linear variant (commutative instances only)",
     )
     mode.add_argument(
         "--table", action="store_true", help="tabulate the closure over a finite instance"

@@ -219,6 +219,9 @@ def _fold_dim(dmax: int, cnt: int, d: int) -> tuple[int, int]:
 
 TreeSumResult = namedtuple("TreeSumResult", "value stabilized")
 
+DEFAULT_NODE_BUDGET = 5_000
+INITIAL_NODE_BUDGET = 8
+
 
 class _TreeAggregator:
     """Sums tree yields grouped by exact node count without building trees.
@@ -322,17 +325,17 @@ def tree_sum(
     dim_bound: int,
     complete_only: bool = True,
     at: Mapping[str, Value] | None = None,
-    node_budget: int = 5000,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     window: int = 3,
-    initial_budget: int = 8,
 ) -> TreeSumResult:
     """Sum of yields over trees within a dimension bound.
 
-    Aggregates by node count and grows the count budget by a quarter per
-    round; once `window` consecutive rounds leave the total unchanged the
-    sum is reported as stabilized.  That verdict is a plateau heuristic,
-    not a proof.  Without `complete_only` an `at` vector supplies values
-    for nonterminal leaves.
+    Aggregates by node count from `INITIAL_NODE_BUDGET` nodes up and
+    grows the count budget by a quarter per round; once `window`
+    consecutive rounds leave the total unchanged the sum is reported as
+    stabilized.  That verdict is a plateau heuristic, not a proof.
+    Without `complete_only` an `at` vector supplies values for
+    nonterminal leaves.
     """
     if root not in g.rules:
         raise InvariantError(f"unknown variable {root!r}")
@@ -342,7 +345,7 @@ def tree_sum(
         if set(at) < set(g.nonterminals):
             raise InvariantError("`at` vector must cover every nonterminal")
     agg = _TreeAggregator(g, dim_bound, complete_only, at)
-    budget = min(initial_budget, node_budget)
+    budget = min(INITIAL_NODE_BUDGET, node_budget)
     agg.extend(budget)
     total = agg.total(root, budget)
     streak = 0
@@ -411,27 +414,3 @@ def regraft(outer: DerivationTree, parts: list[DerivationTree]) -> DerivationTre
         raise InvariantError("more parts than leaves")
     return out
 
-
-def symbol_to_json(sym: Symbol):
-    if isinstance(sym, Lit):
-        return {"value": sym.value.semiring.render(sym.value)}
-    return {"var": sym.var}
-
-
-def cfg_to_json(g: Cfg) -> dict:
-    return {
-        "nonterminals": list(g.nonterminals),
-        "rules": [
-            {"lhs": x, "rhs": [symbol_to_json(s) for s in word]}
-            for x in g.nonterminals
-            for word in g.rules[x]
-        ],
-    }
-
-
-def tree_to_json(t: DerivationTree) -> dict:
-    out = symbol_to_json(t.symbol)
-    if not t.is_leaf:
-        out["rule"] = t.rule_index
-        out["children"] = [tree_to_json(c) for c in t.children]
-    return out

@@ -392,9 +392,10 @@ def munchausen_sequence(
     oracles.  Over idempotent instances S is `newton_step` and `budget`
     bounds each linear solve.  Otherwise S sums the completion grammar's
     words, expanded once in c expansions, and iterate k exists only if
-    2^k * c <= budget, as for its ladder.  The default b is the constant
-    part; a custom one is sanity checked when that is cheap.  On budget
-    exhaustion the finished prefix is returned, flagged.
+    2^k * c <= budget, as for its ladder; a cycle of spines exhausts any
+    budget, so it is reported before expanding.  The default b is the
+    constant part; a custom one is sanity checked when that is cheap.  On
+    budget exhaustion the finished prefix is returned, flagged.
     """
     if b is None:
         b = dict(sys.a)
@@ -405,6 +406,15 @@ def munchausen_sequence(
         return sample_chain(
             lambda v: newton_step(sys, v, budget), b, n + 1, lambda k: 1 << k
         )
+    # A spine cycle (y -> z when z occurs in f[y]) spells ever longer
+    # words, so the expansion could never finish: prune leaves to find one.
+    live = set(sys.variables)
+    while leaves := {
+        y for y in live if live.isdisjoint(z for m in sys.f[y].monomials for z in m.variables)
+    }:
+        live -= leaves
+    if live:
+        return SequenceOutcome([], BUDGET_EXHAUSTED)
     budget = DEFAULT_EXPANSION_BUDGET if budget is None else budget
     keys = [NonTerm(y, 1) for y in sys.variables]
     spent = [0]

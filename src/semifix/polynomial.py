@@ -168,36 +168,6 @@ def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(p.semiring, p.monomials + q.monomials)
 
 
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Expanded product, distributing in the order the monomials appear."""
-    if p.semiring is not q.semiring:
-        raise InvariantError("polynomial product mixes semiring instances")
-    out = []
-    for a in p.monomials:
-        fa = a.factors()
-        for b in q.monomials:
-            out.append(monomial(p.semiring, fa + b.factors()))
-    return polynomial(p.semiring, out)
-
-
-def dedupe(p: Polynomial) -> Polynomial:
-    """Drop repeated monomials, keeping first positions.
-
-    Only safe when addition is idempotent, so other instances are
-    rejected instead of silently changing the sum.
-    """
-    if not p.semiring.is_idempotent:
-        raise InvariantError(f"cannot dedupe over non-idempotent {p.semiring.name}")
-    seen = set()
-    kept = []
-    for m in p.monomials:
-        key = (m.coefficients, m.variables)
-        if key not in seen:
-            seen.add(key)
-            kept.append(m)
-    return Polynomial(p.semiring, tuple(kept))
-
-
 def render_polynomial(p: Polynomial, suppress_units: bool = True) -> str:
     if p.is_zero:
         return p.semiring.render(p.semiring.zero())
@@ -216,45 +186,11 @@ def eval_poly(p: Polynomial, v: Mapping[str, Value]) -> Value:
     return add_all(p.semiring, (eval_monomial(m, v) for m in p.monomials))
 
 
-def compose_mono(m: Monomial, w: Mapping[str, Polynomial]) -> Polynomial:
-    """Replace every variable of one monomial by a polynomial and expand."""
-    out = poly_of_value(m.semiring, m.coefficients[0])
-    for x, c in zip(m.variables, m.coefficients[1:]):
-        out = poly_mul(out, w[x])
-        out = poly_mul(out, poly_of_value(m.semiring, c))
-    return out
-
-
-def compose_poly(p: Polynomial, w: Mapping[str, Polynomial]) -> Polynomial:
-    """Substitute a polynomial for every variable simultaneously."""
-    out = poly_zero(p.semiring)
-    for m in p.monomials:
-        out = poly_add(out, compose_mono(m, w))
-    return out
-
-
 def substitute_occurrence(m: Monomial, occ: int, g: Monomial) -> Monomial:
     """Splice monomial g in place of the variable at position occ."""
     fs = m.factors()
     pos = 2 * occ + 1
     return monomial(m.semiring, fs[:pos] + g.factors() + fs[pos + 1 :])
-
-
-def apply_substitution(f: Polynomial, x: str, g: Polynomial) -> list[Polynomial]:
-    """All single-occurrence replacements of x by g inside f.
-
-    One result per occurrence of x, walking monomials left to right and
-    occurrences within each monomial left to right.  The chosen monomial
-    is expanded in place against every monomial of g; a variable that
-    never occurs yields the empty list.
-    """
-    results = []
-    for i, m in enumerate(f.monomials):
-        for occ in m.occurrences(x):
-            expanded = [substitute_occurrence(m, occ, gm) for gm in g.monomials]
-            reassembled = f.monomials[:i] + tuple(expanded) + f.monomials[i + 1 :]
-            results.append(polynomial(f.semiring, reassembled))
-    return results
 
 
 @dataclass

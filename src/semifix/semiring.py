@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 INF = math.inf
 
@@ -60,7 +60,6 @@ class Semiring:
     is_idempotent = True
     is_commutative = True
     is_finite = False
-    domain = ""
 
     def value(self, payload: Any) -> Value:
         return Value(self, self._check(payload))
@@ -177,7 +176,6 @@ class BooleanSemiring(Semiring):
     is_idempotent = True
     is_commutative = True
     is_finite = True
-    domain = "truth values"
 
     def _check(self, payload):
         if not isinstance(payload, bool):
@@ -248,7 +246,6 @@ class MinPlusSemiring(Semiring):
     is_idempotent = True
     is_commutative = True
     is_finite = False
-    domain = "naturals with infinity"
 
     def _check(self, payload):
         return _check_extended_nat(payload, self.name)
@@ -290,7 +287,6 @@ class CountingSemiring(Semiring):
     is_idempotent = False
     is_commutative = True
     is_finite = False
-    domain = "naturals with infinity"
 
     def _check(self, payload):
         payload = _check_extended_nat(payload, self.name)
@@ -348,7 +344,6 @@ class RelationSemiring(Semiring):
         self.q = q
         self.name = f"relation[{q}]"
         self.is_commutative = q == 1
-        self.domain = f"{q}x{q} boolean matrices"
 
     def _check(self, payload):
         rows = tuple(tuple(bool(c) for c in row) for row in payload)
@@ -434,7 +429,6 @@ class FunctionSemiring(Semiring):
         self.name = f"function[{base.name}; {' '.join(variables) if variables else '()'}]"
         self.is_idempotent = base.is_idempotent
         self.is_commutative = base.is_commutative
-        self.domain = f"tables over {len(self.points)} argument vectors into {base.name}"
 
     def _check(self, payload):
         table = tuple(self.base._check(p) for p in payload)
@@ -483,16 +477,6 @@ class FunctionSemiring(Semiring):
         """Table returning the argument supplied for one variable."""
         i = self.variables.index(var)
         return Value(self, tuple(point[i] for point in self.points))
-
-    def tabulate(self, fn: Callable[[dict[str, Value]], Value]) -> Value:
-        """Build a table by sampling a callable at every argument vector."""
-        outs = []
-        for point in self.points:
-            args = {
-                x: Value(self.base, p) for x, p in zip(self.variables, point)
-            }
-            outs.append(fn(args).payload)
-        return Value(self, tuple(outs))
 
     def apply(self, table: Value, args: Mapping[str, Value]) -> Value:
         """Look one argument vector up in a table."""

@@ -153,6 +153,14 @@ def test_completion_values_and_grammar(tmp_path, capsys):
     assert data["grammar"]["level"] == 0
 
 
+def test_left_linear_completion_needs_a_commutative_instance(tmp_path, capsys):
+    path = write(tmp_path, "semiring relation 2;\nvars x;\nx = x*x + [[0,1],[1,0]];\n")
+    assert main(["completion", path, "--left-linear"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "commutative" in captured.err
+
+
 def test_completion_table_finite_only(tmp_path, capsys):
     path = write(tmp_path, "semiring boolean;\nvars x;\nx = x*x + 1;\n")
     assert main(["completion", path, "--table"]) == 0
@@ -245,3 +253,13 @@ def test_negative_budget_env_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SEMIFIX_BUDGET", "-1")
     assert main(["solve", path]) == 1
     assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", ["solve", "compare", "oracle", "completion", "grammar", "tensor"]
+)
+def test_every_command_opens_its_json_with_the_envelope(tmp_path, capsys, command):
+    path = write(tmp_path, "semiring relation 2;\nvars x;\nx = x*x + [[0,1],[1,0]];\n")
+    assert main([command, path, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data.items())[:2] == [("schema_version", "v1"), ("command", command)]

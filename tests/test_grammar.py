@@ -10,7 +10,6 @@ from semifix.grammar import (
     DerivationTree,
     Lit,
     Ref,
-    cfg_to_json,
     decompose,
     dimension,
     enumerate_trees,
@@ -21,7 +20,6 @@ from semifix.grammar import (
     regraft,
     tree_nodes,
     tree_sum,
-    tree_to_json,
     yield_value,
     yield_word,
 )
@@ -281,13 +279,3 @@ def test_regraft_validates_part_shapes():
         regraft(t, [leaf(Ref("y"))])
     with pytest.raises(InvariantError):
         regraft(t, [leaf(Ref("x")), leaf(Ref("x"))])
-
-
-def test_json_exports():
-    sys = counting_system_xyz()
-    g = grammar_with_constants(sys)
-    blob = cfg_to_json(g)
-    assert blob["nonterminals"] == ["x", "y", "z"]
-    assert {"lhs": "z", "rhs": [{"value": "2"}]} in blob["rules"]
-    t = node("z", 0, (leaf(Lit(ct(2))),))
-    assert tree_to_json(t) == {"var": "z", "rule": 0, "children": [{"value": "2"}]}

@@ -251,6 +251,15 @@ def test_counting_chain_stops_at_the_expansion_budget():
     assert seq.iterates[2]["x"].payload == 104
 
 
+def test_cyclic_counting_system_exhausts_without_expanding():
+    # y -> y is a spine cycle, so the completion words never run out
+    sys = parse("semiring counting;\nvars x y z;\nx = 1;\ny = 2*x*y;\nz = 3*x + x;\n")
+    start = time.perf_counter()
+    seq = munchausen_sequence(sys, 2, budget=4000)
+    assert time.perf_counter() - start < 2
+    assert seq.iterates == [] and not seq.stabilized
+
+
 def test_newton_stops_at_fixed_point_and_pads(monkeypatch):
     rng = random.Random(41)
     calls = []

@@ -11,9 +11,6 @@ from semifix.polynomial import (
     Monomial,
     Polynomial,
     SubstitutionStep,
-    apply_substitution,
-    compose_poly,
-    dedupe,
     differential,
     differential_full,
     enumerate_linear_monomial_substitutions,
@@ -25,7 +22,6 @@ from semifix.polynomial import (
     mono_of_var,
     monomial,
     poly_add,
-    poly_mul,
     poly_of_value,
     poly_of_var,
     poly_zero,
@@ -101,14 +97,6 @@ def test_polynomial_drops_zero_monomials_keeps_duplicates():
     assert eval_poly(p, {"y": ct(3), "z": ct(9)}) == ct(6)
 
 
-def test_dedupe_requires_idempotence():
-    m = monomial(BOOLEAN, ["y"])
-    p = polynomial(BOOLEAN, [m, m])
-    assert dedupe(p).monomials == (m,)
-    with pytest.raises(InvariantError):
-        dedupe(polynomial(COUNTING, [monomial(COUNTING, ["y"])]))
-
-
 def test_render_polynomial():
     p = poly_add(poly_of_var(COUNTING, "x"), poly_of_value(COUNTING, ct(2)))
     assert render_polynomial(p) == "x + 2"
@@ -134,19 +122,6 @@ def test_eval_distributes_over_sum_and_product():
             q = rhs_poly(sys, "y")
             v = random_point(sr, rng, sys.variables)
             assert eval_poly(poly_add(p, q), v) == add(eval_poly(p, v), eval_poly(q, v))
-            assert eval_poly(poly_mul(p, q), v) == mul(eval_poly(p, v), eval_poly(q, v))
-
-
-def test_compose_then_eval_is_eval_of_images():
-    rng = random.Random(29)
-    for sr in (COUNTING, REL2):
-        for _ in range(40):
-            sys = random_system(sr, rng, 3)
-            outer = rhs_poly(sys, "x")
-            images = {y: rhs_poly(sys, y) for y in sys.variables}
-            v = random_point(sr, rng, sys.variables)
-            image_values = {y: eval_poly(images[y], v) for y in sys.variables}
-            assert eval_poly(compose_poly(outer, images), v) == eval_poly(outer, image_values)
 
 
 def test_substitute_occurrence_splices_in_place():
@@ -156,34 +131,6 @@ def test_substitute_occurrence_splices_in_place():
     assert out == monomial(COUNTING, [ct(10), "z", ct(21), "y"])
     out2 = substitute_occurrence(m, 1, monomial(COUNTING, [ct(5)]))
     assert out2 == monomial(COUNTING, [ct(2), "x", ct(15)])
-
-
-def test_apply_substitution_one_result_per_occurrence():
-    f = polynomial(
-        BOOLEAN,
-        [monomial(BOOLEAN, ["y", "y"]), monomial(BOOLEAN, ["z"])],
-    )
-    g = poly_add(poly_of_var(BOOLEAN, "z"), poly_of_value(BOOLEAN, BOOLEAN.one()))
-    results = apply_substitution(f, "y", g)
-    assert len(results) == 2
-    first = polynomial(
-        BOOLEAN,
-        [
-            monomial(BOOLEAN, ["z", "y"]),
-            monomial(BOOLEAN, ["y"]),
-            monomial(BOOLEAN, ["z"]),
-        ],
-    )
-    second = polynomial(
-        BOOLEAN,
-        [
-            monomial(BOOLEAN, ["y", "z"]),
-            monomial(BOOLEAN, ["y"]),
-            monomial(BOOLEAN, ["z"]),
-        ],
-    )
-    assert results == [first, second]
-    assert apply_substitution(f, "w", g) == []
 
 
 def test_equation_system_splits_constants():

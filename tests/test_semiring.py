@@ -225,11 +225,6 @@ def test_function_semiring_pointwise_behaviour():
     assert FUN2.apply(FUN2.constant(t), {"x": f, "y": f}) == t
 
 
-def test_function_semiring_tabulate_round_trip():
-    table = FUN2.tabulate(lambda args: mul(args["x"], args["y"]))
-    assert table == mul(FUN2.projection("x"), FUN2.projection("y"))
-
-
 def test_function_semiring_shared_by_parameters():
     assert make_function_semiring(BOOLEAN, ("x", "y")) is FUN2
 
