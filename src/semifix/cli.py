@@ -20,6 +20,7 @@ import json as jsonlib
 import os
 import sys as _sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from semifix.grammar import DEFAULT_NODE_BUDGET, grammar_with_constants, tree_sum
 from semifix.munchausen import (
@@ -467,7 +468,13 @@ def _run_tensor(args, sys: EquationSystem) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    Parsing reads it and never changes it, so in-process callers of
+    `main` share one; a one-shot `semifix` run builds it once either way.
+    """
     top = argparse.ArgumentParser(
         prog="semifix",
         description="Solve polynomial fixed point systems over semiring instances.",

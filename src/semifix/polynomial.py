@@ -11,12 +11,12 @@ constant part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 from semifix.semiring import (
+    InstanceMismatchError,
     Semiring,
     Value,
-    add,
     add_all,
     mul,
 )
@@ -62,9 +62,6 @@ class Monomial:
             out.append(x)
             out.append(c)
         return out
-
-    def occurrences(self, x: str) -> list[int]:
-        return [i for i, y in enumerate(self.variables) if y == x]
 
     def __repr__(self) -> str:
         return f"<monomial {render_monomial(self)}>"
@@ -148,10 +145,6 @@ def polynomial(sr: Semiring, monomials: Iterable[Monomial]) -> Polynomial:
         if not m.is_zero:
             kept.append(m)
     return Polynomial(sr, tuple(kept))
-
-
-def poly_zero(sr: Semiring) -> Polynomial:
-    return Polynomial(sr, ())
 
 
 def poly_of_value(sr: Semiring, v: Value) -> Polynomial:
@@ -248,13 +241,71 @@ def rhs_poly(sys: EquationSystem, x: str) -> Polynomial:
     return poly_add(sys.f[x], poly_of_value(sys.semiring, sys.a[x]))
 
 
+def _payload(sr: Semiring, val: Value) -> Any:
+    if val.semiring is not sr:
+        raise InstanceMismatchError(
+            f"cannot combine {sr.name} system with {val.semiring.name} value"
+        )
+    return val.payload
+
+
+def _payloads(sr: Semiring, v: Mapping[str, Value]) -> dict[str, Any]:
+    """The payloads of a vector, each value checked once to be of sr."""
+    return {x: _payload(sr, val) for x, val in v.items()}
+
+
+def compile_rhs(sys: EquationSystem) -> Callable[[list], list]:
+    """The right-hand sides as one function on payload lists in variable order.
+
+    Each variable's monomials are compiled once into (c0, ((variable
+    index, coefficient), ...)) over payloads, a unit coefficient as None,
+    and applied with the instance's own `_add` and `_mul`: no `Value` is
+    built per operation.  Addition is commutative and associative in
+    every instance, so starting each sum at the constant gives the same
+    payload as summing the monomials first.
+    """
+    sr = sys.semiring
+    add_p, mul_p, one = sr._add, sr._mul, sr._one()
+    index = {x: i for i, x in enumerate(sys.variables)}
+
+    def coefficient(c):
+        p = _payload(sr, c)
+        return None if p == one else p
+
+    rows = [
+        tuple(
+            (
+                coefficient(m.coefficients[0]),
+                tuple((index[y], coefficient(c)) for y, c in zip(m.variables, m.coefficients[1:])),
+            )
+            for m in sys.f[x].monomials
+        )
+        for x in sys.variables
+    ]
+    constants = [sys.a[x].payload for x in sys.variables]
+
+    def apply(u: list) -> list:
+        out = []
+        for monos, total in zip(rows, constants):
+            for c0, factors in monos:
+                p = c0
+                for j, c in factors:
+                    p = u[j] if p is None else mul_p(p, u[j])
+                    if c is not None:
+                        p = mul_p(p, c)
+                total = add_p(total, p)
+            out.append(total)
+        return out
+
+    return apply
+
+
 def eval_rhs(sys: EquationSystem, v: Mapping[str, Value]) -> dict[str, Value]:
     """One application of the system's right-hand sides at a point."""
-    return {x: add(eval_poly(sys.f[x], v), sys.a[x]) for x in sys.variables}
-
-
-def zero_vector(sys: EquationSystem) -> dict[str, Value]:
-    return {x: sys.semiring.zero() for x in sys.variables}
+    sr = sys.semiring
+    at = _payloads(sr, v)
+    out = compile_rhs(sys)([at[x] for x in sys.variables])
+    return {x: Value(sr, p) for x, p in zip(sys.variables, out)}
 
 
 @dataclass(frozen=True)
@@ -364,6 +415,41 @@ def enumerate_linear_polynomial_substitutions(
     return results
 
 
+def _linearize(
+    p: Polynomial, v: Mapping[str, Any], directions: Iterable[str]
+) -> dict[str, list[Monomial]]:
+    """The terms left * x * right of p's differential around v, per direction x.
+
+    v holds payloads.  One scan per monomial: the left factors are the
+    running prefix product, the right ones a suffix product computed
+    once.  Terms keep monomial and occurrence order within a direction;
+    a term with a zero side is zero and dropped.
+    """
+    sr = p.semiring
+    mul_p, zero = sr._mul, sr._zero()
+    buckets: dict[str, list[Monomial]] = {x: [] for x in directions}
+    for m in p.monomials:
+        if buckets.keys().isdisjoint(m.variables):
+            continue
+        cs = [c.payload for c in m.coefficients]
+        at = [v[y] for y in m.variables]
+        n = len(at)
+        # right[k]: c_k * v(x_{k+1}) * c_{k+1} * ... * v(x_n) * c_n
+        right = [None] * n + [cs[n]]
+        for k in range(n - 1, 0, -1):
+            right[k] = mul_p(mul_p(cs[k], at[k]), right[k + 1])
+        left = cs[0]
+        for occ, x in enumerate(m.variables):
+            if occ:
+                left = mul_p(mul_p(left, at[occ - 1]), cs[occ])
+            bucket = buckets.get(x)
+            if bucket is not None and left != zero and right[occ + 1] != zero:
+                bucket.append(
+                    Monomial(sr, (Value(sr, left), Value(sr, right[occ + 1])), (x,))
+                )
+    return buckets
+
+
 def differential(p: Polynomial, x: str, v: Mapping[str, Value]) -> Polynomial:
     """Linearization of p in the direction of x around the point v.
 
@@ -372,28 +458,22 @@ def differential(p: Polynomial, x: str, v: Mapping[str, Value]) -> Polynomial:
     stays symbolic.  Monomials without x contribute nothing.  The result
     mentions x at most once per monomial.
     """
-    sr = p.semiring
-    out = []
-    for m in p.monomials:
-        for occ in m.occurrences(x):
-            left = m.coefficients[0]
-            for y, c in zip(m.variables[:occ], m.coefficients[1 : occ + 1]):
-                left = mul(mul(left, v[y]), c)
-            right = sr.one()
-            for y, c in zip(m.variables[occ + 1 :], m.coefficients[occ + 2 :]):
-                right = mul(mul(right, v[y]), c)
-            out.append(monomial(sr, [left, x, mul(m.coefficients[occ + 1], right)]))
-    return polynomial(sr, out)
+    return Polynomial(p.semiring, tuple(_linearize(p, _payloads(p.semiring, v), (x,))[x]))
 
 
 def differential_full(
     pvec: Mapping[str, Polynomial], v: Mapping[str, Value]
 ) -> dict[str, Polynomial]:
-    """Componentwise differential, summed over all variable directions."""
+    """Componentwise differential, summed over all variable directions.
+
+    Each monomial is scanned once (`_linearize`); the terms of each
+    component are concatenated direction by direction in the key order
+    of v, so the result equals the sum of `differential(p, x, v)` over x.
+    """
+    first = next(iter(pvec.values()), None)
+    at = {} if first is None else _payloads(first.semiring, v)
     out: dict[str, Polynomial] = {}
     for comp, p in pvec.items():
-        total = poly_zero(p.semiring)
-        for x in v:
-            total = poly_add(total, differential(p, x, v))
-        out[comp] = total
+        terms = _linearize(p, at, v).values()
+        out[comp] = Polynomial(p.semiring, tuple(m for bucket in terms for m in bucket))
     return out

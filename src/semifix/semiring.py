@@ -5,6 +5,12 @@ bound steps, a multiplication, neutral elements for both, and a star
 operation summing all powers of an element.  Values are tagged with the
 instance they belong to so that mixing instances fails loudly instead of
 producing garbage.
+
+Each instance computes on raw payloads through its `_add`, `_mul`,
+`_star` and `_leq` hooks: bools, naturals with infinity, relations as
+tuples of row bitmasks (bit j of row i is cell (i, j)), or tables.  The
+solver's fixed-point loop calls these hooks directly and wraps only its
+result in `Value`s.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import or_
 from typing import Any, Iterable, Mapping, Sequence
 
 INF = math.inf
@@ -36,8 +43,8 @@ class Value:
     """One element of a concrete semiring instance.
 
     The payload layout is instance specific: bools, numbers, matrices as
-    nested tuples, or output tables.  Payloads are always hashable, so
-    values can be set members and dict keys.
+    tuples of row bitmasks, or output tables.  Payloads are always
+    hashable, so values can be set members and dict keys.
     """
 
     semiring: "Semiring"
@@ -327,10 +334,16 @@ class CountingSemiring(Semiring):
         return _render_extended_nat(payload)
 
 
+# _SET_BITS[b] lists the positions of the set bits of the byte b.
+_SET_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+
+
 class RelationSemiring(Semiring):
     """Square boolean matrices under union and relational composition.
 
-    Payloads are nested tuples of bools.  Star is reflexive transitive
+    A payload is a tuple of q row bitmasks: bit j of row i is set when
+    cell (i, j) is.  `value` also takes nested rows of q cells each, as
+    parsing and callers write them.  Star is reflexive transitive
     closure.  Composition only commutes in dimension one.
     """
 
@@ -344,51 +357,69 @@ class RelationSemiring(Semiring):
         self.q = q
         self.name = f"relation[{q}]"
         self.is_commutative = q == 1
+        self._zero_rows = (0,) * q
+        self._one_rows = tuple(1 << i for i in range(q))
 
     def _check(self, payload):
-        rows = tuple(tuple(bool(c) for c in row) for row in payload)
-        if len(rows) != self.q or any(len(row) != self.q for row in rows):
-            raise ValueError(f"relation payload must be a {self.q}x{self.q} matrix")
-        return rows
+        q = self.q
+        rows = []
+        for row in payload:
+            if type(row) is int:
+                if not 0 <= row < 1 << q:
+                    raise ValueError(f"relation row {row!r} has bits beyond {q} columns")
+            elif isinstance(row, bool) or not hasattr(row, "__iter__"):
+                raise ValueError(f"relation row must be a bitmask or a list of cells, got {row!r}")
+            else:
+                cells = [bool(c) for c in row]
+                if len(cells) != q:
+                    raise ValueError(f"relation payload must be a {q}x{q} matrix")
+                row = sum(1 << j for j, c in enumerate(cells) if c)
+            rows.append(row)
+        if len(rows) != q:
+            raise ValueError(f"relation payload must be a {q}x{q} matrix")
+        return tuple(rows)
 
     def _zero(self):
-        return tuple(tuple(False for _ in range(self.q)) for _ in range(self.q))
+        return self._zero_rows
 
     def _one(self):
-        return tuple(tuple(i == j for j in range(self.q)) for i in range(self.q))
+        return self._one_rows
 
     def _add(self, x, y):
-        return tuple(
-            tuple(x[i][j] or y[i][j] for j in range(self.q)) for i in range(self.q)
-        )
+        return tuple(map(or_, x, y))
 
     def _mul(self, x, y):
-        return tuple(
-            tuple(any(x[i][k] and y[k][j] for k in range(self.q)) for j in range(self.q))
-            for i in range(self.q)
-        )
+        # row i of the product is the union of the rows of y that row i of x selects
+        out = []
+        for row in x:
+            acc = 0
+            base = 0
+            while row:
+                for j in _SET_BITS[row & 255]:
+                    acc |= y[base + j]
+                row >>= 8
+                base += 8
+            out.append(acc)
+        return tuple(out)
 
     def _star(self, x):
-        closure = [[i == j or x[i][j] for j in range(self.q)] for i in range(self.q)]
-        for k in range(self.q):
-            for i in range(self.q):
-                if closure[i][k]:
-                    row_k = closure[k]
-                    row_i = closure[i]
-                    for j in range(self.q):
-                        if row_k[j]:
-                            row_i[j] = True
-        return tuple(tuple(row) for row in closure)
+        # Warshall on bit rows: after pivot k, row i holds every j reachable via 0..k
+        closure = [row | 1 << i for i, row in enumerate(x)]
+        for k, bit in enumerate(self._one_rows):
+            row_k = closure[k]
+            for i, row_i in enumerate(closure):
+                if row_i & bit:
+                    closure[i] = row_i | row_k
+        return tuple(closure)
 
     def _leq(self, x, y):
-        return all(
-            (not x[i][j]) or y[i][j] for i in range(self.q) for j in range(self.q)
-        )
+        return all(not a & ~b for a, b in zip(x, y))
 
     def _elements(self):
-        cells = self.q * self.q
-        for bits in itertools.product((False, True), repeat=cells):
-            yield tuple(bits[i * self.q : (i + 1) * self.q] for i in range(self.q))
+        # the order of the nested form: cell (0, 0) varies slowest
+        q = self.q
+        rows = [sum(1 << j for j in range(q) if k >> (q - 1 - j) & 1) for k in range(1 << q)]
+        return itertools.product(rows, repeat=q)
 
     def _parse(self, text):
         try:
@@ -404,7 +435,8 @@ class RelationSemiring(Semiring):
         return self._check(raw)
 
     def _render(self, payload):
-        return json.dumps([[1 if c else 0 for c in row] for row in payload], separators=(",", ":"))
+        q = self.q
+        return json.dumps([[row >> j & 1 for j in range(q)] for row in payload], separators=(",", ":"))
 
 
 class FunctionSemiring(Semiring):

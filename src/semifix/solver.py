@@ -2,7 +2,9 @@
 
 A linear system is an `EquationSystem` whose monomials hold one variable
 each; `kleene_solve` and `solve_linear` run the same iteration from zero
-and differ only in their budgets and the degree check.
+and differ only in their budgets and the degree check.  That iteration,
+`_iterate`, compiles the system once and loops over raw payloads, so
+`Value` stays the boundary of the module, not the unit of its work.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from typing import Callable, Mapping
 from semifix.polynomial import (
     EquationSystem,
     InvariantError,
+    compile_rhs,
     differential_full,
-    eval_rhs,
-    zero_vector,
 )
 from semifix.semiring import Value
 
@@ -66,14 +67,23 @@ DEFAULT_KLEENE_BUDGET = 10_000
 
 
 def _iterate(sys: EquationSystem, max_iters: int) -> SolveOutcome:
-    """Apply the right-hand sides from zero until the vector stops changing."""
-    v = zero_vector(sys)
-    for used in range(max_iters):
-        nxt = eval_rhs(sys, v)
+    """Apply the right-hand sides from zero until the vector stops changing.
+
+    The system is compiled once (`compile_rhs`) and iterated over lists
+    of raw payloads in variable order; only the result is wrapped in
+    `Value`s.
+    """
+    sr = sys.semiring
+    apply = compile_rhs(sys)
+    v = [sr._zero()] * len(sys.variables)
+    status, used = BUDGET_EXHAUSTED, max_iters
+    for i in range(max_iters):
+        nxt = apply(v)
         if nxt == v:
-            return SolveOutcome(v, STABILIZED, used)
+            status, used = STABILIZED, i
+            break
         v = nxt
-    return SolveOutcome(v, BUDGET_EXHAUSTED, max_iters)
+    return SolveOutcome({x: Value(sr, p) for x, p in zip(sys.variables, v)}, status, used)
 
 
 def kleene_solve(sys: EquationSystem, max_iters: int = DEFAULT_KLEENE_BUDGET) -> SolveOutcome:

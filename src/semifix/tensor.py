@@ -55,32 +55,29 @@ def relation_admissible(q: int = 2) -> AdmissibleOps:
     base = relation_semiring(q)
     tensor = relation_semiring(q * q)
 
+    rows = range(q)
+    row_mask = (1 << q) - 1
+
     def transpose(a: Value) -> Value:
         m = a.payload
-        return base.value(tuple(tuple(m[j][i] for j in range(q)) for i in range(q)))
+        return Value(base, tuple(sum((m[j] >> i & 1) << j for j in rows) for i in rows))
 
     def tensor_prod(a: Value, b: Value) -> Value:
+        # pair row (i1, i2) holds block j1 = row i2 of b wherever row i1 of a has j1
         ma, mb = a.payload, b.payload
-        rows = []
-        for i1 in range(q):
-            for i2 in range(q):
-                rows.append(
-                    tuple(
-                        ma[i1][j1] and mb[i2][j2]
-                        for j1 in range(q)
-                        for j2 in range(q)
-                    )
-                )
-        return tensor.value(tuple(rows))
+        return Value(
+            tensor,
+            tuple(
+                sum(r2 << (j1 * q) for j1 in rows if r1 >> j1 & 1) for r1 in ma for r2 in mb
+            ),
+        )
 
     def readout(t: Value) -> Value:
         m = t.payload
-        return base.value(
-            tuple(
-                tuple(any(m[k * q + k][i * q + j] for k in range(q)) for j in range(q))
-                for i in range(q)
-            )
-        )
+        diagonal = 0
+        for k in rows:
+            diagonal |= m[k * q + k]
+        return Value(base, tuple(diagonal >> (i * q) & row_mask for i in rows))
 
     return AdmissibleOps(base, tensor, transpose, tensor_prod, readout)
 

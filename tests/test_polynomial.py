@@ -24,7 +24,6 @@ from semifix.polynomial import (
     poly_add,
     poly_of_value,
     poly_of_var,
-    poly_zero,
     polynomial,
     render_monomial,
     render_polynomial,
@@ -100,7 +99,7 @@ def test_polynomial_drops_zero_monomials_keeps_duplicates():
 def test_render_polynomial():
     p = poly_add(poly_of_var(COUNTING, "x"), poly_of_value(COUNTING, ct(2)))
     assert render_polynomial(p) == "x + 2"
-    assert render_polynomial(poly_zero(COUNTING)) == "0"
+    assert render_polynomial(polynomial(COUNTING, [])) == "0"
 
 
 def test_eval_monomial_respects_order():
@@ -156,7 +155,7 @@ def test_equation_system_rejects_bad_shapes():
     with pytest.raises(InvariantError):
         equation_system(COUNTING, ("x",), {"x": poly_of_var(COUNTING, "y")})
     with pytest.raises(InvariantError):
-        equation_system(COUNTING, ("x",), {"x": poly_of_var(COUNTING, "x"), "y": poly_zero(COUNTING)})
+        equation_system(COUNTING, ("x",), {"x": poly_of_var(COUNTING, "x"), "y": polynomial(COUNTING, [])})
 
 
 def monomial_key(m: Monomial):
@@ -292,3 +291,34 @@ def test_differential_full_sums_all_directions():
     assert eval_poly(full["x"], {"x": ct(0), "y": ct(1), "z": ct(0)}) == ct(6)
     assert full["y"] == polynomial(COUNTING, [monomial(COUNTING, ["z"])])
     assert full["z"].is_zero
+
+
+def _differential_by_rescan(p, x, v):
+    """The per-direction linearization: one rescan of p per direction."""
+    sr = p.semiring
+    out = []
+    for m in p.monomials:
+        for occ in (i for i, y in enumerate(m.variables) if y == x):
+            left = m.coefficients[0]
+            for y, c in zip(m.variables[:occ], m.coefficients[1 : occ + 1]):
+                left = mul(mul(left, v[y]), c)
+            right = sr.one()
+            for y, c in zip(m.variables[occ + 1 :], m.coefficients[occ + 2 :]):
+                right = mul(mul(right, v[y]), c)
+            out.append(monomial(sr, [left, x, mul(m.coefficients[occ + 1], right)]))
+    return polynomial(sr, out)
+
+
+def test_one_pass_differential_full_matches_per_direction_differentials():
+    rng = random.Random(57)
+    for sr in (BOOLEAN, MIN_PLUS, COUNTING, REL2):
+        for _ in range(40):
+            sys = random_system(sr, rng, rng.randint(1, 4), max_occurrences=4)
+            v = random_point(sr, rng, sys.variables)
+            full = differential_full(sys.f, v)
+            assert list(full) == list(sys.f)
+            for y, p in sys.f.items():
+                per_direction = [m for x in v for m in differential(p, x, v).monomials]
+                assert list(full[y].monomials) == per_direction
+                rescan = [m for x in v for m in _differential_by_rescan(p, x, v).monomials]
+                assert per_direction == rescan

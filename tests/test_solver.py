@@ -17,7 +17,6 @@ from semifix.polynomial import (
     monomial,
     poly_of_value,
     poly_of_var,
-    poly_zero,
     polynomial,
 )
 from semifix.semiring import (
@@ -155,7 +154,7 @@ def test_solve_linear_chain():
     lin = EquationSystem(
         COUNTING,
         ("x", "y"),
-        {"x": poly_of_var(COUNTING, "y"), "y": poly_zero(COUNTING)},
+        {"x": poly_of_var(COUNTING, "y"), "y": polynomial(COUNTING, [])},
         {"x": ct(1), "y": ct(2)},
     )
     out = solve_linear(lin)
@@ -225,13 +224,13 @@ def test_default_linear_budget_scales_with_magnitude():
     small = EquationSystem(
         MIN_PLUS,
         ("x",),
-        {"x": poly_zero(MIN_PLUS)},
+        {"x": polynomial(MIN_PLUS, [])},
         {"x": MIN_PLUS.value(3)},
     )
     big = EquationSystem(
         MIN_PLUS,
         ("x",),
-        {"x": poly_zero(MIN_PLUS)},
+        {"x": polynomial(MIN_PLUS, [])},
         {"x": MIN_PLUS.value(1000)},
     )
     assert default_linear_budget(small) == 10 * 2 * 64
@@ -311,3 +310,24 @@ def test_newton_step_outcome_shape():
     assert isinstance(out, SolveOutcome)
     assert out.stabilized
     assert set(out.value) == set(sys.variables)
+
+
+def test_foreign_start_vector_is_an_instance_mismatch():
+    from semifix.munchausen import munchausen_sequence
+    from semifix.polynomial import Monomial, Polynomial
+    from semifix.semiring import InstanceMismatchError
+
+    for sys in (boolean_system_xyz(), counting_system_xyz()):
+        other = MIN_PLUS if sys.semiring is not MIN_PLUS else BOOLEAN
+        foreign = {x: other.one() for x in sys.variables}
+        with pytest.raises(InstanceMismatchError):
+            newton_step(sys, foreign)
+        with pytest.raises(InstanceMismatchError):
+            munchausen_sequence(sys, 2, foreign)
+        with pytest.raises(InstanceMismatchError):
+            eval_rhs(sys, foreign)
+    # a hand-built monomial with a coefficient from another instance
+    odd = Monomial(BOOLEAN, (BOOLEAN.one(), MIN_PLUS.one()), ("x",))
+    sys = EquationSystem(BOOLEAN, ("x",), {"x": Polynomial(BOOLEAN, (odd,))}, {"x": BOOLEAN.one()})
+    with pytest.raises(InstanceMismatchError):
+        kleene_solve(sys)
