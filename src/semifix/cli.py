@@ -18,8 +18,8 @@ from __future__ import annotations
 import argparse
 import json as jsonlib
 import os
+import re
 import sys as _sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from semifix.grammar import DEFAULT_NODE_BUDGET, grammar_with_constants, tree_sum
@@ -42,16 +42,13 @@ from semifix.polynomial import (
     InvariantError,
     Monomial,
     Polynomial,
-    equation_system,
-    monomial,
-    polynomial,
     render_polynomial,
     rhs_poly,
 )
 from semifix.semiring import (
     InstanceMismatchError,
     NotFiniteError,
-    Semiring,
+    Value,
     instance_by_name,
     vector_eq,
 )
@@ -76,164 +73,212 @@ class EquationSyntaxError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+# One token per match: blanks are skipped, comments and the end are
+# matched so that the end keeps its position, and "other" is either a
+# bracket nested deeper than the two levels spelled out here or a
+# character no token starts with.  Some alternative matches whatever
+# follows the blanks, so no match backtracks into them.  {alpha},
+# {digit} and {alnum} add the non-ASCII characters of the text at hand
+# that str.isalpha, str.isdigit and str.isalnum accept, the classes the
+# file format is defined by.
+_TOKEN_PATTERN = r"""
+    [ \t\r\n]*
+    (?:
+        (?P<punct>[=+*;])
+      | (?P<name>[A-Za-z_{alpha}][A-Za-z0-9_{alnum}-]*)
+      | (?P<number>[0-9{digit}]+)
+      | (?P<matrix>\[(?:[^\[\]]|\[[^\[\]]*\])*\])
+      | (?P<comment>\#[^\n]*)
+      | (?P<end>\Z)
+      | (?P<other>.)
+    )"""
+_ASCII_TOKEN = re.compile(_TOKEN_PATTERN.format(alpha="", digit="", alnum=""), re.VERBOSE)
+_BRACKET = re.compile(r"[\[\]]")
 
 
-def _tokenize(text: str, filename: str) -> list[_Token]:
-    toks = []
-    i, line, col = 0, 1, 1
+def _token_pattern(text: str) -> re.Pattern:
+    if text.isascii():
+        return _ASCII_TOKEN
+    wide = [ch for ch in set(text) if not ch.isascii()]
+    classes = {
+        name: re.escape("".join(ch for ch in wide if test(ch)))
+        for name, test in (("alpha", str.isalpha), ("digit", str.isdigit), ("alnum", str.isalnum))
+    }
+    return re.compile(_TOKEN_PATTERN.format(**classes), re.VERBOSE)
+
+
+def _position(text: str, at: int) -> tuple[int, int]:
+    """Line and column, both from 1, of an offset."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+
+def _tokenize(text: str, filename: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of a system, closed by an "end" token.
+
+    Kinds are "punct", "name", "number", "matrix" and "end"; the end
+    token's text is empty.  A comment that runs to the end of the text
+    places the end token at its "#".
+    """
+    pattern = _token_pattern(text)
     n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-        elif ch in " \t\r":
-            i, col = i + 1, col + 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "=+*;":
-            toks.append(_Token(ch, ch, line, col))
-            i, col = i + 1, col + 1
-        elif ch == "[":
-            start_line, start_col, start = line, col, i
-            depth = 0
-            while i < n:
-                if text[i] == "[":
-                    depth += 1
-                elif text[i] == "]":
-                    depth -= 1
-                elif text[i] == "\n":
-                    line, col = line + 1, 0
-                i, col = i + 1, col + 1
-                if depth == 0:
-                    break
-            if depth != 0:
-                raise EquationSyntaxError(
-                    "unbalanced brackets", filename, start_line, start_col
-                )
-            toks.append(_Token("matrix", text[start:i], start_line, start_col))
-        elif ch.isdigit():
-            start, start_col = i, col
-            while i < n and text[i].isdigit():
-                i, col = i + 1, col + 1
-            toks.append(_Token("number", text[start:i], line, start_col))
-        elif ch.isalpha() or ch == "_":
-            start, start_col = i, col
-            while i < n and (text[i].isalnum() or text[i] in "_-"):
-                i, col = i + 1, col + 1
-            toks.append(_Token("name", text[start:i], line, start_col))
-        else:
-            raise EquationSyntaxError(f"unexpected character {ch!r}", filename, line, col)
-    toks.append(_Token("end", "", line, col))
-    return toks
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], filename: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.filename = filename
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        t = self.tokens[self.pos]
-        if t.kind != "end":
-            self.pos += 1
-        return t
-
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise EquationSyntaxError(message, self.filename, tok.line, tok.col)
-
-    def expect(self, kind: str, what: str) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            self.fail(f"expected {what}, found {t.text!r}" if t.text else f"expected {what}")
-        return self.take()
-
-    def keyword(self, word: str):
-        t = self.peek()
-        if t.kind != "name" or t.text != word:
-            self.fail(f"expected {word!r}")
-        self.take()
-
-
-def _parse_factor(p: _Parser, sr: Semiring, variables: set[str]):
-    t = p.peek()
-    if t.kind == "name" and t.text in variables:
-        p.take()
-        return t.text
-    if t.kind in ("name", "number", "matrix"):
-        p.take()
-        try:
-            return sr.parse_literal(t.text)
-        except ValueError as exc:
-            p.fail(f"not a variable or {sr.name} literal: {exc}", t)
-    p.fail("expected a variable or literal")
-
-
-def _parse_term(p: _Parser, sr: Semiring, variables: set[str]) -> Monomial:
-    factors = [_parse_factor(p, sr, variables)]
-    while p.peek().kind == "*":
-        p.take()
-        factors.append(_parse_factor(p, sr, variables))
-    return monomial(sr, factors)
-
-
-def _parse_expr(p: _Parser, sr: Semiring, variables: set[str]) -> Polynomial:
-    monos = [_parse_term(p, sr, variables)]
-    while p.peek().kind == "+":
-        p.take()
-        monos.append(_parse_term(p, sr, variables))
-    return polynomial(sr, monos)
+    end_at = n
+    tokens = []
+    pos = 0
+    while True:
+        for m in pattern.finditer(text, pos):
+            kind = m.lastgroup
+            at = m.start(kind)
+            if kind == "other":
+                break
+            if kind == "comment":
+                if m.end() == n:
+                    end_at = at
+            elif kind == "end":
+                tokens.append(("end", "", end_at))
+                return tokens
+            else:
+                tokens.append((kind, m[kind], at))
+        if text[at] != "[":
+            raise EquationSyntaxError(
+                f"unexpected character {text[at]!r}", filename, *_position(text, at)
+            )
+        # a bracket nested deeper than the pattern spells: scan its depth
+        depth = 0
+        for bracket in _BRACKET.finditer(text, at):
+            depth += 1 if bracket[0] == "[" else -1
+            if depth == 0:
+                break
+        if depth:
+            raise EquationSyntaxError("unbalanced brackets", filename, *_position(text, at))
+        pos = bracket.end()
+        tokens.append(("matrix", text[at:pos], at))
 
 
 def parse(text: str, filename: str = "<input>") -> EquationSystem:
-    """Read a system from its textual form."""
-    p = _Parser(_tokenize(text, filename), filename)
-    p.keyword("semiring")
-    name_tok = p.expect("name", "a semiring name")
+    """Read a system from its textual form, in one pass from text to payloads.
+
+    `_tokenize` splits the text with one compiled pattern into (kind,
+    text, offset) tuples.  The parser then reads each distinct literal
+    once per call (`Semiring._parse` gives a checked payload), multiplies
+    adjacent coefficients with the instance's `_mul`, drops a monomial
+    whose payload product holds a zero, and builds `Monomial`s and
+    `Polynomial`s directly, with one `Value` per stored coefficient.
+    Constant monomials are summed into the constant part in order.  An
+    `EquationSyntaxError` is pinned to the line and column of the
+    offending token, computed from its offset only when raised.
+    """
+    tokens = _tokenize(text, filename)
+
+    def fail(message: str, at: int):
+        raise EquationSyntaxError(message, filename, *_position(text, at))
+
+    def expected(what: str, token: tuple[str, str, int]):
+        found = token[1]
+        fail(f"expected {what}, found {found!r}" if found else f"expected {what}", token[2])
+
+    kind, word, at = tokens[0]
+    if kind != "name" or word != "semiring":
+        fail("expected 'semiring'", at)
+    name_token = tokens[1]
+    if name_token[0] != "name":
+        expected("a semiring name", name_token)
+    i = 2
     param = None
-    if p.peek().kind == "number":
-        param = int(p.take().text)
+    if tokens[i][0] == "number":
+        param = int(tokens[i][1])
+        i += 1
     try:
-        sr = instance_by_name(name_tok.text, param)
+        sr = instance_by_name(name_token[1], param)
     except ValueError as exc:
-        p.fail(str(exc), name_tok)
-    p.expect(";", "';'")
-    p.keyword("vars")
+        fail(str(exc), name_token[2])
+    if tokens[i][1] != ";":
+        expected("';'", tokens[i])
+    kind, word, at = tokens[i + 1]
+    if kind != "name" or word != "vars":
+        fail("expected 'vars'", at)
+    i += 2
     variables = []
-    while p.peek().kind == "name":
-        v = p.take().text
+    while tokens[i][0] == "name":
+        v = tokens[i][1]
+        i += 1
         if v in variables:
-            p.fail(f"variable {v} declared twice")
+            fail(f"variable {v} declared twice", tokens[i][2])
         variables.append(v)
     if not variables:
-        p.fail("expected at least one variable")
-    p.expect(";", "';'")
-    names = set(variables)
-    rhs: dict[str, Polynomial] = {}
-    while p.peek().kind != "end":
-        lhs = p.expect("name", "a variable")
-        if lhs.text not in names:
-            p.fail(f"undeclared variable {lhs.text}", lhs)
-        if lhs.text in rhs:
-            p.fail(f"second equation for {lhs.text}", lhs)
-        p.expect("=", "'='")
-        rhs[lhs.text] = _parse_expr(p, sr, names)
-        p.expect(";", "';'")
-    missing = [v for v in variables if v not in rhs]
+        fail("expected at least one variable", tokens[i][2])
+    if tokens[i][1] != ";":
+        expected("';'", tokens[i])
+    i += 1
+
+    declared = set(variables)
+    mul, add, zero = sr._mul, sr._add, sr._zero()
+    unit = sr.one()
+    literals: dict[str, object] = {}  # literal text -> payload, for this call only
+    f: dict[str, list[Monomial]] = {}
+    a: dict[str, object] = {}
+    kind, word, at = tokens[i]
+    while kind != "end":
+        if kind != "name":
+            expected("a variable", tokens[i])
+        if word not in declared:
+            fail(f"undeclared variable {word}", at)
+        if word in f:
+            fail(f"second equation for {word}", at)
+        lhs = word
+        if tokens[i + 1][1] != "=":
+            expected("'='", tokens[i + 1])
+        i += 2
+        monomials = []
+        constant = zero
+        while True:  # one monomial per pass
+            coefficients = []  # payloads, None for a unit
+            names = []
+            slot = None
+            while True:  # one factor per pass
+                kind, word, at = tokens[i]
+                if kind == "name" and word in declared:
+                    coefficients.append(slot)
+                    names.append(word)
+                    slot = None
+                elif kind == "name" or kind == "number" or kind == "matrix":
+                    p = literals.get(word)
+                    if p is None:
+                        try:
+                            p = literals[word] = sr._parse(word)
+                        except ValueError as exc:
+                            fail(f"not a variable or {sr.name} literal: {exc}", at)
+                    slot = p if slot is None else mul(slot, p)
+                else:
+                    fail("expected a variable or literal", at)
+                i += 1
+                if tokens[i][1] != "*":
+                    break
+                i += 1
+            coefficients.append(slot)
+            if zero not in coefficients:
+                if names:
+                    stored = [unit if c is None else Value(sr, c) for c in coefficients]
+                    monomials.append(Monomial(sr, tuple(stored), tuple(names)))
+                else:
+                    constant = add(constant, slot)
+            if tokens[i][1] != "+":
+                break
+            i += 1
+        if tokens[i][1] != ";":
+            expected("';'", tokens[i])
+        i += 1
+        f[lhs] = monomials
+        a[lhs] = constant
+        kind, word, at = tokens[i]
+    missing = [v for v in variables if v not in f]
     if missing:
-        p.fail(f"no equation for {', '.join(missing)}")
-    return equation_system(sr, tuple(variables), rhs)
+        fail(f"no equation for {', '.join(missing)}", at)
+    return EquationSystem(
+        sr,
+        tuple(variables),
+        {x: Polynomial(sr, tuple(f[x])) for x in variables},
+        {x: Value(sr, a[x]) for x in variables},
+    )
 
 
 def render(sys: EquationSystem) -> str:
@@ -407,7 +452,7 @@ def _run_completion(args, sys: EquationSystem) -> int:
         _emit(args, {"grammar": lincfg_to_json(lg)}, _grammar_lines(lg))
         return 0
     if args.table:
-        table = completion_function_table(sys)
+        table = completion_function_table(sys, _budget(args))
         fs = table[sys.variables[0]].semiring
         shown = {x: fs.render(table[x]) for x in sys.variables}
         _emit(args, {"table": shown}, [f"{x}: {shown[x]}" for x in sys.variables])
@@ -523,7 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--table", action="store_true", help="tabulate the closure over a finite instance"
     )
-    p.add_argument("--budget", type=_count)
+    p.add_argument(
+        "--budget", type=_count, help="linear solve iterations, or table points with --table"
+    )
 
     p = sub.add_parser("grammar", help="emit the doubling ladder grammar")
     common(p)

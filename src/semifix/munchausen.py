@@ -51,6 +51,11 @@ from semifix.solver import (
 
 DEFAULT_EXPANSION_BUDGET = 100_000
 
+# Points a completion table may have when no budget is given: 2^16, e.g.
+# sixteen boolean or four relation[2] variables.  Each point is one
+# argument vector, stored in every table of the solve.
+DEFAULT_TABLE_POINTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Terminal:
@@ -506,13 +511,29 @@ def completion_via_differential_star(
     return out.value
 
 
-def completion_function_table(sys: EquationSystem) -> dict[str, Value]:
+def completion_function_table(
+    sys: EquationSystem, max_points: int | None = None
+) -> dict[str, Value]:
     """The completion as explicit tables over a finite instance.
 
     One completion step over the pointwise table instance, taken at the
-    projections, so the result maps every argument vector at once.
+    projections, so the result maps every argument vector at once.  A
+    table has |carrier|^|variables| points; when that count, taken
+    before anything is built, exceeds `max_points` (default
+    DEFAULT_TABLE_POINTS) the budget is exhausted.
     """
-    fs = make_function_semiring(sys.semiring, sys.variables)
+    sr = sys.semiring
+    if sr.is_finite:
+        limit = DEFAULT_TABLE_POINTS if max_points is None else max_points
+        size, points = sr.size(), 1
+        for _ in sys.variables:
+            points *= size
+            if points > limit:
+                raise BudgetExhaustedError(
+                    f"a completion table over {sr.name} in {len(sys.variables)} "
+                    f"variables has more than {limit} points"
+                )
+    fs = make_function_semiring(sr, sys.variables)
 
     def lift(m):
         return monomial(fs, [f if isinstance(f, str) else fs.constant(f) for f in m.factors()])

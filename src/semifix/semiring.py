@@ -82,9 +82,13 @@ class Semiring:
             raise NotFiniteError(f"{self.name} carrier is not finite")
         return [Value(self, p) for p in self._elements()]
 
+    def size(self) -> int:
+        """Number of elements of a finite carrier, counted without listing them."""
+        raise NotFiniteError(f"{self.name} carrier is not finite")
+
     def parse_literal(self, text: str) -> Value:
         """Read one element from its textual form."""
-        return self.value(self._parse(text.strip()))
+        return Value(self, self._parse(text.strip()))
 
     def render(self, v: Value) -> str:
         return self._render(v.payload)
@@ -115,6 +119,11 @@ class Semiring:
         raise NotImplementedError
 
     def _parse(self, text: str) -> Any:
+        """The payload a literal spells, checked as `_check` would check it.
+
+        Raises ValueError for text that spells no element, so callers wrap
+        the result without checking it again.
+        """
         raise NotImplementedError
 
     def _render(self, payload: Any) -> str:
@@ -206,6 +215,9 @@ class BooleanSemiring(Semiring):
 
     def _leq(self, x, y):
         return (not x) or y
+
+    def size(self):
+        return 2
 
     def _elements(self):
         return [False, True]
@@ -343,8 +355,9 @@ class RelationSemiring(Semiring):
 
     A payload is a tuple of q row bitmasks: bit j of row i is set when
     cell (i, j) is.  `value` also takes nested rows of q cells each, as
-    parsing and callers write them.  Star is reflexive transitive
-    closure.  Composition only commutes in dimension one.
+    callers write them; `_parse` reads the same rows from JSON text.
+    Star is reflexive transitive closure.  Composition only commutes in
+    dimension one.
     """
 
     name = "relation"
@@ -415,6 +428,9 @@ class RelationSemiring(Semiring):
     def _leq(self, x, y):
         return all(not a & ~b for a, b in zip(x, y))
 
+    def size(self):
+        return 1 << (self.q * self.q)
+
     def _elements(self):
         # the order of the nested form: cell (0, 0) varies slowest
         q = self.q
@@ -432,7 +448,10 @@ class RelationSemiring(Semiring):
             for cell in row:
                 if cell not in (0, 1):
                     raise ValueError(f"relation cells must be 0 or 1, got {cell!r}")
-        return self._check(raw)
+        q = self.q
+        if len(raw) != q or any(len(row) != q for row in raw):
+            raise ValueError(f"relation payload must be a {q}x{q} matrix")
+        return tuple(sum(1 << j for j, cell in enumerate(row) if cell) for row in raw)
 
     def _render(self, payload):
         q = self.q
@@ -487,6 +506,9 @@ class FunctionSemiring(Semiring):
 
     def _leq(self, x, y):
         return all(self.base._leq(a, b) for a, b in zip(x, y))
+
+    def size(self):
+        return self.base.size() ** len(self.points)
 
     def _elements(self):
         base_payloads = [v.payload for v in self.base.elements()]

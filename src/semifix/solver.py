@@ -10,8 +10,8 @@ and differ only in their budgets and the degree check.  That iteration,
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Mapping
 
 from semifix.polynomial import (
@@ -47,15 +47,49 @@ class SolveOutcome:
         return self.status == STABILIZED
 
 
+class ChainSamples(Sequence):
+    """Read-only samples of a chain that reached a fixed point.
+
+    Holds the samples computed before the fixed point and the fixed
+    point once; every later index reads the fixed point, so memory does
+    not grow with the number of samples.  `len` and indexing are O(1);
+    it compares equal to, and prints as, the list of the same items.
+    """
+
+    def __init__(self, prefix: list[dict[str, Value]], length: int):
+        self._prefix = prefix
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(self._length)[k]]
+        if k < 0:
+            k += self._length
+        if not 0 <= k < self._length:
+            raise IndexError("chain sample index out of range")
+        return self._prefix[min(k, len(self._prefix) - 1)]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class SequenceOutcome:
-    """A list of iterates plus the status of the run that produced them.
+    """A sequence of iterates plus the status of the run that produced them.
 
-    When the status reports budget exhaustion the list holds the
+    When the status reports budget exhaustion the sequence holds the
     iterates finished before the budget ran out.
     """
 
-    iterates: list[dict[str, Value]]
+    iterates: Sequence[dict[str, Value]]
     status: str
 
     @property
@@ -159,7 +193,8 @@ def sample_chain(
 
     Sample k is taken after steps_at(k) steps, nondecreasing in k.  The
     first fixed point fills all later samples, whose step counts are not
-    computed; a step that does not stabilize ends the run, flagged.
+    computed, as a `ChainSamples` view that stores it once; a step that
+    does not stabilize ends the run, flagged.
     """
     iterates: list[dict[str, Value]] = []
     taken = 0
@@ -171,8 +206,8 @@ def sample_chain(
                 return SequenceOutcome(iterates, BUDGET_EXHAUSTED)
             taken += 1
             if out.value == v:
-                iterates.extend(repeat(v, samples - k))
-                return SequenceOutcome(iterates, STABILIZED)
+                iterates.append(v)
+                return SequenceOutcome(ChainSamples(iterates, samples), STABILIZED)
             v = out.value
         iterates.append(v)
     return SequenceOutcome(iterates, STABILIZED)

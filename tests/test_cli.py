@@ -169,6 +169,48 @@ def test_completion_table_finite_only(tmp_path, capsys):
     assert main(["completion", path, "--table"]) == 1
 
 
+RELATION5 = """\
+semiring relation 2;
+vars a b c d e;
+a = a*b + [[0,1],[1,0]];
+b = c;
+c = d*a;
+d = [[1,0],[0,0]];
+e = e*a;
+"""
+
+
+@pytest.mark.parametrize(
+    "text,argv",
+    [
+        # 16^5 points, over the given budget and over the default one
+        (RELATION5, ["--budget", "1000"]),
+        (RELATION5, []),
+        ("semiring boolean;\nvars x;\nx = x*x + 1;\n", ["--budget", "1"]),
+    ],
+)
+def test_completion_table_counts_points_before_building(tmp_path, capsys, monkeypatch, text, argv):
+    import semifix.munchausen
+
+    def refuse(*args):
+        raise AssertionError("table instance built before the size check")
+
+    monkeypatch.setattr(semifix.munchausen, "make_function_semiring", refuse)
+    path = write(tmp_path, text)
+    assert main(["completion", path, "--table", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exhausted: a completion table over")
+
+
+def test_completion_table_within_budget(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "semiring boolean;\nvars x;\nx = x*x + 1;\n")
+    assert main(["completion", path, "--table", "--budget", "2"]) == 0
+    assert "->" in capsys.readouterr().out
+    monkeypatch.setenv("SEMIFIX_BUDGET", "1")
+    assert main(["completion", path, "--table"]) == 3
+
+
 def test_grammar_level_and_indexed(tmp_path, capsys):
     path = write(tmp_path, CHAIN)
     assert main(["grammar", path, "--level", "2", "--json"]) == 0

@@ -331,3 +331,34 @@ def test_foreign_start_vector_is_an_instance_mismatch():
     sys = EquationSystem(BOOLEAN, ("x",), {"x": Polynomial(BOOLEAN, (odd,))}, {"x": BOOLEAN.one()})
     with pytest.raises(InstanceMismatchError):
         kleene_solve(sys)
+
+
+def test_samples_after_the_fixed_point_take_no_memory():
+    import tracemalloc
+
+    sys = boolean_system_xyz()
+    tracemalloc.start()
+    try:
+        out = newton_solve(sys, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stabilized and len(out.iterates) == 10**6 + 1
+    assert peak < 1 << 20
+    assert out.iterates[-1] == out.iterates[10**6] == kleene_solve(sys).value
+
+
+def test_padded_samples_read_as_a_list():
+    sys = boolean_system_xyz()
+    out = newton_solve(sys, 5)
+    listed = [newton_solve(sys, k).iterates[k] for k in range(6)]
+    assert len(out.iterates) == 6
+    assert out.iterates == listed and listed == out.iterates
+    assert list(out.iterates) == listed
+    assert out.iterates[-6] == listed[0]
+    assert out.iterates[1:4] == listed[1:4] and out.iterates[::-2] == listed[::-2]
+    assert out.iterates != listed[:-1]
+    with pytest.raises(IndexError):
+        out.iterates[6]
+    with pytest.raises(IndexError):
+        out.iterates[-7]
