@@ -182,11 +182,11 @@ def parse(text: str, filename: str = "<input>") -> EquationSystem:
     name_token = tokens[1]
     if name_token[0] != "name":
         expected("a semiring name", name_token)
-    i = 2
-    param = None
-    if tokens[i][0] == "number":
-        param = int(tokens[i][1])
-        i += 1
+    kind, word, at = tokens[2]
+    if kind == "number" and not word.isdecimal():  # str.isdigit also admits '²'
+        fail(f"semiring parameter {word!r} is not a decimal number", at)
+    param = int(word) if kind == "number" else None
+    i = 3 if kind == "number" else 2
     try:
         sr = instance_by_name(name_token[1], param)
     except ValueError as exc:
@@ -471,6 +471,9 @@ def _grammar_lines(lg) -> list[str]:
     return lines
 
 
+DEFAULT_GRAMMAR_RULES = 1 << 16  # `grammar --level` rules allowed without SEMIFIX_BUDGET
+
+
 def _run_grammar(args, sys: EquationSystem) -> int:
     if args.indexed:
         ig = indexed_grammar_of(sys)
@@ -489,6 +492,15 @@ def _run_grammar(args, sys: EquationSystem) -> int:
             lines.append(f"{y}[0] -> {y}")
         _emit(args, {"indexed": indexed_to_json(ig)}, lines)
         return 0
+    limit = _budget(args)
+    limit = DEFAULT_GRAMMAR_RULES if limit is None else limit
+    k = len(sys.variables)
+    # 2^level > limit once level reaches limit's bit length: no huge shift
+    if args.level >= limit.bit_length() or k << args.level > limit:
+        raise BudgetExhaustedError(
+            f"a level {args.level} ladder in {k} variables has {k}*2^{args.level} rules, "
+            f"more than the rule budget of {limit}"
+        )
     lg = munchausen_grammar(sys, args.level)
     _emit(args, {"level": args.level, "grammar": lincfg_to_json(lg)}, _grammar_lines(lg))
     return 0

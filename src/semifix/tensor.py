@@ -1,10 +1,11 @@
 """Two-sided linear systems solved through a tensor companion.
 
 A system x_i = c_i + sum_j a_ij x_j b_ij multiplies unknowns from both
-sides, which blocks the usual matrix-star treatment.  Pairing each
-two-sided coefficient into transpose(a) tensor b yields an equivalent
-left-linear system over a companion instance; one matrix star solves it,
-and a readout projects the solution back down.
+sides.  Pairing each two-sided coefficient into transpose(a) tensor b
+yields an equivalent system over a companion instance whose unknowns
+carry coefficients on one side only; `solver.solve_linear` solves it
+like every other linear system, and a readout projects the solution
+back down.
 """
 
 from __future__ import annotations
@@ -21,16 +22,14 @@ from semifix.polynomial import (
     monomial,
     polynomial,
 )
-from semifix.semiring import (
-    Semiring,
-    Value,
-    add,
-    add_all,
-    mul,
-    relation_semiring,
-    star,
+from semifix.semiring import Semiring, Value, add, mul, relation_semiring
+from semifix.solver import (
+    STABILIZED,
+    BudgetExhaustedError,
+    SolveOutcome,
+    sample_chain,
+    solve_linear,
 )
-from semifix.solver import STABILIZED, SolveOutcome, sample_chain
 
 
 @dataclass
@@ -195,75 +194,34 @@ def as_equation_system(e1: Eq1System) -> EquationSystem:
     return EquationSystem(sr, e1.variables, f, dict(e1.constants))
 
 
-@dataclass
-class LeftLinearSystem:
-    """Equations y_i = c_i + sum_j y_j m_ji, coefficients on the right only."""
+def regularize(e1: Eq1System, ops: AdmissibleOps) -> EquationSystem:
+    """Fold both-sided coefficients into right coefficients over the companion.
 
-    semiring: Semiring
-    variables: tuple[str, ...]
-    constants: dict[str, Value]
-    matrix: dict[str, dict[str, Value]]
-
-    def __post_init__(self):
-        names = set(self.variables)
-        if set(self.constants) != names or set(self.matrix) != names:
-            raise InvariantError("constants and matrix must cover every variable")
-        for j in self.variables:
-            if set(self.matrix[j]) != names:
-                raise InvariantError("matrix rows must cover every variable")
-
-
-def regularize(e1: Eq1System, ops: AdmissibleOps) -> LeftLinearSystem:
-    """Fold both-sided coefficients into left coefficients over the companion."""
+    Term (j, a, b) of x_i becomes the monomial x_j (transpose(a) tensor
+    b), and constant c_i becomes transpose(1) tensor c_i; a zero product
+    drops its monomial.
+    """
     if e1.semiring is not ops.base:
         raise InvariantError("system and admissible operations disagree on the instance")
     ts = ops.tensor
     one_t = ops.transpose(e1.semiring.one())
+
+    def term(j, a, b):
+        return monomial(ts, [j, ops.tensor_prod(ops.transpose(a), b)])
+
+    f = {i: polynomial(ts, [term(*t) for t in e1.terms[i]]) for i in e1.variables}
     constants = {x: ops.tensor_prod(one_t, e1.constants[x]) for x in e1.variables}
-    matrix = {j: {i: ts.zero() for i in e1.variables} for j in e1.variables}
-    for i in e1.variables:
-        for j, a, b in e1.terms[i]:
-            matrix[j][i] = add(
-                matrix[j][i], ops.tensor_prod(ops.transpose(a), b)
-            )
-    return LeftLinearSystem(ts, e1.variables, constants, matrix)
+    return EquationSystem(ts, e1.variables, f, constants)
 
 
-def matrix_star(sr: Semiring, m: list[list[Value]]) -> list[list[Value]]:
-    """Star of a square matrix by pivot elimination.
-
-    Round k closes paths through pivot k; adding the identity at the end
-    turns the strict closure into the reflexive one.  Valid whenever
-    scalar star satisfies its unfolding, no inverses needed.
-    """
-    n = len(m)
-    a = [list(row) for row in m]
-    for k in range(n):
-        s = star(a[k][k])
-        a = [
-            [add(a[i][j], mul(mul(a[i][k], s), a[k][j])) for j in range(n)]
-            for i in range(n)
-        ]
-    for i in range(n):
-        a[i][i] = add(a[i][i], sr.one())
-    return a
-
-
-def solve_left_linear(lls: LeftLinearSystem) -> dict[str, Value]:
-    """Least solution y = c times the star of the coefficient matrix."""
-    order = lls.variables
-    m = [[lls.matrix[j][i] for i in order] for j in order]
-    closed = matrix_star(lls.semiring, m)
-    return {
-        x: add_all(
-            lls.semiring,
-            (
-                mul(lls.constants[j], closed[jdx][idx])
-                for jdx, j in enumerate(order)
-            ),
+def solve_left_linear(lls: EquationSystem) -> dict[str, Value]:
+    """Least solution of a regularized system, by `solver.solve_linear`."""
+    out = solve_linear(lls)
+    if not out.stabilized:
+        raise BudgetExhaustedError(
+            f"companion solve did not stabilize within {out.steps_used} iterations"
         )
-        for idx, x in enumerate(order)
-    }
+    return out.value
 
 
 def eq1_of_completion(sys: EquationSystem, v: Mapping[str, Value]) -> Eq1System:
@@ -281,26 +239,22 @@ def eq1_of_completion(sys: EquationSystem, v: Mapping[str, Value]) -> Eq1System:
     return Eq1System(sys.semiring, sys.variables, dict(v), terms)
 
 
-def tensor_pipeline(
-    sys: EquationSystem, n: int, ops: AdmissibleOps | None = None
-) -> dict[str, Value]:
+def tensor_pipeline(sys: EquationSystem, n: int) -> dict[str, Value]:
     """Accelerated iterate n computed by repeated tensor solves.
 
     Each cycle regularizes the completion system at the current vector,
-    solves it with one matrix star, and reads the result back: one
+    solves it over the companion, and reads the result back: one
     completion step C.  Iterate n is C^(2^n)(a), a the constant vector,
     read off the chain of cycles by `solver.sample_chain` like every
-    accelerated iterate.
+    accelerated iterate.  A companion solve that does not stabilize
+    raises `BudgetExhaustedError`.
     """
     if n < 0:
         raise InvariantError("iterate count must be nonnegative")
-    if ops is None:
-        q = getattr(sys.semiring, "q", None)
-        if q is None:
-            raise InvariantError(
-                f"no admissible tensor operations known for {sys.semiring.name}"
-            )
-        ops = relation_admissible(q)
+    q = getattr(sys.semiring, "q", None)
+    if q is None:
+        raise InvariantError(f"no admissible tensor operations known for {sys.semiring.name}")
+    ops = relation_admissible(q)
 
     def cycle(v):
         y = solve_left_linear(regularize(eq1_of_completion(sys, v), ops))

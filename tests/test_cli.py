@@ -224,6 +224,76 @@ def test_grammar_level_and_indexed(tmp_path, capsys):
     assert "z[0] -> z" in out
 
 
+B2 = "semiring boolean;\nvars x y;\nx = x*y + 1;\ny = x;\n"
+
+
+def test_grammar_level_text_is_unchanged_within_the_budget(tmp_path, capsys):
+    path = write(tmp_path, B2)
+    assert main(["grammar", path, "--level", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "x^1 -> 1 x^1 1 y 1 | 1 x 1 y^1 1 | x\n"
+        "y^1 -> 1 x^1 1 | y\n"
+        "x^2 -> 1 x^2 1 y^1 1 | 1 x^1 1 y^2 1 | x^1\n"
+        "y^2 -> 1 x^2 1 | y^1\n"
+        "x^3 -> 1 x^3 1 y^2 1 | 1 x^2 1 y^3 1 | x^2\n"
+        "y^3 -> 1 x^3 1 | y^2\n"
+        "x^4 -> 1 x^4 1 y^3 1 | 1 x^3 1 y^4 1 | x^3\n"
+        "y^4 -> 1 x^4 1 | y^3\n"
+    )
+
+
+def test_grammar_level_counts_rules_before_building(tmp_path, capsys, monkeypatch):
+    import time
+
+    import semifix.cli
+
+    def refuse(sys, n):
+        raise AssertionError("ladder built before the size check")
+
+    path = write(tmp_path, B2)
+    with monkeypatch.context() as patched:
+        patched.setattr(semifix.cli, "munchausen_grammar", refuse)
+        started = time.monotonic()
+        assert main(["grammar", path, "--level", "40"]) == 3
+        assert time.monotonic() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget exhausted: a level 40 ladder in 2 variables has 2*2^40 rules, "
+        "more than the rule budget of 65536\n"
+    )
+    # 2 variables * 2^15 layers is exactly the default budget
+    assert main(["grammar", path, "--level", "15"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("SEMIFIX_BUDGET", "7")
+    assert main(["grammar", path, "--level", "2"]) == 3
+    assert "rule budget of 7" in capsys.readouterr().err
+    assert main(["grammar", path, "--indexed"]) == 0
+
+
+def test_non_decimal_digits_in_the_header_are_a_syntax_error(tmp_path, capsys):
+    path = write(tmp_path, "semiring relation \u00b2;\nvars x;\nx = [[1,0],[0,1]];\n")
+    assert main(["solve", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}:1:19: ")
+    # an Arabic-Indic three is a decimal digit, so this is relation[3]
+    path = write(tmp_path, "semiring relation \u0663;\nvars x;\nx = x;\n", "r3.sfx")
+    assert main(["solve", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["semiring"] == "relation[3]"
+
+
+def test_tensor_companion_solve_out_of_budget_exits_3(tmp_path, capsys, monkeypatch):
+    import semifix.solver
+
+    path = write(tmp_path, "semiring relation 2;\nvars x;\nx = x*x + [[0,1],[1,0]];\n")
+    monkeypatch.setattr(semifix.solver, "default_linear_budget", lambda sys: 1)
+    assert main(["tensor", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exhausted: companion solve did not stabilize")
+
+
 def test_tensor_command(tmp_path, capsys):
     path = write(
         tmp_path,

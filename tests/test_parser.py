@@ -155,7 +155,11 @@ def oracle_parse(text: str, filename: str = "<input>") -> EquationSystem:
     name_tok = p.expect("name", "a semiring name")
     param = None
     if p.peek().kind == "number":
-        param = int(p.take().text)
+        tok = p.take()
+        try:
+            param = int(tok.text)
+        except ValueError:
+            p.fail(f"semiring parameter {tok.text!r} is not a decimal number", tok)
     try:
         sr = instance_by_name(name_tok.text, param)
     except ValueError as exc:
@@ -194,8 +198,6 @@ def outcome(read, text):
         return read(text, "m.sfx")
     except EquationSyntaxError as exc:
         return ("syntax", str(exc), exc.line, exc.col)
-    except ValueError as exc:  # e.g. int() of a non-ASCII digit run in the header
-        return (type(exc), str(exc))
 
 
 def seeded_texts(seed, per_instance):

@@ -1,6 +1,5 @@
-"""Tensor companion operations and the matrix-star solving path."""
+"""Tensor companion operations and the companion solving path."""
 
-import json
 import random
 
 import pytest
@@ -12,6 +11,7 @@ from semifix.munchausen import (
     munchausen_sequence,
 )
 from semifix.polynomial import (
+    EquationSystem,
     InvariantError,
     equation_system,
     monomial,
@@ -22,20 +22,17 @@ from semifix.semiring import (
     BOOLEAN,
     COUNTING,
     MIN_PLUS,
-    add,
     mul,
     relation_semiring,
-    star,
     vector_eq,
 )
-from semifix.solver import kleene_solve, newton_step, solve_linear
+from semifix.solver import BudgetExhaustedError, kleene_solve, newton_step, solve_linear
 from semifix.tensor import (
     AdmissibleOps,
     Eq1System,
     as_equation_system,
     check_admissible,
     eq1_of_completion,
-    matrix_star,
     regularize,
     relation_admissible,
     solve_left_linear,
@@ -47,11 +44,6 @@ REL2 = relation_semiring(2)
 
 def rel(rows):
     return REL2.value(tuple(tuple(bool(v) for v in row) for row in rows))
-
-
-def cells(v):
-    """The 0/1 cell matrix of a relation value, read off its rendering."""
-    return json.loads(v.semiring.render(v))
 
 
 def test_admissible_laws_hold():
@@ -80,80 +72,6 @@ def test_kronecker_and_readout_golden():
     assert ops.readout(t) == rel([[1, 0], [0, 0]])
 
 
-def test_matrix_star_scalar_case():
-    for sr in (BOOLEAN, COUNTING):
-        for v in (sr.zero(), sr.one()):
-            assert matrix_star(sr, [[v]]) == [[star(v)]]
-
-
-def test_matrix_star_matches_power_sums():
-    rng = random.Random(7)
-    from gen import random_value
-
-    for _ in range(20):
-        n = rng.randint(1, 3)
-        m = [[random_value(REL2, rng) for _ in range(n)] for _ in range(n)]
-        closed = matrix_star(REL2, m)
-        acc = [
-            [REL2.one() if i == j else REL2.zero() for j in range(n)]
-            for i in range(n)
-        ]
-        power = [row[:] for row in acc]
-        for _ in range(2 * n + 4):
-            power = [
-                [
-                    REL2.value(
-                        tuple(
-                            tuple(
-                                any(
-                                    cells(power[i][k])[r][s] and cells(m[k][j])[s][c]
-                                    for k in range(n)
-                                    for s in range(2)
-                                )
-                                for c in range(2)
-                            )
-                            for r in range(2)
-                        )
-                    )
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            acc = [
-                [add(acc[i][j], power[i][j]) for j in range(n)]
-                for i in range(n)
-            ]
-        assert closed == acc
-
-
-def test_matrix_star_unfolds():
-    rng = random.Random(9)
-    from gen import random_value
-
-    for _ in range(20):
-        n = rng.randint(1, 3)
-        m = [[random_value(REL2, rng) for _ in range(n)] for _ in range(n)]
-        closed = matrix_star(REL2, m)
-        again = [
-            [
-                add(
-                    REL2.one() if i == j else REL2.zero(),
-                    _row_dot(m[i], [closed[k][j] for k in range(n)]),
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        assert closed == again
-
-
-def _row_dot(row, col):
-    acc = REL2.zero()
-    for a, b in zip(row, col):
-        acc = add(acc, mul(a, b))
-    return acc
-
-
 def test_regularized_solution_matches_direct_iteration():
     rng = random.Random(11)
     ops = relation_admissible(2)
@@ -163,6 +81,40 @@ def test_regularized_solution_matches_direct_iteration():
         got = {x: ops.readout(y[x]) for x in e1.variables}
         want = kleene_solve(as_equation_system(e1)).value
         assert vector_eq(got, want)
+
+
+def test_regularize_gives_a_linear_system_over_the_companion():
+    rng = random.Random(12)
+    ops = relation_admissible(2)
+    one_t = ops.tensor.one()
+    for _ in range(40):
+        e1 = random_eq1(REL2, rng, rng.randint(1, 3))
+        lls = regularize(e1, ops)
+        assert isinstance(lls, EquationSystem)
+        assert lls.semiring is ops.tensor
+        assert lls.variables == e1.variables
+        for x in lls.variables:
+            assert lls.a[x] == ops.tensor_prod(ops.transpose(REL2.one()), e1.constants[x])
+            nonzero = [
+                (j, a, b)
+                for j, a, b in e1.terms[x]
+                if ops.tensor_prod(ops.transpose(a), b) != ops.tensor.zero()
+            ]
+            assert len(lls.f[x].monomials) == len(nonzero)
+            for m, (j, a, b) in zip(lls.f[x].monomials, nonzero):
+                assert m.variables == (j,)
+                assert m.coefficients == (one_t, ops.tensor_prod(ops.transpose(a), b))
+
+
+def test_companion_solve_that_does_not_stabilize_is_an_exhausted_budget(monkeypatch):
+    import semifix.solver
+
+    ops = relation_admissible(2)
+    a = rel([[0, 1], [1, 0]])
+    e1 = Eq1System(REL2, ("x",), {"x": REL2.one()}, {"x": (("x", a, a),)})
+    monkeypatch.setattr(semifix.solver, "default_linear_budget", lambda sys: 1)
+    with pytest.raises(BudgetExhaustedError, match="companion solve"):
+        solve_left_linear(regularize(e1, ops))
 
 
 def test_eq1_validation():
@@ -218,21 +170,22 @@ def test_completion_drops_frozen_zero_terms():
 
 def test_pipeline_single_cycle_is_completion():
     rng = random.Random(13)
-    ops = relation_admissible(2)
     for _ in range(20):
         sys = random_system(REL2, rng, rng.randint(1, 3))
-        got = tensor_pipeline(sys, 0, ops=ops)
+        got = tensor_pipeline(sys, 0)
         want = evaluate_grammar(linear_completion_grammar(sys), dict(sys.a)).value
         assert vector_eq(got, want)
 
 
 def test_pipeline_matches_accelerated_sequence():
     rng = random.Random(15)
-    for _ in range(15):
-        sys = random_system(REL2, rng, rng.randint(1, 3))
-        seq = munchausen_sequence(sys, 2)
-        for n in range(3):
-            assert vector_eq(tensor_pipeline(sys, n), seq.iterates[n])
+    # relation[3] in 4-5 variables has the relation[9] companion the benchmark runs
+    for sr, sizes, count in ((REL2, (1, 3), 15), (relation_semiring(3), (4, 5), 20)):
+        for _ in range(count):
+            sys = random_system(sr, rng, rng.randint(*sizes))
+            seq = munchausen_sequence(sys, 2)
+            for n in range(3):
+                assert vector_eq(tensor_pipeline(sys, n), seq.iterates[n])
 
 
 def test_pipeline_needs_known_companion():
