@@ -52,12 +52,7 @@ from semifix.semiring import (
     instance_by_name,
     vector_eq,
 )
-from semifix.solver import (
-    DEFAULT_KLEENE_BUDGET,
-    BudgetExhaustedError,
-    kleene_solve,
-    newton_solve,
-)
+from semifix.solver import BudgetExhaustedError, kleene_solve, newton_solve
 from semifix.tensor import tensor_pipeline
 
 SCHEMA_VERSION = "v1"
@@ -336,10 +331,17 @@ class BadUsage(ValueError):
     pass
 
 
+def _verdict(a, b) -> str:
+    """OK or DIFFER for two vectors; "skipped" when either did not stabilize."""
+    if a is None or b is None:
+        return "skipped"
+    return "OK" if vector_eq(a, b) else "DIFFER"
+
+
 def _run_solve(args, sys: EquationSystem) -> int:
     budget = _budget(args)
     if args.method == "kleene":
-        out = kleene_solve(sys, budget if budget is not None else DEFAULT_KLEENE_BUDGET)
+        out = kleene_solve(sys, budget)
         values, status, steps = out.value, out.status, out.steps_used
     else:
         if args.method == "newton":
@@ -366,7 +368,7 @@ def _run_solve(args, sys: EquationSystem) -> int:
 def _run_compare(args, sys: EquationSystem) -> int:
     budget = _budget(args)
     results = {}
-    out = kleene_solve(sys, budget if budget is not None else DEFAULT_KLEENE_BUDGET)
+    out = kleene_solve(sys, budget)
     results["kleene"] = (out.value if out.stabilized else None, out.status)
     for method, seq in (
         ("newton", newton_solve(sys, args.steps, budget)),
@@ -375,18 +377,11 @@ def _run_compare(args, sys: EquationSystem) -> int:
         last = seq.iterates[-1] if seq.stabilized and seq.iterates else None
         results[method] = (last, seq.status)
     methods = list(results)
-    verdicts = []
-    for i, a in enumerate(methods):
-        for b in methods[i + 1 :]:
-            va, vb = results[a][0], results[b][0]
-            verdicts.append(
-                {
-                    "pair": [a, b],
-                    "verdict": "skipped"
-                    if va is None or vb is None
-                    else ("OK" if vector_eq(va, vb) else "DIFFER"),
-                }
-            )
+    verdicts = [
+        {"pair": [a, b], "verdict": _verdict(results[a][0], results[b][0])}
+        for i, a in enumerate(methods)
+        for b in methods[i + 1 :]
+    ]
     payload = {
         "semiring": sys.semiring.name,
         "steps": args.steps,
@@ -430,9 +425,8 @@ def _run_oracle(args, sys: EquationSystem) -> int:
         seq = newton_solve(sys, args.dim)
         if seq.stabilized:
             iterate = seq.iterates[args.dim]
-            agree = vector_eq(sums, iterate)
             payload["iterate"] = _rendered(sys, iterate)
-            payload["verdict"] = "OK" if agree else "DIFFER"
+            payload["verdict"] = _verdict(sums if all_stable else None, iterate)
             lines.append(
                 "vs iterate: " + " ".join(f"{x}={payload['iterate'][x]}" for x in sys.variables)
             )
@@ -512,17 +506,16 @@ def _run_tensor(args, sys: EquationSystem) -> int:
     got = tensor_pipeline(sys, args.level)
     seq = munchausen_sequence(sys, args.level, budget=_budget(args))
     ref = seq.iterates[args.level] if seq.stabilized else None
-    agree = ref is not None and vector_eq(got, ref)
     payload = {
         "level": args.level,
         "values": _rendered(sys, got),
         "reference": _rendered(sys, ref) if ref is not None else None,
-        "verdict": "OK" if agree else "DIFFER",
+        "verdict": _verdict(got, ref),
     }
     lines = [f"{x} = {payload['values'][x]}" for x in sys.variables]
     lines.append(f"verdict: {payload['verdict']}")
     _emit(args, payload, lines)
-    return 0
+    return 0 if ref is not None else 3
 
 
 @lru_cache(maxsize=None)

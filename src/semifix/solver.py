@@ -2,9 +2,10 @@
 
 A linear system is an `EquationSystem` whose monomials hold one variable
 each; `kleene_solve` and `solve_linear` run the same iteration from zero
-and differ only in their budgets and the degree check.  That iteration,
-`_iterate`, compiles the system once and loops over raw payloads, so
-`Value` stays the boundary of the module, not the unit of its work.
+and differ only in the degree check.  That iteration, `_iterate`,
+compiles the system once and loops over raw payloads, so `Value` stays
+the boundary of the module, not the unit of its work.  It is also the
+one place a missing budget becomes `DEFAULT_KLEENE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -100,13 +101,16 @@ class SequenceOutcome:
 DEFAULT_KLEENE_BUDGET = 10_000
 
 
-def _iterate(sys: EquationSystem, max_iters: int) -> SolveOutcome:
+def _iterate(sys: EquationSystem, max_iters: int | None) -> SolveOutcome:
     """Apply the right-hand sides from zero until the vector stops changing.
 
-    The system is compiled once (`compile_rhs`) and iterated over lists
-    of raw payloads in variable order; only the result is wrapped in
-    `Value`s.
+    At most `max_iters` applications, `DEFAULT_KLEENE_BUDGET` (read at
+    call time) when it is None.  The system is compiled once
+    (`compile_rhs`) and iterated over lists of raw payloads in variable
+    order; only the result is wrapped in `Value`s.
     """
+    if max_iters is None:
+        max_iters = DEFAULT_KLEENE_BUDGET
     sr = sys.semiring
     apply = compile_rhs(sys)
     v = [sr._zero()] * len(sys.variables)
@@ -120,7 +124,7 @@ def _iterate(sys: EquationSystem, max_iters: int) -> SolveOutcome:
     return SolveOutcome({x: Value(sr, p) for x, p in zip(sys.variables, v)}, status, used)
 
 
-def kleene_solve(sys: EquationSystem, max_iters: int = DEFAULT_KLEENE_BUDGET) -> SolveOutcome:
+def kleene_solve(sys: EquationSystem, max_iters: int | None = None) -> SolveOutcome:
     """Ascending iteration of the right-hand sides from the zero vector.
 
     Stops as soon as one application leaves the vector unchanged, which
@@ -129,35 +133,14 @@ def kleene_solve(sys: EquationSystem, max_iters: int = DEFAULT_KLEENE_BUDGET) ->
     return _iterate(sys, max_iters)
 
 
-def _magnitude(v: Value) -> int:
-    p = v.payload
-    if isinstance(p, bool):
-        return 0
-    if isinstance(p, int):
-        return abs(p)
-    return 0
-
-
-def default_linear_budget(sys: EquationSystem) -> int:
-    """Iteration allowance scaled by system size and coefficient growth."""
-    magnitudes = [0]
-    for v in sys.a.values():
-        magnitudes.append(_magnitude(v))
-    for p in sys.f.values():
-        for m in p.monomials:
-            for c in m.coefficients:
-                magnitudes.append(_magnitude(c))
-    return 10 * (len(sys.variables) + 1) * max(64, max(magnitudes))
-
-
 def solve_linear(sys: EquationSystem, max_iters: int | None = None) -> SolveOutcome:
     """Least solution of a system whose monomials hold one variable each.
 
     The same iteration from zero as `kleene_solve`.  Each iterate equals
     the sum of all application chains up to that length, so the run is
     exact even without idempotence; it just may not stabilize within the
-    budget when the system keeps growing.  A monomial of higher degree
-    is rejected.
+    budget (`DEFAULT_KLEENE_BUDGET` by default) when the system keeps
+    growing.  A monomial of higher degree is rejected.
     """
     for x in sys.variables:
         for m in sys.f[x].monomials:
@@ -165,8 +148,6 @@ def solve_linear(sys: EquationSystem, max_iters: int | None = None) -> SolveOutc
                 raise InvariantError(
                     f"linear right-hand side for {x!r} has a degree {m.degree} monomial"
                 )
-    if max_iters is None:
-        max_iters = default_linear_budget(sys)
     return _iterate(sys, max_iters)
 
 

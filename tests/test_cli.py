@@ -139,6 +139,17 @@ def test_oracle_matches_iterate(tmp_path, capsys):
     assert data["stabilized"] is True
 
 
+def test_oracle_skips_truncated_tree_sums(tmp_path, capsys):
+    path = write(tmp_path, "semiring boolean;\nvars x y;\nx = x*y + y;\ny = y*y + 1;\n")
+    assert main(["oracle", path, "--node-budget", "1"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["verdict: skipped", "status: budget-exhausted"]
+    assert main(["oracle", path, "--node-budget", "1", "--json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "skipped"
+    assert data["stabilized"] is False
+
+
 def test_completion_values_and_grammar(tmp_path, capsys):
     path = write(tmp_path, CHAIN)
     assert main(["completion", path]) == 0
@@ -287,7 +298,7 @@ def test_tensor_companion_solve_out_of_budget_exits_3(tmp_path, capsys, monkeypa
     import semifix.solver
 
     path = write(tmp_path, "semiring relation 2;\nvars x;\nx = x*x + [[0,1],[1,0]];\n")
-    monkeypatch.setattr(semifix.solver, "default_linear_budget", lambda sys: 1)
+    monkeypatch.setattr(semifix.solver, "DEFAULT_KLEENE_BUDGET", 1)
     assert main(["tensor", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -307,6 +318,19 @@ def test_tensor_command(tmp_path, capsys):
     assert main(["tensor", boolean]) == 1
 
 
+def test_tensor_skips_a_reference_that_exhausts_its_budget(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "semiring relation 2;\nvars x y;\nx = [[0,1],[1,0]]*y*x + [[1,0],[0,1]];\ny = x;\n",
+    )
+    assert main(["tensor", path, "--level", "1", "--budget", "1"]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: skipped"
+    assert main(["tensor", path, "--level", "1", "--budget", "1", "--json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "skipped"
+    assert data["reference"] is None
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["solve"]) == 1
     capsys.readouterr()
@@ -323,6 +347,14 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_linear_solve_budget_does_not_scale_with_constants(tmp_path, capsys):
+    path = write(tmp_path, "semiring counting;\nvars x;\nx = x + 100000;\n")
+    assert main(["completion", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "10000 iterations" in captured.err
 
 
 def test_budget_env_variable(tmp_path, capsys, monkeypatch):

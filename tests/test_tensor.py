@@ -112,7 +112,7 @@ def test_companion_solve_that_does_not_stabilize_is_an_exhausted_budget(monkeypa
     ops = relation_admissible(2)
     a = rel([[0, 1], [1, 0]])
     e1 = Eq1System(REL2, ("x",), {"x": REL2.one()}, {"x": (("x", a, a),)})
-    monkeypatch.setattr(semifix.solver, "default_linear_budget", lambda sys: 1)
+    monkeypatch.setattr(semifix.solver, "DEFAULT_KLEENE_BUDGET", 1)
     with pytest.raises(BudgetExhaustedError, match="companion solve"):
         solve_left_linear(regularize(e1, ops))
 
