@@ -612,6 +612,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read {args.file}: {exc}", file=_sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        print(f"{args.file}: not UTF-8: byte {bad:#04x} at offset {exc.start}", file=_sys.stderr)
+        return 2
     try:
         sys = parse(text, args.file)
         return _RUNNERS[args.command](args, sys)

@@ -221,6 +221,7 @@ TreeSumResult = namedtuple("TreeSumResult", "value stabilized")
 
 DEFAULT_NODE_BUDGET = 5_000
 INITIAL_NODE_BUDGET = 8
+PLATEAU_WINDOW = 3  # unchanged growth rounds that make a tree sum stabilized
 
 
 class _TreeAggregator:
@@ -326,12 +327,11 @@ def tree_sum(
     complete_only: bool = True,
     at: Mapping[str, Value] | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    window: int = 3,
 ) -> TreeSumResult:
     """Sum of yields over trees within a dimension bound.
 
     Aggregates by node count from `INITIAL_NODE_BUDGET` nodes up and
-    grows the count budget by a quarter per round; once `window`
+    grows the count budget by a quarter per round; once `PLATEAU_WINDOW`
     consecutive rounds leave the total unchanged the sum is reported as
     stabilized.  That verdict is a plateau heuristic, not a proof.
     Without `complete_only` an `at` vector supplies values for
@@ -355,7 +355,7 @@ def tree_sum(
         nxt = agg.total(root, budget)
         streak = streak + 1 if nxt == total else 0
         total = nxt
-        if streak >= window:
+        if streak >= PLATEAU_WINDOW:
             return TreeSumResult(total, True)
     return TreeSumResult(total, False)
 

@@ -299,7 +299,7 @@ class CountingSemiring(Semiring):
 
     The one non-idempotent instance, kept as a stress test: 1 + 1 = 2.
     Star is 1 at zero and infinity everywhere else, and results above
-    COUNTING_CAP saturate to infinity.
+    COUNTING_CAP saturate to infinity; a literal above it is rejected.
     """
 
     name = "counting"
@@ -340,7 +340,11 @@ class CountingSemiring(Semiring):
         return x <= y
 
     def _parse(self, text):
-        return self._check(_parse_extended_nat(text, self.name))
+        # a literal is read exactly or rejected, never saturated
+        payload = _parse_extended_nat(text, self.name)
+        if payload != INF and payload > COUNTING_CAP:
+            raise ValueError(f"{self.name} literal {text} is above 2^62; write inf for infinity")
+        return payload
 
     def _render(self, payload):
         return _render_extended_nat(payload)

@@ -151,17 +151,28 @@ def solve_linear(sys: EquationSystem, max_iters: int | None = None) -> SolveOutc
     return _iterate(sys, max_iters)
 
 
+def completion_system(sys: EquationSystem, v: Mapping[str, Value]) -> EquationSystem:
+    """The linear system u = v + D(u) whose least solution is C(v).
+
+    D is the differential of the variable parts taken around v: each
+    monomial a x_j b of it holds one variable, with every other
+    occurrence frozen at v.  `newton_step` solves it directly and
+    `tensor.tensor_pipeline` through the tensor companion.
+    """
+    return EquationSystem(sys.semiring, sys.variables, differential_full(sys.f, v), dict(v))
+
+
 def newton_step(
     sys: EquationSystem, v: Mapping[str, Value], max_linear_iters: int | None = None
 ) -> SolveOutcome:
-    """The completion step C(v): least solution of u = v + D(u), D taken around v.
+    """The completion step C(v): `solve_linear` on `completion_system(sys, v)`.
 
     Newton iteration, the idempotent accelerated iterates, the
-    differential star and the function table all apply it.  It depends
+    differential star and the function table all apply it, and a
+    tensor cycle solves the same system over the companion.  It depends
     on v alone, so once C(v) == v every further application repeats it.
     """
-    lin = EquationSystem(sys.semiring, sys.variables, differential_full(sys.f, v), dict(v))
-    return solve_linear(lin, max_linear_iters)
+    return solve_linear(completion_system(sys, v), max_linear_iters)
 
 
 def sample_chain(

@@ -1,11 +1,13 @@
 """Two-sided linear systems solved through a tensor companion.
 
-A system x_i = c_i + sum_j a_ij x_j b_ij multiplies unknowns from both
-sides.  Pairing each two-sided coefficient into transpose(a) tensor b
-yields an equivalent system over a companion instance whose unknowns
-carry coefficients on one side only; `solver.solve_linear` solves it
-like every other linear system, and a readout projects the solution
-back down.
+A two-sided linear system is an `EquationSystem` whose monomials
+a x_j b hold one variable each, such as the completion system
+`solver.completion_system` builds for a completion step.  Pairing each
+monomial's two coefficients into transpose(a) tensor b yields an
+equivalent system over a companion instance whose unknowns carry
+coefficients on one side only; `solver.solve_linear` solves it like
+every other linear system, and a readout projects the solution back
+down.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable
 
 from semifix.polynomial import (
     EquationSystem,
     InvariantError,
-    differential_full,
     monomial,
     polynomial,
 )
@@ -27,9 +28,13 @@ from semifix.solver import (
     STABILIZED,
     BudgetExhaustedError,
     SolveOutcome,
+    completion_system,
     sample_chain,
     solve_linear,
 )
+
+# Seed of the random sample the four-place laws are checked on.
+LAW_SAMPLE_SEED = 0
 
 
 @dataclass
@@ -81,18 +86,18 @@ def relation_admissible(q: int = 2) -> AdmissibleOps:
     return AdmissibleOps(base, tensor, transpose, tensor_prod, readout)
 
 
-def check_admissible(ops: AdmissibleOps, quadruple_samples: int = 200, seed: int = 0):
+def check_admissible(ops: AdmissibleOps, quadruple_samples: int = 200):
     """Verify the laws the construction relies on.
 
     Unary and binary laws run over every base element, ternary laws over
     every triple, and the four-place tensor product law over a random
-    sample.  Raises on the first violated law.
+    sample drawn with `LAW_SAMPLE_SEED`.  Raises on the first violated law.
     """
     sr = ops.base
     if not sr.is_finite:
         raise InvariantError("law check needs a finite base instance")
     elems = list(sr.elements())
-    rng = random.Random(seed)
+    rng = random.Random(LAW_SAMPLE_SEED)
 
     def law(ok: bool, name: str):
         if not ok:
@@ -162,56 +167,36 @@ def check_admissible(ops: AdmissibleOps, quadruple_samples: int = 200, seed: int
         )
 
 
-@dataclass
-class Eq1System:
-    """Equations x_i = c_i + sum over terms (j, a, b) of a x_j b."""
+def as_equation_system(lin: EquationSystem) -> EquationSystem:
+    """The system itself, for reference solving.
 
-    semiring: Semiring
-    variables: tuple[str, ...]
-    constants: dict[str, Value]
-    terms: dict[str, tuple[tuple[str, Value, Value], ...]]
-
-    def __post_init__(self):
-        names = set(self.variables)
-        if set(self.constants) != names or set(self.terms) != names:
-            raise InvariantError("constants and terms must cover every variable")
-        for x in self.variables:
-            for j, a, b in self.terms[x]:
-                if j not in names:
-                    raise InvariantError(f"term in {x} uses undeclared variable {j}")
-                for v in (a, b, self.constants[x]):
-                    if v.semiring is not self.semiring:
-                        raise InvariantError("term coefficients off instance")
+    A two-sided linear system already is an `EquationSystem`; this
+    identity stays because the acceptance gate imports it.
+    """
+    return lin
 
 
-def as_equation_system(e1: Eq1System) -> EquationSystem:
-    """The same system as general polynomial equations, for reference solving."""
-    sr = e1.semiring
-    f = {
-        x: polynomial(sr, [monomial(sr, [a, j, b]) for j, a, b in e1.terms[x]])
-        for x in e1.variables
-    }
-    return EquationSystem(sr, e1.variables, f, dict(e1.constants))
-
-
-def regularize(e1: Eq1System, ops: AdmissibleOps) -> EquationSystem:
+def regularize(lin: EquationSystem, ops: AdmissibleOps) -> EquationSystem:
     """Fold both-sided coefficients into right coefficients over the companion.
 
-    Term (j, a, b) of x_i becomes the monomial x_j (transpose(a) tensor
-    b), and constant c_i becomes transpose(1) tensor c_i; a zero product
-    drops its monomial.
+    Monomial a x_j b of x_i becomes the monomial x_j (transpose(a)
+    tensor b), and constant c_i becomes transpose(1) tensor c_i; a zero
+    product drops its monomial.  A monomial of higher degree is rejected.
     """
-    if e1.semiring is not ops.base:
+    if lin.semiring is not ops.base:
         raise InvariantError("system and admissible operations disagree on the instance")
     ts = ops.tensor
-    one_t = ops.transpose(e1.semiring.one())
+    one_t = ops.transpose(lin.semiring.one())
 
-    def term(j, a, b):
-        return monomial(ts, [j, ops.tensor_prod(ops.transpose(a), b)])
+    def term(x, m):
+        if m.degree > 1:
+            raise InvariantError(f"two-sided linear term of {x!r} has degree {m.degree}")
+        a, b = m.coefficients
+        return monomial(ts, [m.variables[0], ops.tensor_prod(ops.transpose(a), b)])
 
-    f = {i: polynomial(ts, [term(*t) for t in e1.terms[i]]) for i in e1.variables}
-    constants = {x: ops.tensor_prod(one_t, e1.constants[x]) for x in e1.variables}
-    return EquationSystem(ts, e1.variables, f, constants)
+    f = {x: polynomial(ts, [term(x, m) for m in lin.f[x].monomials]) for x in lin.variables}
+    constants = {x: ops.tensor_prod(one_t, lin.a[x]) for x in lin.variables}
+    return EquationSystem(ts, lin.variables, f, constants)
 
 
 def solve_left_linear(lls: EquationSystem) -> dict[str, Value]:
@@ -224,25 +209,11 @@ def solve_left_linear(lls: EquationSystem) -> dict[str, Value]:
     return out.value
 
 
-def eq1_of_completion(sys: EquationSystem, v: Mapping[str, Value]) -> Eq1System:
-    """The completion of a system at v as a two-sided linear system.
-
-    Freezing all but one occurrence per defining monomial at v leaves
-    terms a x_j b; the least solution of those plus v itself is the
-    completion value at v.
-    """
-    diff = differential_full(sys.f, v)
-    terms = {
-        x: tuple((m.variables[0], m.coefficients[0], m.coefficients[1]) for m in diff[x].monomials)
-        for x in sys.variables
-    }
-    return Eq1System(sys.semiring, sys.variables, dict(v), terms)
-
-
 def tensor_pipeline(sys: EquationSystem, n: int) -> dict[str, Value]:
     """Accelerated iterate n computed by repeated tensor solves.
 
     Each cycle regularizes the completion system at the current vector,
+    the one `solver.newton_step` solves (`solver.completion_system`),
     solves it over the companion, and reads the result back: one
     completion step C.  Iterate n is C^(2^n)(a), a the constant vector,
     read off the chain of cycles by `solver.sample_chain` like every
@@ -257,7 +228,7 @@ def tensor_pipeline(sys: EquationSystem, n: int) -> dict[str, Value]:
     ops = relation_admissible(q)
 
     def cycle(v):
-        y = solve_left_linear(regularize(eq1_of_completion(sys, v), ops))
+        y = solve_left_linear(regularize(completion_system(sys, v), ops))
         return SolveOutcome({x: ops.readout(y[x]) for x in sys.variables}, STABILIZED, 0)
 
     return sample_chain(cycle, dict(sys.a), n + 1, lambda k: 1 << k).iterates[n]

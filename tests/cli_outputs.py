@@ -1,0 +1,88 @@
+"""Record what the command line prints on every benchmark corpus command.
+
+    python3 tests/cli_outputs.py --src src CORPUS_DIR OUT.jsonl
+
+Builds the seed-7 corpora of the three benchmark workloads with
+``bench/corpus.build`` into CORPUS_DIR, one subdirectory per workload.
+Then it calls ``semifix.cli.main`` in process, with the package imported
+from ``--src`` and every warning shown, on
+
+- every corpus command, with and without ``--json``;
+- ``tensor --level 0..3``, with and without ``--json``, on every
+  accel-relation file.
+
+It writes one JSON line per invocation: argv, exit code, stdout, and
+stderr with the package directory masked.  Run it on two source trees
+with the same CORPUS_DIR and compare the two outputs with ``cmp``: equal
+files mean the command line printed the same bytes and exited the same
+way on every invocation.  It reads ``bench/`` and writes only CORPUS_DIR
+and the output file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+import warnings
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SEED = 7
+TENSOR_LEVELS = range(4)
+
+
+def invocations(corpus, systems: dict[str, int], directory: Path) -> list[list[str]]:
+    """Every argv to run, in a fixed order."""
+    runs = []
+    for workload, n_systems in systems.items():
+        commands = corpus.build(workload, SEED, n_systems, directory / workload)
+        for cmd in commands:
+            plain = [a for a in cmd.argv if a != "--json"]
+            runs += [plain, plain + ["--json"]]
+        if workload == "accel-relation":
+            for path in sorted({cmd.argv[1] for cmd in commands}):
+                for level in TENSOR_LEVELS:
+                    plain = ["tensor", path, "--level", str(level)]
+                    runs += [plain, plain + ["--json"]]
+    return runs
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--src", required=True, type=Path, help="directory holding the semifix package")
+    p.add_argument("corpus_dir", type=Path)
+    p.add_argument("out", type=Path)
+    args = p.parse_args(argv)
+    src = args.src.resolve()
+    sys.path[:0] = [str(src), str(BENCH)]
+    os.environ.pop("SEMIFIX_BUDGET", None)
+    warnings.simplefilter("always")
+    import corpus
+    from run import CORPUS_SYSTEMS
+    from semifix import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        print(f"imported semifix from {cli.__file__}, not {src}", file=sys.stderr)
+        return 2
+    runs = invocations(corpus, CORPUS_SYSTEMS, args.corpus_dir.resolve())
+    with open(args.out, "w", encoding="utf-8") as fh:
+        for run in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = cli.main(list(run))
+                except Exception as exc:  # recorded, so that both trees can be compared
+                    rc = f"raised {type(exc).__name__}: {exc}"
+            masked = err.getvalue().replace(str(src), "<src>")
+            record = {"argv": run, "exit": rc, "stdout": out.getvalue(), "stderr": masked}
+            fh.write(json.dumps(record) + "\n")
+    print(f"{len(runs)} invocations written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -92,21 +92,18 @@ def instances_for_order_tests():
     return [BOOLEAN, MIN_PLUS, relation_semiring(2)]
 
 
-def random_eq1(sr, rng, n_vars, max_terms=3):
-    """A two-sided linear system with random coefficient pairs."""
-    from semifix.tensor import Eq1System
-
+def random_eq1(sr, rng, n_vars, max_terms=3) -> EquationSystem:
+    """A two-sided linear system: monomials a x_j b with random coefficient pairs."""
     variables = VAR_NAMES[:n_vars]
     constants = {x: random_value(sr, rng) for x in variables}
-    terms = {
-        x: tuple(
-            (
-                rng.choice(variables),
-                random_value(sr, rng),
-                random_value(sr, rng),
-            )
-            for _ in range(rng.randint(0, max_terms))
-        )
+
+    def term():
+        j = rng.choice(variables)
+        a = random_value(sr, rng)
+        return monomial(sr, [a, j, random_value(sr, rng)])
+
+    f = {
+        x: polynomial(sr, [term() for _ in range(rng.randint(0, max_terms))])
         for x in variables
     }
-    return Eq1System(sr, variables, constants, terms)
+    return EquationSystem(sr, variables, f, constants)

@@ -349,6 +349,46 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_counting_literal_above_the_cap_is_a_syntax_error(tmp_path, capsys):
+    path = write(tmp_path, "semiring counting;\nvars x;\nx = 4611686018427387905;\n")
+    assert main(["solve", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}:3:5: not a variable or counting literal: ")
+    at_cap = write(tmp_path, "semiring counting;\nvars x;\nx = 4611686018427387904;\n", "c.sfx")
+    assert main(["solve", at_cap]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "x = 4611686018427387904"
+
+
+def test_a_file_that_is_not_utf8_is_malformed_input(tmp_path, capsys):
+    path = tmp_path / "latin.sfx"
+    path.write_bytes(b"semiring boolean;\nvars x;\nx = 1;\n\xff\n")
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: not UTF-8: byte 0xff at offset 33\n"
+
+
+def test_solve_by_newton(tmp_path, capsys):
+    path = write(tmp_path, "semiring boolean;\nvars x y;\nx = x*y + 1;\ny = x;\n")
+    assert main(["solve", path, "--method", "newton"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "x = 1",
+        "y = 1",
+        "status: stabilized after 3 steps",
+    ]
+    assert main(["solve", path, "--method", "newton", "--steps", "1", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["method"] == "newton"
+    assert data["values"] == {"x": "1", "y": "1"}
+    assert (data["status"], data["steps"]) == ("stabilized", 1)
+    # the first linear solve needs more than one iteration
+    assert main(["solve", path, "--method", "newton", "--budget", "1", "--json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert (data["status"], data["steps"]) == ("budget-exhausted", 0)
+    assert data["values"] == {"x": "1", "y": "0"}
+
+
 def test_linear_solve_budget_does_not_scale_with_constants(tmp_path, capsys):
     path = write(tmp_path, "semiring counting;\nvars x;\nx = x + 100000;\n")
     assert main(["completion", path]) == 3

@@ -221,7 +221,7 @@ def test_tree_sum_open_trees_match_enumeration():
 def test_tree_sum_flags_unstable_budget():
     sys = boolean_loop_system()
     g = grammar_with_constants(sys)
-    got = tree_sum(g, "x", 3, node_budget=6, window=50)
+    got = tree_sum(g, "x", 3, node_budget=6)
     assert not got.stabilized
     settled = tree_sum(g, "x", 3)
     assert settled.stabilized

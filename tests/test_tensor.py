@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gen import random_eq1, random_point, random_system
+from gen import random_eq1, random_system
 from semifix.munchausen import (
     evaluate_grammar,
     linear_completion_grammar,
@@ -21,18 +21,14 @@ from semifix.polynomial import (
 from semifix.semiring import (
     BOOLEAN,
     COUNTING,
-    MIN_PLUS,
     mul,
     relation_semiring,
     vector_eq,
 )
-from semifix.solver import BudgetExhaustedError, kleene_solve, newton_step, solve_linear
+from semifix.solver import BudgetExhaustedError, completion_system, kleene_solve
 from semifix.tensor import (
     AdmissibleOps,
-    Eq1System,
-    as_equation_system,
     check_admissible,
-    eq1_of_completion,
     regularize,
     relation_admissible,
     solve_left_linear,
@@ -79,7 +75,7 @@ def test_regularized_solution_matches_direct_iteration():
         e1 = random_eq1(REL2, rng, rng.randint(1, 3))
         y = solve_left_linear(regularize(e1, ops))
         got = {x: ops.readout(y[x]) for x in e1.variables}
-        want = kleene_solve(as_equation_system(e1)).value
+        want = kleene_solve(e1).value
         assert vector_eq(got, want)
 
 
@@ -94,11 +90,12 @@ def test_regularize_gives_a_linear_system_over_the_companion():
         assert lls.semiring is ops.tensor
         assert lls.variables == e1.variables
         for x in lls.variables:
-            assert lls.a[x] == ops.tensor_prod(ops.transpose(REL2.one()), e1.constants[x])
+            assert lls.a[x] == ops.tensor_prod(ops.transpose(REL2.one()), e1.a[x])
             nonzero = [
-                (j, a, b)
-                for j, a, b in e1.terms[x]
-                if ops.tensor_prod(ops.transpose(a), b) != ops.tensor.zero()
+                (m.variables[0], *m.coefficients)
+                for m in e1.f[x].monomials
+                if ops.tensor_prod(ops.transpose(m.coefficients[0]), m.coefficients[1])
+                != ops.tensor.zero()
             ]
             assert len(lls.f[x].monomials) == len(nonzero)
             for m, (j, a, b) in zip(lls.f[x].monomials, nonzero):
@@ -111,33 +108,19 @@ def test_companion_solve_that_does_not_stabilize_is_an_exhausted_budget(monkeypa
 
     ops = relation_admissible(2)
     a = rel([[0, 1], [1, 0]])
-    e1 = Eq1System(REL2, ("x",), {"x": REL2.one()}, {"x": (("x", a, a),)})
+    f = {"x": polynomial(REL2, [monomial(REL2, [a, "x", a])])}
+    e1 = EquationSystem(REL2, ("x",), f, {"x": REL2.one()})
     monkeypatch.setattr(semifix.solver, "DEFAULT_KLEENE_BUDGET", 1)
     with pytest.raises(BudgetExhaustedError, match="companion solve"):
         solve_left_linear(regularize(e1, ops))
 
 
-def test_eq1_validation():
-    with pytest.raises(InvariantError, match="cover"):
-        Eq1System(REL2, ("x",), {}, {"x": ()})
-    with pytest.raises(InvariantError, match="undeclared"):
-        Eq1System(
-            REL2,
-            ("x",),
-            {"x": REL2.one()},
-            {"x": (("y", REL2.one(), REL2.one()),)},
-        )
-
-
-def test_as_equation_system_shape():
-    a = rel([[0, 1], [0, 0]])
-    b = rel([[0, 0], [1, 0]])
-    e1 = Eq1System(REL2, ("x",), {"x": REL2.one()}, {"x": (("x", a, b),)})
-    sys = as_equation_system(e1)
-    (m,) = sys.f["x"].monomials
-    assert m.variables == ("x",)
-    assert m.coefficients == (a, b)
-    assert sys.a["x"] == REL2.one()
+def test_regularize_rejects_higher_degrees():
+    ops = relation_admissible(2)
+    a = rel([[0, 1], [1, 0]])
+    f = {"x": polynomial(REL2, [monomial(REL2, [a, "x", "x"])])}
+    with pytest.raises(InvariantError, match="degree 2"):
+        regularize(EquationSystem(REL2, ("x",), f, {"x": REL2.one()}), ops)
 
 
 def test_completion_terms_golden():
@@ -152,11 +135,16 @@ def test_completion_terms_golden():
         },
     )
     v = {"x": ct(0), "y": ct(3), "z": ct(5)}
-    e1 = eq1_of_completion(sys, v)
-    assert e1.constants == v
-    assert e1.terms["x"] == (("y", ct(1), ct(3)), ("y", ct(3), ct(1)))
-    assert e1.terms["y"] == (("z", ct(1), ct(1)),)
-    assert e1.terms["z"] == ()
+    lin = completion_system(sys, v)
+    assert lin.a == v
+    assert [(m.variables, m.coefficients) for m in lin.f["x"].monomials] == [
+        (("y",), (ct(1), ct(3))),
+        (("y",), (ct(3), ct(1))),
+    ]
+    assert [(m.variables, m.coefficients) for m in lin.f["y"].monomials] == [
+        (("z",), (ct(1), ct(1)))
+    ]
+    assert lin.f["z"].monomials == ()
 
 
 def test_completion_drops_frozen_zero_terms():
@@ -164,8 +152,10 @@ def test_completion_drops_frozen_zero_terms():
     sys = equation_system(
         sr, ("x", "y"), {"x": poly_of_var(sr, "y"), "y": poly_of_var(sr, "x")}
     )
-    e1 = eq1_of_completion(sys, dict(sys.a))
-    assert e1.terms["x"] == (("y", sr.one(), sr.one()),)
+    lin = completion_system(sys, dict(sys.a))
+    assert [(m.variables, m.coefficients) for m in lin.f["x"].monomials] == [
+        (("y",), (sr.one(), sr.one()))
+    ]
 
 
 def test_pipeline_single_cycle_is_completion():
@@ -192,15 +182,3 @@ def test_pipeline_needs_known_companion():
     sys = equation_system(BOOLEAN, ("x",), {"x": poly_of_var(BOOLEAN, "x")})
     with pytest.raises(InvariantError, match="admissible"):
         tensor_pipeline(sys, 1)
-
-
-def test_completion_system_solves_like_newton_step():
-    rng = random.Random(17)
-    for sr in (BOOLEAN, MIN_PLUS, REL2, COUNTING):
-        for _ in range(40):
-            sys = random_system(sr, rng, rng.randint(1, 3))
-            for v in (dict(sys.a), random_point(sr, rng, sys.variables)):
-                got = solve_linear(as_equation_system(eq1_of_completion(sys, v)))
-                want = newton_step(sys, v)
-                assert got.value == want.value
-                assert (got.status, got.steps_used) == (want.status, want.steps_used)
