@@ -43,6 +43,7 @@ from semifix.solver import (
     BudgetExhaustedError,
     SequenceOutcome,
     SolveOutcome,
+    completion_chain,
     kleene_solve,
     newton_step,
     sample_chain,
@@ -394,8 +395,9 @@ def munchausen_sequence(
 
     Every instance reads iterate k as S^(2^k)(b) off one chain b, S(b),
     S(S(b)), ..., so the ladder remains only behind `grammar` and the
-    oracles.  Over idempotent instances S is `newton_step` and `budget`
-    bounds each linear solve.  Otherwise S sums the completion grammar's
+    oracles.  Over idempotent instances S is the completion step, run
+    on payload lists (`solver.completion_chain`), and `budget` bounds
+    each linear solve.  Otherwise S sums the completion grammar's
     words, expanded once in c expansions, and iterate k exists only if
     2^k * c <= budget, as for its ladder; a cycle of spines exhausts any
     budget, so it is reported before expanding.  The default b is the
@@ -408,9 +410,7 @@ def munchausen_sequence(
         b = dict(b)
         _check_b_vector(sys, b)
     if sys.semiring.is_idempotent:
-        return sample_chain(
-            lambda v: newton_step(sys, v, budget), b, n + 1, lambda k: 1 << k
-        )
+        return completion_chain(sys, b, n, lambda k: 1 << k, budget)
     # A spine cycle (y -> z when z occurs in f[y]) spells ever longer
     # words, so the expansion could never finish: prune leaves to find one.
     live = set(sys.variables)
@@ -418,22 +418,19 @@ def munchausen_sequence(
         y for y in live if live.isdisjoint(z for m in sys.f[y].monomials for z in m.variables)
     }:
         live -= leaves
-    if live:
-        return SequenceOutcome([], BUDGET_EXHAUSTED)
-    budget = DEFAULT_EXPANSION_BUDGET if budget is None else budget
     keys = [NonTerm(y, 1) for y in sys.variables]
-    spent = [0]
-    words, ok = _layer_expansion(linear_completion_grammar(sys), 1, keys, budget, spent)
-    top = -1  # last iterate whose ladder fits the budget
-    while ok and top < n and spent[0] << (top + 1) <= budget:
-        top += 1
+    words, top = {}, -1  # top: last iterate whose ladder fits the budget
+    if not live:
+        budget = DEFAULT_EXPANSION_BUDGET if budget is None else budget
+        spent = [0]
+        words, ok = _layer_expansion(linear_completion_grammar(sys), 1, keys, budget, spent)
+        while ok and top < n and spent[0] << (top + 1) <= budget:
+            top += 1
 
     def step(v):
-        sums = {nt.var: _word_sum(sys.semiring, words[nt], 1, v, {}) for nt in keys}
-        return SolveOutcome(sums, STABILIZED, 0)
+        return {nt.var: _word_sum(sys.semiring, words[nt], 1, v, {}) for nt in keys}
 
-    iterates = sample_chain(step, b, top + 1, lambda k: 1 << k).iterates
-    return SequenceOutcome(iterates, STABILIZED if top == n else BUDGET_EXHAUSTED)
+    return sample_chain(step, b, n, lambda k: 1 << k, top)
 
 
 @dataclass

@@ -6,12 +6,22 @@ variables and at both ends.  A polynomial is a finite sum of monomials.
 Equation systems pair each variable with a right-hand side split into a
 variable part (monomials that contain at least one variable) and a
 constant part.
+
+The work runs on payload rows: each system compiles its right-hand
+sides once (`EquationSystem.compiled`), `_apply` evaluates rows on
+payload lists in variable order, and `_linearize` turns rows into the
+rows of the completion system at a payload point.  `Value`,
+`Monomial` and `Polynomial` are the boundary: `eval_rhs`,
+`differential` and `differential_full` convert at their entry and wrap
+their result once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence, Union
+from functools import cached_property
+from operator import itemgetter
+from typing import Any, Iterable, Mapping, Sequence, Union
 
 from semifix.semiring import (
     InstanceMismatchError,
@@ -186,13 +196,14 @@ def substitute_occurrence(m: Monomial, occ: int, g: Monomial) -> Monomial:
     return monomial(m.semiring, fs[:pos] + g.factors() + fs[pos + 1 :])
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquationSystem:
     """Simultaneous equations x = f_x + a_x, one per variable.
 
     `f` holds the variable parts (every monomial mentions at least one
     variable) and `a` the constant offsets.  All right-hand sides may
-    only mention declared variables.
+    only mention declared variables.  The fields cannot be rebound, so
+    the compiled form cached on first use stays the system's.
     """
 
     semiring: Semiring
@@ -215,6 +226,42 @@ class EquationSystem:
                 for y in m.variables:
                     if y not in declared:
                         raise InvariantError(f"undeclared variable {y!r} in equation for {x!r}")
+
+    @cached_property
+    def compiled(self) -> tuple[tuple, list]:
+        """The right-hand sides as payload rows and constants, built once.
+
+        One row per variable, in variable order: its monomials as (c0,
+        ((variable index, coefficient), ...)) over payloads, a unit
+        coefficient as None (`_compile`).  The constants are the
+        payloads of `a`.
+        """
+        index = {x: i for i, x in enumerate(self.variables)}
+        rows = _compile(self.semiring, (self.f[x] for x in self.variables), index)
+        return rows, [self.a[x].payload for x in self.variables]
+
+    def payloads(self, v: Mapping[str, Value]) -> list:
+        """The payloads of a vector in variable order.
+
+        v must hold a value of this instance for exactly the declared
+        variables: a missing or an extra variable is an
+        `InvariantError`, a value of another instance an
+        `InstanceMismatchError`.
+        """
+        sr = self.semiring
+        try:
+            at = [_payload(sr, v[x]) for x in self.variables]
+        except KeyError as exc:
+            raise InvariantError(f"vector has no value for {exc.args[0]!r}") from None
+        if len(v) != len(at):
+            extra = ", ".join(repr(x) for x in v if x not in self.f)
+            raise InvariantError(f"vector has values for undeclared {extra}")
+        return at
+
+    def vector(self, payloads: Sequence) -> dict[str, Value]:
+        """The vector whose payloads, in variable order, are `payloads`."""
+        sr = self.semiring
+        return {x: Value(sr, p) for x, p in zip(self.variables, payloads)}
 
 
 def equation_system(
@@ -249,63 +296,56 @@ def _payload(sr: Semiring, val: Value) -> Any:
     return val.payload
 
 
-def _payloads(sr: Semiring, v: Mapping[str, Value]) -> dict[str, Any]:
-    """The payloads of a vector, each value checked once to be of sr."""
-    return {x: _payload(sr, val) for x, val in v.items()}
+def _compile(sr: Semiring, polys: Iterable[Polynomial], index: Mapping[str, int]) -> tuple:
+    """Payload rows of polynomials, variables numbered by `index`.
 
-
-def compile_rhs(sys: EquationSystem) -> Callable[[list], list]:
-    """The right-hand sides as one function on payload lists in variable order.
-
-    Each variable's monomials are compiled once into (c0, ((variable
-    index, coefficient), ...)) over payloads, a unit coefficient as None,
-    and applied with the instance's own `_add` and `_mul`: no `Value` is
-    built per operation.  Addition is commutative and associative in
-    every instance, so starting each sum at the constant gives the same
-    payload as summing the monomials first.
+    Each polynomial becomes a row of monomials (c0, ((index of x1, c1),
+    ..., (index of xl, cl))) over payloads, a unit coefficient as None so
+    that evaluation skips it.
     """
-    sr = sys.semiring
-    add_p, mul_p, one = sr._add, sr._mul, sr._one()
-    index = {x: i for i, x in enumerate(sys.variables)}
+    one = sr._one()
 
     def coefficient(c):
         p = _payload(sr, c)
         return None if p == one else p
 
-    rows = [
+    return tuple(
         tuple(
             (
                 coefficient(m.coefficients[0]),
                 tuple((index[y], coefficient(c)) for y, c in zip(m.variables, m.coefficients[1:])),
             )
-            for m in sys.f[x].monomials
+            for m in p.monomials
         )
-        for x in sys.variables
-    ]
-    constants = [sys.a[x].payload for x in sys.variables]
+        for p in polys
+    )
 
-    def apply(u: list) -> list:
-        out = []
-        for monos, total in zip(rows, constants):
-            for c0, factors in monos:
-                p = c0
-                for j, c in factors:
-                    p = u[j] if p is None else mul_p(p, u[j])
-                    if c is not None:
-                        p = mul_p(p, c)
-                total = add_p(total, p)
-            out.append(total)
-        return out
 
-    return apply
+def _apply(sr: Semiring, rows: Sequence, constants: Sequence, u: Sequence) -> list:
+    """constants + rows(u), componentwise, on payload lists.
+
+    Applied with the instance's own `_add` and `_mul`: no `Value` is
+    built per operation.  Addition is commutative and associative in
+    every instance, so starting each sum at the constant gives the same
+    payload as summing the monomials first.
+    """
+    add_p, mul_p = sr._add, sr._mul
+    out = []
+    for monos, total in zip(rows, constants):
+        for c0, factors in monos:
+            p = c0
+            for j, c in factors:
+                p = u[j] if p is None else mul_p(p, u[j])
+                if c is not None:
+                    p = mul_p(p, c)
+            total = add_p(total, p)
+        out.append(total)
+    return out
 
 
 def eval_rhs(sys: EquationSystem, v: Mapping[str, Value]) -> dict[str, Value]:
     """One application of the system's right-hand sides at a point."""
-    sr = sys.semiring
-    at = _payloads(sr, v)
-    out = compile_rhs(sys)([at[x] for x in sys.variables])
-    return {x: Value(sr, p) for x, p in zip(sys.variables, out)}
+    return sys.vector(_apply(sys.semiring, *sys.compiled, sys.payloads(v)))
 
 
 @dataclass(frozen=True)
@@ -415,39 +455,58 @@ def enumerate_linear_polynomial_substitutions(
     return results
 
 
-def _linearize(
-    p: Polynomial, v: Mapping[str, Any], directions: Iterable[str]
-) -> dict[str, list[Monomial]]:
-    """The terms left * x * right of p's differential around v, per direction x.
+def _linearize(sr: Semiring, rows: Sequence, at: Sequence) -> tuple:
+    """The rows of the differential of `rows` around the payload point `at`.
 
-    v holds payloads.  One scan per monomial: the left factors are the
-    running prefix product, the right ones a suffix product computed
-    once.  Terms keep monomial and occurrence order within a direction;
-    a term with a zero side is zero and dropped.
+    Each occurrence of x_j in a monomial c0 x1 c1 ... xl cl yields the
+    term left * x_j * right, every other occurrence frozen at `at`, as
+    the row monomial (left, ((j, right),)); None stands for a unit
+    side.  One scan per monomial: left is the running prefix product,
+    right a suffix product computed once.  A term with a zero side is
+    zero and dropped.  Within a row the terms come direction by
+    direction in index order, then in monomial and occurrence order.
     """
-    sr = p.semiring
     mul_p, zero = sr._mul, sr._zero()
-    buckets: dict[str, list[Monomial]] = {x: [] for x in directions}
-    for m in p.monomials:
-        if buckets.keys().isdisjoint(m.variables):
-            continue
-        cs = [c.payload for c in m.coefficients]
-        at = [v[y] for y in m.variables]
-        n = len(at)
-        # right[k]: c_k * v(x_{k+1}) * c_{k+1} * ... * v(x_n) * c_n
-        right = [None] * n + [cs[n]]
-        for k in range(n - 1, 0, -1):
-            right[k] = mul_p(mul_p(cs[k], at[k]), right[k + 1])
-        left = cs[0]
-        for occ, x in enumerate(m.variables):
-            if occ:
-                left = mul_p(mul_p(left, at[occ - 1]), cs[occ])
-            bucket = buckets.get(x)
-            if bucket is not None and left != zero and right[occ + 1] != zero:
-                bucket.append(
-                    Monomial(sr, (Value(sr, left), Value(sr, right[occ + 1])), (x,))
-                )
-    return buckets
+
+    def prod(p, q):
+        if p is None:
+            return q
+        return p if q is None else mul_p(p, q)
+
+    out = []
+    for row in rows:
+        terms = []
+        for c0, factors in row:
+            if not factors:
+                continue
+            # right[k]: c_k at(x_k+1) c_k+1 ... at(x_l) c_l, the side right of occurrence k
+            right = [factors[-1][1]]
+            for k in range(len(factors) - 2, -1, -1):
+                right.append(prod(prod(factors[k][1], at[factors[k + 1][0]]), right[-1]))
+            right.reverse()
+            left = c0
+            for k, (j, _) in enumerate(factors):
+                if k:
+                    prev_j, prev_c = factors[k - 1]
+                    left = prod(prod(left, at[prev_j]), prev_c)
+                if left != zero and right[k] != zero:
+                    terms.append((j, left, right[k]))
+        terms.sort(key=itemgetter(0))
+        out.append(tuple((left, ((j, right),)) for j, left, right in terms))
+    return tuple(out)
+
+
+def _polynomials(sr: Semiring, rows: Sequence, names: Sequence[str]) -> list[Polynomial]:
+    """Linear rows as `Polynomial`s of monomials left * x * right."""
+    one = sr._one()
+
+    def side(p):
+        return Value(sr, one if p is None else p)
+
+    return [
+        Polynomial(sr, tuple(Monomial(sr, (side(l), side(r)), (names[j],)) for l, ((j, r),) in row))
+        for row in rows
+    ]
 
 
 def differential(p: Polynomial, x: str, v: Mapping[str, Value]) -> Polynomial:
@@ -458,7 +517,8 @@ def differential(p: Polynomial, x: str, v: Mapping[str, Value]) -> Polynomial:
     stays symbolic.  Monomials without x contribute nothing.  The result
     mentions x at most once per monomial.
     """
-    return Polynomial(p.semiring, tuple(_linearize(p, _payloads(p.semiring, v), (x,))[x]))
+    full = differential_full({x: p}, v)[x]
+    return Polynomial(p.semiring, tuple(m for m in full.monomials if m.variables[0] == x))
 
 
 def differential_full(
@@ -469,11 +529,16 @@ def differential_full(
     Each monomial is scanned once (`_linearize`); the terms of each
     component are concatenated direction by direction in the key order
     of v, so the result equals the sum of `differential(p, x, v)` over x.
+    A variable of pvec without a value in v is an `InvariantError`.
     """
     first = next(iter(pvec.values()), None)
-    at = {} if first is None else _payloads(first.semiring, v)
-    out: dict[str, Polynomial] = {}
-    for comp, p in pvec.items():
-        terms = _linearize(p, at, v).values()
-        out[comp] = Polynomial(p.semiring, tuple(m for bucket in terms for m in bucket))
-    return out
+    if first is None:
+        return {}
+    sr = first.semiring
+    index = {x: i for i, x in enumerate(v)}
+    at = [_payload(sr, val) for val in v.values()]
+    try:
+        rows = _compile(sr, pvec.values(), index)
+    except KeyError as exc:
+        raise InvariantError(f"point has no value for {exc.args[0]!r}") from None
+    return dict(zip(pvec, _polynomials(sr, _linearize(sr, rows, at), list(v))))

@@ -2,10 +2,14 @@
 
 A linear system is an `EquationSystem` whose monomials hold one variable
 each; `kleene_solve` and `solve_linear` run the same iteration from zero
-and differ only in the degree check.  That iteration, `_iterate`,
-compiles the system once and loops over raw payloads, so `Value` stays
-the boundary of the module, not the unit of its work.  It is also the
-one place a missing budget becomes `DEFAULT_KLEENE_BUDGET`.
+and differ only in the degree check.  The unit of work is a payload
+row: that iteration, `_iterate`, loops over raw payload lists on a
+system's compiled rows, and a completion step linearizes those rows at
+a payload point (`polynomial._linearize`) and iterates the result, so
+a chain of steps never leaves payloads.  `Value` is the boundary of
+the module: public functions convert their vectors once on entry and
+wrap each result once.  `_iterate` is also the one place a missing
+budget becomes `DEFAULT_KLEENE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ from typing import Callable, Mapping
 from semifix.polynomial import (
     EquationSystem,
     InvariantError,
-    compile_rhs,
-    differential_full,
+    _apply,
+    _linearize,
+    _polynomials,
 )
-from semifix.semiring import Value
+from semifix.semiring import Semiring, Value
 
 STABILIZED = "stabilized"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -101,27 +106,32 @@ class SequenceOutcome:
 DEFAULT_KLEENE_BUDGET = 10_000
 
 
-def _iterate(sys: EquationSystem, max_iters: int | None) -> SolveOutcome:
-    """Apply the right-hand sides from zero until the vector stops changing.
+def _iterate(
+    sr: Semiring, rows: Sequence, constants: Sequence, max_iters: int | None
+) -> tuple[list, str, int]:
+    """Apply constants + rows from zero until the payload list stops changing.
 
     At most `max_iters` applications, `DEFAULT_KLEENE_BUDGET` (read at
-    call time) when it is None.  The system is compiled once
-    (`compile_rhs`) and iterated over lists of raw payloads in variable
-    order; only the result is wrapped in `Value`s.
+    call time) when it is None.  Returns the last payload list, the
+    status and the number of applications used.
     """
     if max_iters is None:
         max_iters = DEFAULT_KLEENE_BUDGET
-    sr = sys.semiring
-    apply = compile_rhs(sys)
-    v = [sr._zero()] * len(sys.variables)
+    v = [sr._zero()] * len(constants)
     status, used = BUDGET_EXHAUSTED, max_iters
     for i in range(max_iters):
-        nxt = apply(v)
+        nxt = _apply(sr, rows, constants, v)
         if nxt == v:
             status, used = STABILIZED, i
             break
         v = nxt
-    return SolveOutcome({x: Value(sr, p) for x, p in zip(sys.variables, v)}, status, used)
+    return v, status, used
+
+
+def _solve(sys: EquationSystem, max_iters: int | None) -> SolveOutcome:
+    """`_iterate` on the system's compiled rows, the result wrapped once."""
+    v, status, used = _iterate(sys.semiring, *sys.compiled, max_iters)
+    return SolveOutcome(sys.vector(v), status, used)
 
 
 def kleene_solve(sys: EquationSystem, max_iters: int | None = None) -> SolveOutcome:
@@ -130,7 +140,7 @@ def kleene_solve(sys: EquationSystem, max_iters: int | None = None) -> SolveOutc
     Stops as soon as one application leaves the vector unchanged, which
     over finite or saturating carriers also catches diverging chains.
     """
-    return _iterate(sys, max_iters)
+    return _solve(sys, max_iters)
 
 
 def solve_linear(sys: EquationSystem, max_iters: int | None = None) -> SolveOutcome:
@@ -148,7 +158,7 @@ def solve_linear(sys: EquationSystem, max_iters: int | None = None) -> SolveOutc
                 raise InvariantError(
                     f"linear right-hand side for {x!r} has a degree {m.degree} monomial"
                 )
-    return _iterate(sys, max_iters)
+    return _solve(sys, max_iters)
 
 
 def completion_system(sys: EquationSystem, v: Mapping[str, Value]) -> EquationSystem:
@@ -156,53 +166,106 @@ def completion_system(sys: EquationSystem, v: Mapping[str, Value]) -> EquationSy
 
     D is the differential of the variable parts taken around v: each
     monomial a x_j b of it holds one variable, with every other
-    occurrence frozen at v.  `newton_step` solves it directly and
-    `tensor.tensor_pipeline` through the tensor companion.
+    occurrence frozen at v.  Its terms are `newton_step`'s payload rows
+    wrapped as monomials; `tensor.tensor_pipeline` solves it through the
+    tensor companion.
     """
-    return EquationSystem(sys.semiring, sys.variables, differential_full(sys.f, v), dict(v))
+    sr = sys.semiring
+    at = sys.payloads(v)
+    f = _polynomials(sr, _linearize(sr, sys.compiled[0], at), sys.variables)
+    return EquationSystem(sr, sys.variables, dict(zip(sys.variables, f)), sys.vector(at))
+
+
+def _completion_step(
+    sys: EquationSystem, at: list, max_linear_iters: int | None
+) -> tuple[list, str, int]:
+    """The completion step at the payload list `at`, as `_iterate` returns it.
+
+    The system's compiled rows, linearized at `at`, iterated from zero
+    with `at` as the constants.
+    """
+    sr = sys.semiring
+    return _iterate(sr, _linearize(sr, sys.compiled[0], at), at, max_linear_iters)
 
 
 def newton_step(
     sys: EquationSystem, v: Mapping[str, Value], max_linear_iters: int | None = None
 ) -> SolveOutcome:
-    """The completion step C(v): `solve_linear` on `completion_system(sys, v)`.
+    """The completion step C(v): the least solution of `completion_system(sys, v)`.
 
-    Newton iteration, the idempotent accelerated iterates, the
-    differential star and the function table all apply it, and a
-    tensor cycle solves the same system over the companion.  It depends
-    on v alone, so once C(v) == v every further application repeats it.
+    Works on payload rows: v is converted once, the system's compiled
+    rows are linearized at it and iterated like `solve_linear` would,
+    and the result is wrapped once.  Newton iteration, the idempotent
+    accelerated iterates, the differential star and the function table
+    all apply it, and a tensor cycle solves the same system over the
+    companion.  It depends on v alone, so once C(v) == v every further
+    application repeats it.
     """
-    return solve_linear(completion_system(sys, v), max_linear_iters)
+    u, status, used = _completion_step(sys, sys.payloads(v), max_linear_iters)
+    return SolveOutcome(sys.vector(u), status, used)
 
 
 def sample_chain(
-    step: Callable[[dict[str, Value]], SolveOutcome],
-    v: dict[str, Value],
-    samples: int,
-    steps_at: Callable[[int], int],
+    step: Callable, v, n: int, steps_at: Callable[[int], int], affordable: int | None = None
 ) -> SequenceOutcome:
-    """Samples 0..samples-1 of the chain v, step(v), step(step(v)), ...
+    """Samples 0..n of the chain v, step(v), step(step(v)), ...
 
     Sample k is taken after steps_at(k) steps, nondecreasing in k.  The
-    first fixed point fills all later samples, whose step counts are not
-    computed, as a `ChainSamples` view that stores it once; a step that
-    does not stabilize ends the run, flagged.
+    chain's items are whatever `step` maps, payload lists for the
+    completion chain; the loop only compares and stores them.  A step
+    returns the next item, or None when it exhausted its budget, which
+    ends the run, flagged.  The first fixed point fills all later
+    samples, whose step counts are not computed, as a `ChainSamples`
+    view that stores it once.  Only samples up to `affordable` (default
+    n) are taken; a run cut short by it is flagged too.  A negative n is
+    an `InvariantError`.
     """
-    iterates: list[dict[str, Value]] = []
+    if n < 0:
+        raise InvariantError("iterate count must be nonnegative")
+    last = n if affordable is None else min(n, affordable)
+    status = STABILIZED if last == n else BUDGET_EXHAUSTED
+    iterates: list = []
     taken = 0
-    for k in range(samples):
+    for k in range(last + 1):
         target = steps_at(k)
         while taken < target:
-            out = step(v)
-            if not out.stabilized:
+            nxt = step(v)
+            if nxt is None:
                 return SequenceOutcome(iterates, BUDGET_EXHAUSTED)
             taken += 1
-            if out.value == v:
+            if nxt == v:
                 iterates.append(v)
-                return SequenceOutcome(ChainSamples(iterates, samples), STABILIZED)
-            v = out.value
+                return SequenceOutcome(ChainSamples(iterates, last + 1), status)
+            v = nxt
         iterates.append(v)
-    return SequenceOutcome(iterates, STABILIZED)
+    return SequenceOutcome(iterates, status)
+
+
+def completion_chain(
+    sys: EquationSystem,
+    b: Mapping[str, Value],
+    n: int,
+    steps_at: Callable[[int], int],
+    max_linear_iters: int | None = None,
+) -> SequenceOutcome:
+    """`sample_chain` of completion steps from b, run on payload lists.
+
+    b is converted once and each sample wrapped once; a fixed point
+    stays stored once.  A linear solve that exhausts its budget ends
+    the run with the samples finished before it, flagged.
+    """
+
+    def step(at):
+        u, status, _ = _completion_step(sys, at, max_linear_iters)
+        return u if status == STABILIZED else None
+
+    out = sample_chain(step, sys.payloads(b), n, steps_at)
+    its = out.iterates
+    if isinstance(its, ChainSamples):
+        its = ChainSamples([sys.vector(u) for u in its._prefix], len(its))
+    else:
+        its = [sys.vector(u) for u in its]
+    return SequenceOutcome(its, out.status)
 
 
 def newton_solve(
@@ -221,6 +284,4 @@ def newton_solve(
             RuntimeWarning,
             stacklevel=2,
         )
-    return sample_chain(
-        lambda u: newton_step(sys, u, max_linear_iters), dict(sys.a), n_steps + 1, lambda k: k
-    )
+    return completion_chain(sys, sys.a, n_steps, lambda k: k, max_linear_iters)

@@ -25,9 +25,7 @@ from semifix.polynomial import (
 )
 from semifix.semiring import Semiring, Value, add, mul, relation_semiring
 from semifix.solver import (
-    STABILIZED,
     BudgetExhaustedError,
-    SolveOutcome,
     completion_system,
     sample_chain,
     solve_linear,
@@ -220,8 +218,6 @@ def tensor_pipeline(sys: EquationSystem, n: int) -> dict[str, Value]:
     accelerated iterate.  A companion solve that does not stabilize
     raises `BudgetExhaustedError`.
     """
-    if n < 0:
-        raise InvariantError("iterate count must be nonnegative")
     q = getattr(sys.semiring, "q", None)
     if q is None:
         raise InvariantError(f"no admissible tensor operations known for {sys.semiring.name}")
@@ -229,6 +225,6 @@ def tensor_pipeline(sys: EquationSystem, n: int) -> dict[str, Value]:
 
     def cycle(v):
         y = solve_left_linear(regularize(completion_system(sys, v), ops))
-        return SolveOutcome({x: ops.readout(y[x]) for x in sys.variables}, STABILIZED, 0)
+        return {x: ops.readout(y[x]) for x in sys.variables}
 
-    return sample_chain(cycle, dict(sys.a), n + 1, lambda k: 1 << k).iterates[n]
+    return sample_chain(cycle, dict(sys.a), n, lambda k: 1 << k).iterates[n]

@@ -263,11 +263,13 @@ def test_newton_stops_at_fixed_point_and_pads(monkeypatch):
     rng = random.Random(41)
     calls = []
 
+    completion_step = solver._completion_step
+
     def counted(*args, **kwargs):
         calls.append(1)
-        return newton_step(*args, **kwargs)
+        return completion_step(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "newton_step", counted)
+    monkeypatch.setattr(solver, "_completion_step", counted)
     early = 0
     for sr in instances_for_order_tests():
         for _ in range(10):
@@ -480,3 +482,11 @@ def test_json_exports():
     assert idata["pop"] == ["x", "y", "z"]
     spine_kinds = [s["kind"] for s in idata["recursion"][0]["rhs"]]
     assert spine_kinds == ["value", "spine", "value", "variable", "value"]
+
+
+def test_munchausen_sequence_rejects_a_negative_iterate_count():
+    cyclic = parse("semiring counting;\nvars x y;\nx = y + 1;\ny = x;\n")
+    boolean = parse("semiring boolean;\nvars x;\nx = x*x + 1;\n")
+    for sys in (boolean, counting_chain(), cyclic):
+        with pytest.raises(InvariantError, match="nonnegative"):
+            munchausen_sequence(sys, -2)

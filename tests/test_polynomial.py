@@ -7,6 +7,7 @@ import pytest
 from gen import random_point, random_system
 from semifix.polynomial import (
     IDENTITY_STEP,
+    EquationSystem,
     InvariantError,
     Monomial,
     Polynomial,
@@ -30,7 +31,8 @@ from semifix.polynomial import (
     rhs_poly,
     substitute_occurrence,
 )
-from semifix.semiring import BOOLEAN, COUNTING, MIN_PLUS, add, mul, relation_semiring
+from semifix.semiring import BOOLEAN, COUNTING, MIN_PLUS, Value, add, mul, relation_semiring
+from semifix.solver import completion_system, newton_step, solve_linear
 
 REL2 = relation_semiring(2)
 
@@ -264,6 +266,13 @@ def test_differential_ignores_other_directions_and_constants():
     assert differential(poly_of_value(COUNTING, ct(7)), "y", v).is_zero
 
 
+def test_differential_needs_a_value_for_every_variable():
+    p = polynomial(COUNTING, [monomial(COUNTING, ["y", "z"])])
+    for call in (lambda v: differential(p, "y", v), lambda v: differential_full({"x": p}, v)):
+        with pytest.raises(InvariantError, match="no value for 'z'"):
+            call({"y": ct(2)})
+
+
 def test_differential_keeps_noncommutative_sides_apart():
     a = REL2.value([[0, 1], [0, 0]])
     b = REL2.value([[0, 0], [1, 0]])
@@ -322,3 +331,63 @@ def test_one_pass_differential_full_matches_per_direction_differentials():
                 assert list(full[y].monomials) == per_direction
                 rescan = [m for x in v for m in _differential_by_rescan(p, x, v).monomials]
                 assert per_direction == rescan
+
+
+def _linearize(p, v, directions):
+    """The terms left * x * right of p's differential around v, per direction x.
+
+    The Value-level linearization the payload rows replaced, kept as the
+    oracle.  v holds payloads.  One scan per monomial: the left factors
+    are the running prefix product, the right ones a suffix product
+    computed once.  Terms keep monomial and occurrence order within a
+    direction; a term with a zero side is zero and dropped.
+    """
+    sr = p.semiring
+    mul_p, zero = sr._mul, sr._zero()
+    buckets = {x: [] for x in directions}
+    for m in p.monomials:
+        if buckets.keys().isdisjoint(m.variables):
+            continue
+        cs = [c.payload for c in m.coefficients]
+        at = [v[y] for y in m.variables]
+        n = len(at)
+        # right[k]: c_k * v(x_{k+1}) * c_{k+1} * ... * v(x_n) * c_n
+        right = [None] * n + [cs[n]]
+        for k in range(n - 1, 0, -1):
+            right[k] = mul_p(mul_p(cs[k], at[k]), right[k + 1])
+        left = cs[0]
+        for occ, x in enumerate(m.variables):
+            if occ:
+                left = mul_p(mul_p(left, at[occ - 1]), cs[occ])
+            bucket = buckets.get(x)
+            if bucket is not None and left != zero and right[occ + 1] != zero:
+                bucket.append(Monomial(sr, (Value(sr, left), Value(sr, right[occ + 1])), (x,)))
+    return buckets
+
+
+def _oracle_completion_system(sys, v):
+    """u = v + D_v(u) built from the oracle's terms, directions in the key order of v."""
+    at = {x: val.payload for x, val in v.items()}
+    f = {}
+    for x in sys.variables:
+        buckets = _linearize(sys.f[x], at, v).values()
+        f[x] = Polynomial(sys.semiring, tuple(m for terms in buckets for m in terms))
+    return EquationSystem(sys.semiring, sys.variables, f, dict(v))
+
+
+def test_payload_linearization_matches_the_value_level_oracle():
+    rng = random.Random(67)
+    for sr in (BOOLEAN, MIN_PLUS, COUNTING, REL2, relation_semiring(3)):
+        for _ in range(25):
+            sys = random_system(sr, rng, rng.randint(1, 4), max_occurrences=3)
+            v = random_point(sr, rng, sys.variables)
+            oracle = _oracle_completion_system(sys, v)
+            assert differential_full(sys.f, v) == oracle.f
+            assert completion_system(sys, v) == oracle
+            for budget in (None, 1, 2, 3):
+                got, want = newton_step(sys, v, budget), solve_linear(oracle, budget)
+                assert (got.value, got.status, got.steps_used) == (
+                    want.value,
+                    want.status,
+                    want.steps_used,
+                )

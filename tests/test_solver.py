@@ -1,11 +1,14 @@
 """Kleene iteration, linear least solutions, and Newton steps."""
 
+import dataclasses
+import importlib
 import itertools
 import random
 
 import pytest
 
 from gen import instances_for_order_tests, random_system
+from semifix import solver
 from semifix.polynomial import (
     EquationSystem,
     InvariantError,
@@ -24,6 +27,7 @@ from semifix.semiring import (
     COUNTING,
     INF,
     MIN_PLUS,
+    InstanceMismatchError,
     add,
     relation_semiring,
     vector_leq,
@@ -33,6 +37,7 @@ from semifix.solver import (
     DEFAULT_KLEENE_BUDGET,
     STABILIZED,
     SolveOutcome,
+    completion_system,
     kleene_solve,
     newton_solve,
     newton_step,
@@ -347,3 +352,50 @@ def test_padded_samples_read_as_a_list():
         out.iterates[6]
     with pytest.raises(IndexError):
         out.iterates[-7]
+
+
+def test_newton_solve_rejects_a_negative_iterate_count():
+    with pytest.raises(InvariantError, match="nonnegative"):
+        newton_solve(boolean_system_xyz(), -1)
+
+
+@pytest.mark.parametrize("call", [eval_rhs, newton_step, completion_system])
+def test_a_vector_must_cover_exactly_the_variables(call):
+    sys = boolean_system_xyz()
+    one = BOOLEAN.one()
+    with pytest.raises(InvariantError, match="no value for 'y'"):
+        call(sys, {"x": one, "z": one})
+    with pytest.raises(InvariantError, match="undeclared 'w'"):
+        call(sys, {"x": one, "y": one, "z": one, "w": one})
+    with pytest.raises(InstanceMismatchError):
+        call(sys, {"x": one, "y": MIN_PLUS.one(), "z": one})
+
+
+def test_newton_solve_compiles_the_system_once(monkeypatch):
+    # the package exports a function named polynomial, which hides the module
+    poly_module = importlib.import_module("semifix.polynomial")
+    compiles, steps = [], []
+    compile_rows, completion_step = poly_module._compile, solver._completion_step
+
+    def counted_compile(*args):
+        compiles.append(1)
+        return compile_rows(*args)
+
+    def counted_step(*args):
+        steps.append(1)
+        return completion_step(*args)
+
+    monkeypatch.setattr(poly_module, "_compile", counted_compile)
+    monkeypatch.setattr(solver, "_completion_step", counted_step)
+    out = newton_solve(boolean_system_xyz(), 8)
+    assert out.stabilized and len(out.iterates) == 9
+    assert len(steps) == 3
+    assert len(compiles) == 1
+
+
+def test_equation_system_fields_cannot_be_rebound():
+    sys = boolean_system_xyz()
+    kleene_solve(sys)
+    for field in ("semiring", "variables", "f", "a"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sys, field, getattr(sys, field))

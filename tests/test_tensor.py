@@ -182,3 +182,9 @@ def test_pipeline_needs_known_companion():
     sys = equation_system(BOOLEAN, ("x",), {"x": poly_of_var(BOOLEAN, "x")})
     with pytest.raises(InvariantError, match="admissible"):
         tensor_pipeline(sys, 1)
+
+
+def test_pipeline_rejects_a_negative_iterate_count():
+    sys = random_system(REL2, random.Random(3), 2)
+    with pytest.raises(InvariantError, match="nonnegative"):
+        tensor_pipeline(sys, -1)
