@@ -342,7 +342,7 @@ def tree_sum(
     if not complete_only:
         if at is None:
             raise InvariantError("open trees need an `at` vector for nonterminal leaves")
-        if set(at) < set(g.nonterminals):
+        if not set(g.nonterminals) <= set(at):
             raise InvariantError("`at` vector must cover every nonterminal")
     agg = _TreeAggregator(g, dim_bound, complete_only, at)
     budget = min(INITIAL_NODE_BUDGET, node_budget)

@@ -8,7 +8,8 @@ doublings squash 2^n rounds into one grammar evaluation.
 
 Ladder layer j is one completion step S applied to layer j - 1, so
 every accelerated iterate is read off one chain b, S(b), S(S(b)), ...
-at powers of two (`solver.sample_chain`).  The ladder itself remains
+at powers of two by `solver.sample_chain`, the one payload chain loop;
+over counting, S applies compiled word sums.  The ladder itself remains
 only behind the `grammar` command and the tests' oracles.
 """
 
@@ -17,12 +18,14 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Union
 
 from semifix.polynomial import (
     EquationSystem,
     InvariantError,
     Monomial,
+    _apply,
     equation_system,
     mono_of_value,
     monomial,
@@ -43,7 +46,7 @@ from semifix.solver import (
     BudgetExhaustedError,
     SequenceOutcome,
     SolveOutcome,
-    completion_chain,
+    _chain_step,
     kleene_solve,
     newton_step,
     sample_chain,
@@ -333,7 +336,7 @@ def evaluate_grammar(
     """
     if lg.level is None:
         raise InvariantError("can only evaluate complete ladders")
-    if set(b) < set(lg.variables):
+    if not set(lg.variables) <= set(b):
         raise InvariantError("argument vector must cover every variable")
     layers = sorted({nt.index for nt in lg.rules})
     solved: dict[NonTerm, Value] = {}
@@ -393,24 +396,25 @@ def munchausen_sequence(
 ) -> SequenceOutcome:
     """Accelerated iterates 0..n at b; iterate k is the 2^k-layer ladder's value.
 
-    Every instance reads iterate k as S^(2^k)(b) off one chain b, S(b),
-    S(S(b)), ..., so the ladder remains only behind `grammar` and the
-    oracles.  Over idempotent instances S is the completion step, run
-    on payload lists (`solver.completion_chain`), and `budget` bounds
-    each linear solve.  Otherwise S sums the completion grammar's
-    words, expanded once in c expansions, and iterate k exists only if
+    Every instance reads iterate k as S^(2^k)(b) off one payload chain
+    b, S(b), S(S(b)), ... (`solver.sample_chain`), so the ladder remains
+    only behind `grammar` and the oracles.  Over idempotent instances S
+    is the completion step, and `budget` bounds each linear solve.
+    Otherwise S applies the completion grammar's word sums, expanded
+    once in c expansions and compiled once; iterate k exists only if
     2^k * c <= budget, as for its ladder; a cycle of spines exhausts any
     budget, so it is reported before expanding.  The default b is the
-    constant part; a custom one is sanity checked when that is cheap.  On
-    budget exhaustion the finished prefix is returned, flagged.
+    constant part; a custom one must cover exactly the variables and is
+    sanity checked when that is cheap.  On budget exhaustion the
+    finished prefix is returned, flagged.
     """
     if b is None:
-        b = dict(sys.a)
+        b = sys.a
     else:
-        b = dict(b)
+        sys.payloads(b)  # a missing or an extra variable is an InvariantError
         _check_b_vector(sys, b)
     if sys.semiring.is_idempotent:
-        return completion_chain(sys, b, n, lambda k: 1 << k, budget)
+        return sample_chain(sys, _chain_step(sys, budget), b, n, lambda k: 1 << k)
     # A spine cycle (y -> z when z occurs in f[y]) spells ever longer
     # words, so the expansion could never finish: prune leaves to find one.
     live = set(sys.variables)
@@ -418,19 +422,22 @@ def munchausen_sequence(
         y for y in live if live.isdisjoint(z for m in sys.f[y].monomials for z in m.variables)
     }:
         live -= leaves
-    keys = [NonTerm(y, 1) for y in sys.variables]
-    words, top = {}, -1  # top: last iterate whose ladder fits the budget
+    sr, step, top = sys.semiring, None, -1  # top: last iterate whose ladder fits the budget
     if not live:
         budget = DEFAULT_EXPANSION_BUDGET if budget is None else budget
         spent = [0]
+        keys = [NonTerm(y, 1) for y in sys.variables]
         words, ok = _layer_expansion(linear_completion_grammar(sys), 1, keys, budget, spent)
         while ok and top < n and spent[0] << (top + 1) <= budget:
             top += 1
+    if top >= 0:  # otherwise the chain takes no step
+        def word(w):  # each distinct word its own monomial, so equal products add up
+            return monomial(sr, [s.value if isinstance(s, Terminal) else s.var for s in w])
 
-    def step(v):
-        return {nt.var: _word_sum(sys.semiring, words[nt], 1, v, {}) for nt in keys}
-
-    return sample_chain(step, b, n, lambda k: 1 << k, top)
+        f = {nt.var: polynomial(sr, map(word, words[nt])) for nt in keys}
+        sums = EquationSystem(sr, sys.variables, f, dict.fromkeys(sys.variables, sr.zero()))
+        step = partial(_apply, sr, *sums.compiled)
+    return sample_chain(sys, step, b, n, lambda k: 1 << k, top)
 
 
 @dataclass

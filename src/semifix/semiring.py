@@ -29,6 +29,12 @@ INF = math.inf
 # iterations from allocating huge ints while staying exact below the cap.
 COUNTING_CAP = 2**62
 
+# Largest relation dimension a system file may declare.  A relation[q]
+# value has q * q cells, and the tensor companion works on q^2-state
+# relations, so larger headers would run out of time or memory before
+# any budget applies.  `relation_semiring` itself takes any dimension.
+MAX_FILE_RELATION_DIM = 64
+
 
 class InstanceMismatchError(TypeError):
     """An operation received values from two different semiring instances."""
@@ -564,7 +570,10 @@ def make_function_semiring(base: Semiring, variables: Sequence[str]) -> Function
 
 
 def instance_by_name(name: str, param: int | None = None) -> Semiring:
-    """Look a concrete instance up by its file-format name."""
+    """Look a concrete instance up by its file-format name.
+
+    A relation dimension above `MAX_FILE_RELATION_DIM` is a `ValueError`.
+    """
     if name == "boolean":
         if param is not None:
             raise ValueError("boolean takes no parameter")
@@ -578,5 +587,9 @@ def instance_by_name(name: str, param: int | None = None) -> Semiring:
             raise ValueError("counting takes no parameter")
         return COUNTING
     if name == "relation":
+        if param is not None and param > MAX_FILE_RELATION_DIM:
+            raise ValueError(
+                f"relation dimension {param} is above the limit of {MAX_FILE_RELATION_DIM}"
+            )
         return relation_semiring(2 if param is None else param)
     raise ValueError(f"unknown semiring {name!r}")

@@ -5,11 +5,13 @@ each; `kleene_solve` and `solve_linear` run the same iteration from zero
 and differ only in the degree check.  The unit of work is a payload
 row: that iteration, `_iterate`, loops over raw payload lists on a
 system's compiled rows, and a completion step linearizes those rows at
-a payload point (`polynomial._linearize`) and iterates the result, so
-a chain of steps never leaves payloads.  `Value` is the boundary of
-the module: public functions convert their vectors once on entry and
-wrap each result once.  `_iterate` is also the one place a missing
-budget becomes `DEFAULT_KLEENE_BUDGET`.
+a payload point (`polynomial._linearize`) and iterates the result.
+`sample_chain` is the one chain loop: Newton, the accelerated iterates
+(over counting, a step applies compiled word sums) and the tensor
+cycles all step on payload lists there.  `Value` is the boundary of
+the module: public functions, `sample_chain` included, convert their
+vectors once on entry and wrap each result once.  `_iterate` is also
+the one place a missing budget becomes `DEFAULT_KLEENE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -205,23 +207,39 @@ def newton_step(
     return SolveOutcome(sys.vector(u), status, used)
 
 
-def sample_chain(
-    step: Callable, v, n: int, steps_at: Callable[[int], int], affordable: int | None = None
-) -> SequenceOutcome:
-    """Samples 0..n of the chain v, step(v), step(step(v)), ...
+def _chain_step(sys: EquationSystem, max_linear_iters: int | None) -> Callable:
+    """The completion step as a `sample_chain` step: None once a linear solve is exhausted."""
 
-    Sample k is taken after steps_at(k) steps, nondecreasing in k.  The
-    chain's items are whatever `step` maps, payload lists for the
-    completion chain; the loop only compares and stores them.  A step
-    returns the next item, or None when it exhausted its budget, which
-    ends the run, flagged.  The first fixed point fills all later
-    samples, whose step counts are not computed, as a `ChainSamples`
-    view that stores it once.  Only samples up to `affordable` (default
-    n) are taken; a run cut short by it is flagged too.  A negative n is
-    an `InvariantError`.
+    def step(at):
+        u, status, _ = _completion_step(sys, at, max_linear_iters)
+        return u if status == STABILIZED else None
+
+    return step
+
+
+def sample_chain(
+    sys: EquationSystem,
+    step: Callable,
+    b: Mapping[str, Value],
+    n: int,
+    steps_at: Callable[[int], int],
+    affordable: int | None = None,
+) -> SequenceOutcome:
+    """Samples 0..n of the chain b, step(b), step(step(b)), ...
+
+    The one chain loop and the payload/`Value` boundary of every chain:
+    b is converted once (`EquationSystem.payloads`), `step` maps a
+    payload list to the next one, or to None when it exhausted its
+    budget, which ends the run, flagged, and each sample is wrapped
+    once.  Sample k is taken after steps_at(k) steps, nondecreasing in
+    k.  The first fixed point fills all later samples, whose step counts
+    are not computed, as a `ChainSamples` view that stores it once.
+    Only samples up to `affordable` (default n) are taken; a run cut
+    short by it is flagged too.  A negative n is an `InvariantError`.
     """
     if n < 0:
         raise InvariantError("iterate count must be nonnegative")
+    v = sys.payloads(b)
     last = n if affordable is None else min(n, affordable)
     status = STABILIZED if last == n else BUDGET_EXHAUSTED
     iterates: list = []
@@ -234,38 +252,11 @@ def sample_chain(
                 return SequenceOutcome(iterates, BUDGET_EXHAUSTED)
             taken += 1
             if nxt == v:
-                iterates.append(v)
+                iterates.append(sys.vector(v))
                 return SequenceOutcome(ChainSamples(iterates, last + 1), status)
             v = nxt
-        iterates.append(v)
+        iterates.append(sys.vector(v))
     return SequenceOutcome(iterates, status)
-
-
-def completion_chain(
-    sys: EquationSystem,
-    b: Mapping[str, Value],
-    n: int,
-    steps_at: Callable[[int], int],
-    max_linear_iters: int | None = None,
-) -> SequenceOutcome:
-    """`sample_chain` of completion steps from b, run on payload lists.
-
-    b is converted once and each sample wrapped once; a fixed point
-    stays stored once.  A linear solve that exhausts its budget ends
-    the run with the samples finished before it, flagged.
-    """
-
-    def step(at):
-        u, status, _ = _completion_step(sys, at, max_linear_iters)
-        return u if status == STABILIZED else None
-
-    out = sample_chain(step, sys.payloads(b), n, steps_at)
-    its = out.iterates
-    if isinstance(its, ChainSamples):
-        its = ChainSamples([sys.vector(u) for u in its._prefix], len(its))
-    else:
-        its = [sys.vector(u) for u in its]
-    return SequenceOutcome(its, out.status)
 
 
 def newton_solve(
@@ -284,4 +275,4 @@ def newton_solve(
             RuntimeWarning,
             stacklevel=2,
         )
-    return completion_chain(sys, sys.a, n_steps, lambda k: k, max_linear_iters)
+    return sample_chain(sys, _chain_step(sys, max_linear_iters), sys.a, n_steps, lambda k: k)

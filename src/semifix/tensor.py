@@ -7,7 +7,8 @@ monomial's two coefficients into transpose(a) tensor b yields an
 equivalent system over a companion instance whose unknowns carry
 coefficients on one side only; `solver.solve_linear` solves it like
 every other linear system, and a readout projects the solution back
-down.
+down.  `tensor_pipeline` chains such cycles in `solver.sample_chain`,
+the one payload chain loop, and converts only at each cycle's boundary.
 """
 
 from __future__ import annotations
@@ -214,17 +215,17 @@ def tensor_pipeline(sys: EquationSystem, n: int) -> dict[str, Value]:
     the one `solver.newton_step` solves (`solver.completion_system`),
     solves it over the companion, and reads the result back: one
     completion step C.  Iterate n is C^(2^n)(a), a the constant vector,
-    read off the chain of cycles by `solver.sample_chain` like every
-    accelerated iterate.  A companion solve that does not stabilize
-    raises `BudgetExhaustedError`.
+    read off the chain of cycles by `solver.sample_chain`, the one chain
+    loop; a cycle takes and returns payload lists.  A companion solve
+    that does not stabilize raises `BudgetExhaustedError`.
     """
     q = getattr(sys.semiring, "q", None)
     if q is None:
         raise InvariantError(f"no admissible tensor operations known for {sys.semiring.name}")
     ops = relation_admissible(q)
 
-    def cycle(v):
-        y = solve_left_linear(regularize(completion_system(sys, v), ops))
-        return {x: ops.readout(y[x]) for x in sys.variables}
+    def cycle(at):
+        y = solve_left_linear(regularize(completion_system(sys, sys.vector(at)), ops))
+        return [ops.readout(y[x]).payload for x in sys.variables]
 
-    return sample_chain(cycle, dict(sys.a), n, lambda k: 1 << k).iterates[n]
+    return sample_chain(sys, cycle, sys.a, n, lambda k: 1 << k).iterates[n]

@@ -9,7 +9,12 @@ from ``--src`` and every warning shown, on
 
 - every corpus command, with and without ``--json``;
 - ``tensor --level 0..3``, with and without ``--json``, on every
-  accel-relation file.
+  accel-relation file;
+- ``solve --method newton --steps 4`` and ``solve --method munchausen
+  --steps 3``, with and without ``--json``, on every kleene-scalar and
+  counting-words file.
+
+That is 53,616 invocations.
 
 It writes one JSON line per invocation: argv, exit code, stdout, and
 stderr with the package directory masked.  Run it on two source trees
@@ -33,6 +38,7 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SEED = 7
 TENSOR_LEVELS = range(4)
+ACCELERATED = (["--method", "newton", "--steps", "4"], ["--method", "munchausen", "--steps", "3"])
 
 
 def invocations(corpus, systems: dict[str, int], directory: Path) -> list[list[str]]:
@@ -43,11 +49,13 @@ def invocations(corpus, systems: dict[str, int], directory: Path) -> list[list[s
         for cmd in commands:
             plain = [a for a in cmd.argv if a != "--json"]
             runs += [plain, plain + ["--json"]]
-        if workload == "accel-relation":
-            for path in sorted({cmd.argv[1] for cmd in commands}):
-                for level in TENSOR_LEVELS:
-                    plain = ["tensor", path, "--level", str(level)]
-                    runs += [plain, plain + ["--json"]]
+        for path in sorted({cmd.argv[1] for cmd in commands}):
+            if workload == "accel-relation":
+                extra = [["tensor", path, "--level", str(level)] for level in TENSOR_LEVELS]
+            else:
+                extra = [["solve", path] + method for method in ACCELERATED]
+            for plain in extra:
+                runs += [plain, plain + ["--json"]]
     return runs
 
 

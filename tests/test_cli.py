@@ -360,6 +360,17 @@ def test_counting_literal_above_the_cap_is_a_syntax_error(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "x = 4611686018427387904"
 
 
+def test_relation_dimension_above_the_limit_is_a_syntax_error(tmp_path, capsys):
+    at_limit = write(tmp_path, "semiring relation 64;\nvars x;\nx = x;\n")
+    assert main(["solve", at_limit]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("status: stabilized")
+    path = write(tmp_path, "semiring relation 65;\nvars x;\nx = x;\n", "big.sfx")
+    assert main(["solve", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}:1:10: relation dimension 65 is above the limit")
+
+
 def test_a_file_that_is_not_utf8_is_malformed_input(tmp_path, capsys):
     path = tmp_path / "latin.sfx"
     path.write_bytes(b"semiring boolean;\nvars x;\nx = 1;\n\xff\n")

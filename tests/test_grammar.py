@@ -235,6 +235,9 @@ def test_tree_sum_requires_point_for_open_trees():
         tree_sum(g, "x", 1, complete_only=False)
     with pytest.raises(InvariantError):
         tree_sum(g, "w", 1)
+    # {z} is not a proper subset of {x}, yet it has no value for x
+    with pytest.raises(InvariantError, match="cover"):
+        tree_sum(g, "x", 1, complete_only=False, at={"z": BOOLEAN.one()})
 
 
 def even_dimension_trees(rng, count):

@@ -1,5 +1,6 @@
 """Completion grammars, index doubling, and accelerated iteration."""
 
+import importlib
 import random
 import time
 from itertools import product
@@ -448,6 +449,11 @@ def test_evaluate_rejects_fragments_and_partial_vectors():
         evaluate_grammar(index_shift(lg, 1), dict(sys.a))
     with pytest.raises(InvariantError, match="cover"):
         evaluate_grammar(lg, {"x": COUNTING.value(0)})
+    # {x, z} is not a proper subset of {x, y}, yet it has no value for y
+    xy = parse("semiring boolean;\nvars x y;\nx = y;\ny = 1;\n")
+    one = BOOLEAN.one()
+    with pytest.raises(InvariantError, match="cover"):
+        evaluate_grammar(linear_completion_grammar(xy), {"x": one, "z": one})
 
 
 def test_function_table_matches_pointwise_evaluation():
@@ -490,3 +496,35 @@ def test_munchausen_sequence_rejects_a_negative_iterate_count():
     for sys in (boolean, counting_chain(), cyclic):
         with pytest.raises(InvariantError, match="nonnegative"):
             munchausen_sequence(sys, -2)
+
+
+def test_munchausen_sequence_start_vector_must_cover_exactly_the_variables():
+    boolean = parse("semiring boolean;\nvars x y;\nx = y;\ny = 1;\n")
+    for sys in (boolean, counting_chain()):
+        one = sys.semiring.one()
+        missing = {x: one for x in sys.variables if x != "y"}
+        with pytest.raises(InvariantError, match="no value for 'y'"):
+            munchausen_sequence(sys, 1, b=missing)
+        with pytest.raises(InvariantError, match="undeclared 'w'"):
+            munchausen_sequence(sys, 1, b={**dict.fromkeys(sys.variables, one), "w": one})
+
+
+def test_counting_chain_compiles_its_word_sums_once(monkeypatch):
+    # the package exports a function named polynomial, which hides the module
+    poly_module = importlib.import_module("semifix.polynomial")
+    compiles = []
+    compile_rows = poly_module._compile
+
+    def counted_compile(*args):
+        compiles.append(1)
+        return compile_rows(*args)
+
+    monkeypatch.setattr(poly_module, "_compile", counted_compile)
+    seq = munchausen_sequence(counting_chain(), 3)
+    assert seq.stabilized and seq.iterates[2]["x"].payload == 104
+    assert len(compiles) == 1
+    # a spine cycle exhausts the budget before any word sum is built
+    cyclic = parse("semiring counting;\nvars x y z;\nx = 1;\ny = 2*x*y;\nz = 3*x + x;\n")
+    compiles.clear()
+    assert munchausen_sequence(cyclic, 2, budget=4000).iterates == []
+    assert compiles == []
