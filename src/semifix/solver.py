@@ -5,13 +5,15 @@ each; `kleene_solve` and `solve_linear` run the same iteration from zero
 and differ only in the degree check.  The unit of work is a payload
 row: that iteration, `_iterate`, loops over raw payload lists on a
 system's compiled rows, and a completion step linearizes those rows at
-a payload point (`polynomial._linearize`) and iterates the result.
-`sample_chain` is the one chain loop: Newton, the accelerated iterates
-(over counting, a step applies compiled word sums) and the tensor
-cycles all step on payload lists there.  `Value` is the boundary of
-the module: public functions, `sample_chain` included, convert their
-vectors once on entry and wrap each result once.  `_iterate` is also
-the one place a missing budget becomes `DEFAULT_KLEENE_BUDGET`.
+a payload point (`polynomial._linearize`) and iterates the result, or
+their companion rows for a tensor cycle.  `sample_chain` is the one
+chain loop: Newton, the accelerated iterates (over counting, a step
+applies compiled word sums) and the tensor cycles all step there.
+`Value` is the boundary of the module: public functions,
+`sample_chain` included, convert their vectors once on entry and wrap
+each result once.  A missing budget becomes `DEFAULT_KLEENE_BUDGET`,
+read at call time, in `_iterate` and, for Newton's steps, in
+`newton_solve`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from semifix.polynomial import (
     InvariantError,
     _apply,
     _linearize,
-    _polynomials,
 )
 from semifix.semiring import Semiring, Value
 
@@ -163,21 +164,6 @@ def solve_linear(sys: EquationSystem, max_iters: int | None = None) -> SolveOutc
     return _solve(sys, max_iters)
 
 
-def completion_system(sys: EquationSystem, v: Mapping[str, Value]) -> EquationSystem:
-    """The linear system u = v + D(u) whose least solution is C(v).
-
-    D is the differential of the variable parts taken around v: each
-    monomial a x_j b of it holds one variable, with every other
-    occurrence frozen at v.  Its terms are `newton_step`'s payload rows
-    wrapped as monomials; `tensor.tensor_pipeline` solves it through the
-    tensor companion.
-    """
-    sr = sys.semiring
-    at = sys.payloads(v)
-    f = _polynomials(sr, _linearize(sr, sys.compiled[0], at), sys.variables)
-    return EquationSystem(sr, sys.variables, dict(zip(sys.variables, f)), sys.vector(at))
-
-
 def _completion_step(
     sys: EquationSystem, at: list, max_linear_iters: int | None
 ) -> tuple[list, str, int]:
@@ -193,15 +179,15 @@ def _completion_step(
 def newton_step(
     sys: EquationSystem, v: Mapping[str, Value], max_linear_iters: int | None = None
 ) -> SolveOutcome:
-    """The completion step C(v): the least solution of `completion_system(sys, v)`.
+    """The completion step C(v): the least u with u = v + D_v(u).
 
-    Works on payload rows: v is converted once, the system's compiled
-    rows are linearized at it and iterated like `solve_linear` would,
-    and the result is wrapped once.  Newton iteration, the idempotent
-    accelerated iterates, the differential star and the function table
-    all apply it, and a tensor cycle solves the same system over the
-    companion.  It depends on v alone, so once C(v) == v every further
-    application repeats it.
+    D_v is the differential around v.  v is converted once, the
+    system's compiled rows are linearized at it and iterated like
+    `solve_linear` would, and the result is wrapped once.  Newton
+    iteration, the idempotent accelerated iterates, the differential
+    star and the function table apply it; a tensor cycle maps its
+    linearized rows to the companion.  It depends on v alone, so once
+    C(v) == v every further application repeats it.
     """
     u, status, used = _completion_step(sys, sys.payloads(v), max_linear_iters)
     return SolveOutcome(sys.vector(u), status, used)
@@ -224,6 +210,7 @@ def sample_chain(
     n: int,
     steps_at: Callable[[int], int],
     affordable: int | None = None,
+    max_steps: int | None = None,
 ) -> SequenceOutcome:
     """Samples 0..n of the chain b, step(b), step(step(b)), ...
 
@@ -234,8 +221,9 @@ def sample_chain(
     once.  Sample k is taken after steps_at(k) steps, nondecreasing in
     k.  The first fixed point fills all later samples, whose step counts
     are not computed, as a `ChainSamples` view that stores it once.
-    Only samples up to `affordable` (default n) are taken; a run cut
-    short by it is flagged too.  A negative n is an `InvariantError`.
+    Only samples up to `affordable` (default n) are taken, and at most
+    `max_steps` steps (default unbounded); a run cut short by either is
+    flagged too.  A negative n is an `InvariantError`.
     """
     if n < 0:
         raise InvariantError("iterate count must be nonnegative")
@@ -247,6 +235,8 @@ def sample_chain(
     for k in range(last + 1):
         target = steps_at(k)
         while taken < target:
+            if taken == max_steps:
+                return SequenceOutcome(iterates, BUDGET_EXHAUSTED)
             nxt = step(v)
             if nxt is None:
                 return SequenceOutcome(iterates, BUDGET_EXHAUSTED)
@@ -266,8 +256,10 @@ def newton_solve(
 
     They sample the chain of completion steps at every step count.  The
     update relies on idempotent addition; other instances are run for
-    comparison and flagged with a warning.  A linear solve that exhausts
-    its budget aborts the run with partial results.
+    comparison and flagged with a warning.  The budget bounds each
+    linear solve and the number of steps taken; a run that exhausts it
+    returns the iterates finished before, flagged.  A fixed point reached
+    within it fills every later iterate without further steps.
     """
     if not sys.semiring.is_idempotent:
         warnings.warn(
@@ -275,4 +267,6 @@ def newton_solve(
             RuntimeWarning,
             stacklevel=2,
         )
-    return sample_chain(sys, _chain_step(sys, max_linear_iters), sys.a, n_steps, lambda k: k)
+    budget = DEFAULT_KLEENE_BUDGET if max_linear_iters is None else max_linear_iters
+    step = _chain_step(sys, budget)
+    return sample_chain(sys, step, sys.a, n_steps, lambda k: k, max_steps=budget)

@@ -1,14 +1,12 @@
 """Two-sided linear systems solved through a tensor companion.
 
 A two-sided linear system is an `EquationSystem` whose monomials
-a x_j b hold one variable each, such as the completion system
-`solver.completion_system` builds for a completion step.  Pairing each
-monomial's two coefficients into transpose(a) tensor b yields an
-equivalent system over a companion instance whose unknowns carry
-coefficients on one side only; `solver.solve_linear` solves it like
-every other linear system, and a readout projects the solution back
-down.  `tensor_pipeline` chains such cycles in `solver.sample_chain`,
-the one payload chain loop, and converts only at each cycle's boundary.
+a x_j b hold one variable each, such as a completion step's
+differential.  Pairing each monomial's coefficients into transpose(a)
+tensor b gives an equivalent system over a companion instance with
+coefficients on one side only, and a readout projects its solution
+back down.  `regularize` and `solve_left_linear` do this on `Value`s,
+`tensor_pipeline` on the payload rows of Newton's completion step.
 """
 
 from __future__ import annotations
@@ -21,19 +19,25 @@ from typing import Callable
 from semifix.polynomial import (
     EquationSystem,
     InvariantError,
+    _linearize,
     monomial,
     polynomial,
 )
 from semifix.semiring import Semiring, Value, add, mul, relation_semiring
 from semifix.solver import (
+    STABILIZED,
     BudgetExhaustedError,
-    completion_system,
+    _iterate,
     sample_chain,
     solve_linear,
 )
 
 # Seed of the random sample the four-place laws are checked on.
 LAW_SAMPLE_SEED = 0
+
+# Most states of a companion `tensor_pipeline` builds: relation[q] pairs
+# its states, and relation[16] (256 states) still runs in well under a second.
+MAX_COMPANION_STATES = 256
 
 
 @dataclass
@@ -48,6 +52,28 @@ class AdmissibleOps:
 
 
 @lru_cache(maxsize=None)
+def _relation_kernels(q: int) -> tuple[Callable, Callable, Callable]:
+    """Transpose, Kronecker product and readout on q-state relation payloads."""
+    rows = range(q)
+    row_mask = (1 << q) - 1
+
+    def transpose(m):
+        return tuple(sum((m[j] >> i & 1) << j for j in rows) for i in rows)
+
+    def kronecker(ma, mb):
+        # pair row (i1, i2) holds block j1 = row i2 of b wherever row i1 of a has j1
+        return tuple(sum(r2 << (j1 * q) for j1 in rows if r1 >> j1 & 1) for r1 in ma for r2 in mb)
+
+    def readout(m):
+        diagonal = 0
+        for k in rows:
+            diagonal |= m[k * q + k]
+        return tuple(diagonal >> (i * q) & row_mask for i in rows)
+
+    return transpose, kronecker, readout
+
+
+@lru_cache(maxsize=None)
 def relation_admissible(q: int = 2) -> AdmissibleOps:
     """Admissible operations for q-state relations.
 
@@ -55,34 +81,15 @@ def relation_admissible(q: int = 2) -> AdmissibleOps:
     flips matrices, the tensor product is the Kronecker product, and
     readout collapses the diagonal of the pair rows.
     """
-    base = relation_semiring(q)
-    tensor = relation_semiring(q * q)
-
-    rows = range(q)
-    row_mask = (1 << q) - 1
-
-    def transpose(a: Value) -> Value:
-        m = a.payload
-        return Value(base, tuple(sum((m[j] >> i & 1) << j for j in rows) for i in rows))
-
-    def tensor_prod(a: Value, b: Value) -> Value:
-        # pair row (i1, i2) holds block j1 = row i2 of b wherever row i1 of a has j1
-        ma, mb = a.payload, b.payload
-        return Value(
-            tensor,
-            tuple(
-                sum(r2 << (j1 * q) for j1 in rows if r1 >> j1 & 1) for r1 in ma for r2 in mb
-            ),
-        )
-
-    def readout(t: Value) -> Value:
-        m = t.payload
-        diagonal = 0
-        for k in rows:
-            diagonal |= m[k * q + k]
-        return Value(base, tuple(diagonal >> (i * q) & row_mask for i in rows))
-
-    return AdmissibleOps(base, tensor, transpose, tensor_prod, readout)
+    base, tensor = relation_semiring(q), relation_semiring(q * q)
+    transpose, kronecker, readout = _relation_kernels(q)
+    return AdmissibleOps(
+        base,
+        tensor,
+        lambda a: Value(base, transpose(a.payload)),
+        lambda a, b: Value(tensor, kronecker(a.payload, b.payload)),
+        lambda t: Value(base, readout(t.payload)),
+    )
 
 
 def check_admissible(ops: AdmissibleOps, quadruple_samples: int = 200):
@@ -211,21 +218,38 @@ def solve_left_linear(lls: EquationSystem) -> dict[str, Value]:
 def tensor_pipeline(sys: EquationSystem, n: int) -> dict[str, Value]:
     """Accelerated iterate n computed by repeated tensor solves.
 
-    Each cycle regularizes the completion system at the current vector,
-    the one `solver.newton_step` solves (`solver.completion_system`),
-    solves it over the companion, and reads the result back: one
-    completion step C.  Iterate n is C^(2^n)(a), a the constant vector,
-    read off the chain of cycles by `solver.sample_chain`, the one chain
-    loop; a cycle takes and returns payload lists.  A companion solve
-    that does not stabilize raises `BudgetExhaustedError`.
+    A cycle is Newton's completion step C on payload rows with the
+    companion in between: the compiled rows, linearized at the current
+    payload list, become x_j (transpose(a) tensor b) for each term
+    a x_j b and transpose(1) tensor c for each constant c, are iterated
+    over the companion, and each component is read back out.  Iterate n
+    is C^(2^n)(a), a the constant vector, read off the chain of cycles
+    by `solver.sample_chain`.  A companion of more than
+    `MAX_COMPANION_STATES` states, or a companion solve that does not
+    stabilize, raises `BudgetExhaustedError`.
     """
     q = getattr(sys.semiring, "q", None)
     if q is None:
         raise InvariantError(f"no admissible tensor operations known for {sys.semiring.name}")
-    ops = relation_admissible(q)
+    if q * q > MAX_COMPANION_STATES:
+        raise BudgetExhaustedError(
+            f"the tensor companion of {sys.semiring.name} has {q * q} states,"
+            f" more than MAX_COMPANION_STATES = {MAX_COMPANION_STATES}"
+        )
+    sr, ts = sys.semiring, relation_semiring(q * q)
+    transpose, kronecker, readout = _relation_kernels(q)
+    one = sr._one()  # transpose(1) == 1; a linearized side of None is a unit
 
     def cycle(at):
-        y = solve_left_linear(regularize(completion_system(sys, sys.vector(at)), ops))
-        return [ops.readout(y[x]).payload for x in sys.variables]
+        rows = tuple(
+            tuple((None, ((j, kronecker(transpose(a or one), b or one)),)) for a, ((j, b),) in row)
+            for row in _linearize(sr, sys.compiled[0], at)
+        )
+        y, status, used = _iterate(ts, rows, [kronecker(one, c) for c in at], None)
+        if status != STABILIZED:
+            raise BudgetExhaustedError(
+                f"companion solve did not stabilize within {used} iterations"
+            )
+        return [readout(t) for t in y]
 
     return sample_chain(sys, cycle, sys.a, n, lambda k: 1 << k).iterates[n]

@@ -17,10 +17,12 @@ from ``--src`` and every warning shown, on
 That is 53,616 invocations.
 
 It writes one JSON line per invocation: argv, exit code, stdout, and
-stderr with the package directory masked.  Run it on two source trees
-with the same CORPUS_DIR and compare the two outputs with ``cmp``: equal
-files mean the command line printed the same bytes and exited the same
-way on every invocation.  It reads ``bench/`` and writes only CORPUS_DIR
+stderr with the package directory and the line numbers of source
+locations masked, so that a warning's location reads
+``<src>/semifix/cli.py:LINE:`` wherever its call moves.  Run it on two
+source trees with the same CORPUS_DIR and compare the two outputs with
+``cmp``: equal files mean the command line printed the same bytes and
+exited the same way on every invocation.  It reads ``bench/`` and writes only CORPUS_DIR
 and the output file.
 """
 
@@ -31,6 +33,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -38,6 +41,7 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SEED = 7
 TENSOR_LEVELS = range(4)
+SOURCE_LINE = re.compile(r"(<src>/\S+\.py):\d+:")
 ACCELERATED = (["--method", "newton", "--steps", "4"], ["--method", "munchausen", "--steps", "3"])
 
 
@@ -85,7 +89,7 @@ def main(argv=None) -> int:
                     rc = cli.main(list(run))
                 except Exception as exc:  # recorded, so that both trees can be compared
                     rc = f"raised {type(exc).__name__}: {exc}"
-            masked = err.getvalue().replace(str(src), "<src>")
+            masked = SOURCE_LINE.sub(r"\1:LINE:", err.getvalue().replace(str(src), "<src>"))
             record = {"argv": run, "exit": rc, "stdout": out.getvalue(), "stderr": masked}
             fh.write(json.dumps(record) + "\n")
     print(f"{len(runs)} invocations written to {args.out}")

@@ -305,6 +305,21 @@ def test_tensor_companion_solve_out_of_budget_exits_3(tmp_path, capsys, monkeypa
     assert captured.err.startswith("budget exhausted: companion solve did not stabilize")
 
 
+def test_tensor_companion_above_the_state_limit_exits_3(tmp_path, capsys):
+    identity = json.dumps([[int(i == j) for j in range(16)] for i in range(16)])
+    at_limit = write(tmp_path, f"semiring relation 16;\nvars x;\nx = x*x + {identity};\n")
+    assert main(["tensor", at_limit, "--level", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: OK"
+    path = write(tmp_path, "semiring relation 17;\nvars x;\nx = x;\n", "big.sfx")
+    assert main(["tensor", path, "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget exhausted: the tensor companion of relation[17] has 289 states,"
+        " more than MAX_COMPANION_STATES = 256\n"
+    )
+
+
 def test_tensor_command(tmp_path, capsys):
     path = write(
         tmp_path,
@@ -398,6 +413,18 @@ def test_solve_by_newton(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert (data["status"], data["steps"]) == ("budget-exhausted", 0)
     assert data["values"] == {"x": "1", "y": "0"}
+
+
+def test_newton_chain_steps_are_bounded_by_the_budget(tmp_path, capsys):
+    # over counting this chain never reaches a fixed point
+    path = write(tmp_path, CHAIN, "chain.sfx")
+    with pytest.warns(RuntimeWarning):
+        assert main(["solve", path, "--method", "newton", "--steps", "20000", "--json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert (data["status"], data["steps"]) == ("budget-exhausted", 10000)
+    with pytest.warns(RuntimeWarning):
+        assert main(["solve", path, "--method", "newton", "--steps", "20", "--budget", "6"]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "status: budget-exhausted after 6 steps"
 
 
 def test_linear_solve_budget_does_not_scale_with_constants(tmp_path, capsys):

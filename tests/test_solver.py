@@ -37,7 +37,6 @@ from semifix.solver import (
     DEFAULT_KLEENE_BUDGET,
     STABILIZED,
     SolveOutcome,
-    completion_system,
     kleene_solve,
     newton_solve,
     newton_step,
@@ -359,7 +358,7 @@ def test_newton_solve_rejects_a_negative_iterate_count():
         newton_solve(boolean_system_xyz(), -1)
 
 
-@pytest.mark.parametrize("call", [eval_rhs, newton_step, completion_system])
+@pytest.mark.parametrize("call", [eval_rhs, newton_step])
 def test_a_vector_must_cover_exactly_the_variables(call):
     sys = boolean_system_xyz()
     one = BOOLEAN.one()

@@ -1,5 +1,6 @@
 """Tensor companion operations and the companion solving path."""
 
+import importlib
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from semifix.munchausen import (
 from semifix.polynomial import (
     EquationSystem,
     InvariantError,
+    differential_full,
     equation_system,
     monomial,
     poly_of_var,
@@ -25,7 +27,7 @@ from semifix.semiring import (
     relation_semiring,
     vector_eq,
 )
-from semifix.solver import BudgetExhaustedError, completion_system, kleene_solve
+from semifix.solver import BudgetExhaustedError, kleene_solve
 from semifix.tensor import (
     AdmissibleOps,
     check_admissible,
@@ -135,16 +137,15 @@ def test_completion_terms_golden():
         },
     )
     v = {"x": ct(0), "y": ct(3), "z": ct(5)}
-    lin = completion_system(sys, v)
-    assert lin.a == v
-    assert [(m.variables, m.coefficients) for m in lin.f["x"].monomials] == [
+    lin = differential_full(sys.f, v)
+    assert [(m.variables, m.coefficients) for m in lin["x"].monomials] == [
         (("y",), (ct(1), ct(3))),
         (("y",), (ct(3), ct(1))),
     ]
-    assert [(m.variables, m.coefficients) for m in lin.f["y"].monomials] == [
+    assert [(m.variables, m.coefficients) for m in lin["y"].monomials] == [
         (("z",), (ct(1), ct(1)))
     ]
-    assert lin.f["z"].monomials == ()
+    assert lin["z"].monomials == ()
 
 
 def test_completion_drops_frozen_zero_terms():
@@ -152,8 +153,8 @@ def test_completion_drops_frozen_zero_terms():
     sys = equation_system(
         sr, ("x", "y"), {"x": poly_of_var(sr, "y"), "y": poly_of_var(sr, "x")}
     )
-    lin = completion_system(sys, dict(sys.a))
-    assert [(m.variables, m.coefficients) for m in lin.f["x"].monomials] == [
+    lin = differential_full(sys.f, dict(sys.a))
+    assert [(m.variables, m.coefficients) for m in lin["x"].monomials] == [
         (("y",), (sr.one(), sr.one()))
     ]
 
@@ -176,6 +177,49 @@ def test_pipeline_matches_accelerated_sequence():
             seq = munchausen_sequence(sys, 2)
             for n in range(3):
                 assert vector_eq(tensor_pipeline(sys, n), seq.iterates[n])
+
+
+def _value_level_cycle(sys, ops, v):
+    """One completion step through `regularize`, `solve_left_linear` and the readout."""
+    lin = EquationSystem(sys.semiring, sys.variables, differential_full(sys.f, v), v)
+    y = solve_left_linear(regularize(lin, ops))
+    return {x: ops.readout(y[x]) for x in sys.variables}
+
+
+def test_pipeline_matches_the_value_level_companion_chain():
+    rng = random.Random(16)
+    for sr, sizes, count in ((REL2, (1, 3), 15), (relation_semiring(3), (4, 5), 10)):
+        ops = relation_admissible(sr.q)
+        for _ in range(count):
+            sys = random_system(sr, rng, rng.randint(*sizes))
+            chain = [dict(sys.a)]
+            for _ in range(4):
+                chain.append(_value_level_cycle(sys, ops, chain[-1]))
+            for n in range(3):
+                assert tensor_pipeline(sys, n) == chain[1 << n]
+
+
+def test_pipeline_compiles_once_and_builds_no_equation_system(monkeypatch):
+    # the package exports a function named polynomial, which hides the module
+    poly_module = importlib.import_module("semifix.polynomial")
+    # its chain changes in three cycles before the fixed point
+    sys = random_system(REL2, random.Random(80), 3)
+    compiles, systems = [], []
+    compile_rows, post_init = poly_module._compile, EquationSystem.__post_init__
+
+    def counted_compile(*args):
+        compiles.append(1)
+        return compile_rows(*args)
+
+    def counted_post_init(self):
+        systems.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(poly_module, "_compile", counted_compile)
+    monkeypatch.setattr(EquationSystem, "__post_init__", counted_post_init)
+    tensor_pipeline(sys, 2)
+    assert len(compiles) == 1
+    assert systems == []
 
 
 def test_pipeline_needs_known_companion():
