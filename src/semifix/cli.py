@@ -40,15 +40,12 @@ from semifix.munchausen import (
 from semifix.polynomial import (
     EquationSystem,
     InvariantError,
-    Monomial,
-    Polynomial,
     render_polynomial,
     rhs_poly,
 )
 from semifix.semiring import (
     InstanceMismatchError,
     NotFiniteError,
-    Value,
     instance_by_name,
     vector_eq,
 )
@@ -150,17 +147,21 @@ def _tokenize(text: str, filename: str) -> list[tuple[str, str, int]]:
 
 
 def parse(text: str, filename: str = "<input>") -> EquationSystem:
-    """Read a system from its textual form, in one pass from text to payloads.
+    """Read a system from its textual form, in one pass from text to payload rows.
 
     `_tokenize` splits the text with one compiled pattern into (kind,
     text, offset) tuples.  The parser then reads each distinct literal
     once per call (`Semiring._parse` gives a checked payload), multiplies
     adjacent coefficients with the instance's `_mul`, drops a monomial
-    whose payload product holds a zero, and builds `Monomial`s and
-    `Polynomial`s directly, with one `Value` per stored coefficient.
-    Constant monomials are summed into the constant part in order.  An
-    `EquationSyntaxError` is pinned to the line and column of the
-    offending token, computed from its offset only when raised.
+    whose payload product holds a zero, and writes each monomial as the
+    row entry (c0, ((variable index, c1), ...)) that
+    `EquationSystem.compiled` holds, a unit coefficient as None.
+    Constant monomials are summed into the constant payload in order.
+    The system is built from those rows (`EquationSystem._of_rows`), so
+    no `Value`, `Monomial` or `Polynomial` is made until a caller reads
+    `f` or `a`.  An `EquationSyntaxError` is pinned to the line and
+    column of the offending token, computed from its offset only when
+    raised.
     """
     tokens = _tokenize(text, filename)
 
@@ -205,19 +206,18 @@ def parse(text: str, filename: str = "<input>") -> EquationSystem:
         expected("';'", tokens[i])
     i += 1
 
-    declared = set(variables)
-    mul, add, zero = sr._mul, sr._add, sr._zero()
-    unit = sr.one()
+    index = {x: j for j, x in enumerate(variables)}
+    mul, add, zero, one = sr._mul, sr._add, sr._zero(), sr._one()
     literals: dict[str, object] = {}  # literal text -> payload, for this call only
-    f: dict[str, list[Monomial]] = {}
-    a: dict[str, object] = {}
+    rows: dict[str, tuple] = {}
+    constants: dict[str, object] = {}
     kind, word, at = tokens[i]
     while kind != "end":
         if kind != "name":
             expected("a variable", tokens[i])
-        if word not in declared:
+        if word not in index:
             fail(f"undeclared variable {word}", at)
-        if word in f:
+        if word in rows:
             fail(f"second equation for {word}", at)
         lhs = word
         if tokens[i + 1][1] != "=":
@@ -227,13 +227,13 @@ def parse(text: str, filename: str = "<input>") -> EquationSystem:
         constant = zero
         while True:  # one monomial per pass
             coefficients = []  # payloads, None for a unit
-            names = []
+            factors = []  # variable indices
             slot = None
             while True:  # one factor per pass
                 kind, word, at = tokens[i]
-                if kind == "name" and word in declared:
-                    coefficients.append(slot)
-                    names.append(word)
+                if kind == "name" and word in index:
+                    coefficients.append(None if slot == one else slot)
+                    factors.append(index[word])
                     slot = None
                 elif kind == "name" or kind == "number" or kind == "matrix":
                     p = literals.get(word)
@@ -249,30 +249,26 @@ def parse(text: str, filename: str = "<input>") -> EquationSystem:
                 if tokens[i][1] != "*":
                     break
                 i += 1
-            coefficients.append(slot)
-            if zero not in coefficients:
-                if names:
-                    stored = [unit if c is None else Value(sr, c) for c in coefficients]
-                    monomials.append(Monomial(sr, tuple(stored), tuple(names)))
-                else:
-                    constant = add(constant, slot)
+            if factors:
+                coefficients.append(None if slot == one else slot)
+                if zero not in coefficients:
+                    monomials.append((coefficients[0], tuple(zip(factors, coefficients[1:]))))
+            elif slot != zero:
+                constant = add(constant, slot)
             if tokens[i][1] != "+":
                 break
             i += 1
         if tokens[i][1] != ";":
             expected("';'", tokens[i])
         i += 1
-        f[lhs] = monomials
-        a[lhs] = constant
+        rows[lhs] = tuple(monomials)
+        constants[lhs] = constant
         kind, word, at = tokens[i]
-    missing = [v for v in variables if v not in f]
+    missing = [v for v in variables if v not in rows]
     if missing:
         fail(f"no equation for {', '.join(missing)}", at)
-    return EquationSystem(
-        sr,
-        tuple(variables),
-        {x: Polynomial(sr, tuple(f[x])) for x in variables},
-        {x: Value(sr, a[x]) for x in variables},
+    return EquationSystem._of_rows(
+        sr, tuple(variables), tuple(rows[x] for x in variables), [constants[x] for x in variables]
     )
 
 

@@ -324,6 +324,35 @@ def _word_sum(sr, forms, layer, b, solved) -> Value:
     )
 
 
+def _word_rows(sr: Semiring, forms_per_variable, variables) -> tuple:
+    """Payload rows summing expanded words, as `EquationSystem.compiled` holds them.
+
+    One row per variable, from its list of words.  Each distinct word
+    is its own monomial, so equal products add up; adjacent terminals
+    are multiplied, a unit coefficient is None, and a word whose
+    product holds a zero is dropped.
+    """
+    index = {x: j for j, x in enumerate(variables)}
+    mul, zero, one = sr._mul, sr._zero(), sr._one()
+    rows = []
+    for forms in forms_per_variable:
+        row = []
+        for form in forms:
+            coefficients, factors, slot = [], [], None
+            for s in form:
+                if isinstance(s, Terminal):
+                    slot = s.value.payload if slot is None else mul(slot, s.value.payload)
+                else:
+                    coefficients.append(None if slot == one else slot)
+                    factors.append(index[s.var])
+                    slot = None
+            coefficients.append(None if slot == one else slot)
+            if zero not in coefficients:
+                row.append((coefficients[0], tuple(zip(factors, coefficients[1:]))))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def evaluate_grammar(
     lg: LinearCfg, b: Mapping[str, Value], budget: int | None = None
 ) -> SolveOutcome:
@@ -401,9 +430,10 @@ def munchausen_sequence(
     only behind `grammar` and the oracles.  Over idempotent instances S
     is the completion step, and `budget` bounds each linear solve.
     Otherwise S applies the completion grammar's word sums, expanded
-    once in c expansions and compiled once; iterate k exists only if
-    2^k * c <= budget, as for its ladder; a cycle of spines exhausts any
-    budget, so it is reported before expanding.  The default b is the
+    once in c expansions and written once as payload rows (`_word_rows`);
+    iterate k exists only if 2^k * c <= budget, as for its ladder; a
+    cycle of spines exhausts any budget, so it is reported before
+    expanding.  The default b is the
     constant part; a custom one must cover exactly the variables and is
     sanity checked when that is cheap.  On budget exhaustion the
     finished prefix is returned, flagged.
@@ -417,10 +447,9 @@ def munchausen_sequence(
         return sample_chain(sys, _chain_step(sys, budget), b, n, lambda k: 1 << k)
     # A spine cycle (y -> z when z occurs in f[y]) spells ever longer
     # words, so the expansion could never finish: prune leaves to find one.
-    live = set(sys.variables)
-    while leaves := {
-        y for y in live if live.isdisjoint(z for m in sys.f[y].monomials for z in m.variables)
-    }:
+    rows = sys.compiled[0]
+    live = set(range(len(rows)))
+    while leaves := {y for y in live if live.isdisjoint(z for _, fs in rows[y] for z, _ in fs)}:
         live -= leaves
     sr, step, top = sys.semiring, None, -1  # top: last iterate whose ladder fits the budget
     if not live:
@@ -431,12 +460,8 @@ def munchausen_sequence(
         while ok and top < n and spent[0] << (top + 1) <= budget:
             top += 1
     if top >= 0:  # otherwise the chain takes no step
-        def word(w):  # each distinct word its own monomial, so equal products add up
-            return monomial(sr, [s.value if isinstance(s, Terminal) else s.var for s in w])
-
-        f = {nt.var: polynomial(sr, map(word, words[nt])) for nt in keys}
-        sums = EquationSystem(sr, sys.variables, f, dict.fromkeys(sys.variables, sr.zero()))
-        step = partial(_apply, sr, *sums.compiled)
+        sums = _word_rows(sr, [words[nt] for nt in keys], sys.variables)
+        step = partial(_apply, sr, sums, [sr._zero()] * len(sums))
     return sample_chain(sys, step, b, n, lambda k: 1 << k, top)
 
 

@@ -7,13 +7,15 @@ Equation systems pair each variable with a right-hand side split into a
 variable part (monomials that contain at least one variable) and a
 constant part.
 
-The work runs on payload rows: each system compiles its right-hand
-sides once (`EquationSystem.compiled`), `_apply` evaluates rows on
-payload lists in variable order, and `_linearize` turns rows into the
-rows of the completion system at a payload point.  `Value`,
-`Monomial` and `Polynomial` are the boundary: `eval_rhs`,
-`differential` and `differential_full` convert at their entry and wrap
-their result once.
+The work runs on payload rows.  A system is its compiled rows
+(`EquationSystem.compiled`): the parser builds them directly, and a
+system built from `Polynomial`s compiles them once.  `_apply` evaluates
+rows on payload lists in variable order, and `_linearize` turns rows
+into the rows of the completion system at a payload point.  `Value`,
+`Monomial` and `Polynomial` are the boundary: a system decodes its
+`f` and `a` from the rows only when they are read (`_decode`, the
+inverse of `_compile`), and `eval_rhs`, `differential` and
+`differential_full` convert at their entry and wrap their result once.
 """
 
 from __future__ import annotations
@@ -196,20 +198,30 @@ def substitute_occurrence(m: Monomial, occ: int, g: Monomial) -> Monomial:
     return monomial(m.semiring, fs[:pos] + g.factors() + fs[pos + 1 :])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class EquationSystem:
     """Simultaneous equations x = f_x + a_x, one per variable.
 
-    `f` holds the variable parts (every monomial mentions at least one
-    variable) and `a` the constant offsets.  All right-hand sides may
-    only mention declared variables.  The fields cannot be rebound, so
-    the compiled form cached on first use stays the system's.
+    A system is its payload rows, `compiled`: per variable, in variable
+    order, the monomials of its variable part as (c0, ((variable index,
+    coefficient), ...)) over payloads, a unit coefficient as None, and
+    the payload of its constant.  `f` (the variable parts as
+    `Polynomial`s, every monomial mentioning at least one variable) and
+    `a` (the constants as `Value`s) are its `Value`-level view.  The
+    constructor takes that view, checks that every right-hand side
+    mentions declared variables only, and compiles it on first use;
+    `_of_rows` takes the rows and decodes `f` and `a` only when one is
+    read.  Systems are equal when their instance, variables and rows
+    are.  No attribute can be rebound, so the cached forms stay the
+    system's.
     """
 
     semiring: Semiring
     variables: tuple[str, ...]
-    f: dict[str, Polynomial]
-    a: dict[str, Value]
+
+    def __init__(self, semiring: Semiring, variables: tuple[str, ...], f: dict, a: dict):
+        vars(self).update(semiring=semiring, variables=variables, f=f, a=a)
+        self.__post_init__()
 
     def __post_init__(self):
         declared = set(self.variables)
@@ -227,18 +239,61 @@ class EquationSystem:
                     if y not in declared:
                         raise InvariantError(f"undeclared variable {y!r} in equation for {x!r}")
 
+    @classmethod
+    def _of_rows(
+        cls, semiring: Semiring, variables: tuple[str, ...], rows: tuple, constants: list
+    ) -> EquationSystem:
+        """The system whose compiled form is (rows, constants), checked here.
+
+        One row and one constant per variable, every variable index in
+        range and every monomial with at least one variable; payloads
+        are taken as checked by whoever read them.
+        """
+        n = len(variables)
+        if len(set(variables)) != n:
+            raise InvariantError("duplicate variable names")
+        if len(rows) != n or len(constants) != n:
+            raise InvariantError("equations must cover exactly the declared variables")
+        for x, row in zip(variables, rows):
+            for _, factors in row:
+                if not factors:
+                    raise InvariantError("variable part contains a constant monomial")
+                for j, _ in factors:
+                    if not 0 <= j < n:
+                        raise InvariantError(
+                            f"variable index {j} out of range in equation for {x!r}"
+                        )
+        self = cls.__new__(cls)
+        vars(self).update(semiring=semiring, variables=variables, compiled=(rows, constants))
+        return self
+
     @cached_property
     def compiled(self) -> tuple[tuple, list]:
         """The right-hand sides as payload rows and constants, built once.
 
-        One row per variable, in variable order: its monomials as (c0,
-        ((variable index, coefficient), ...)) over payloads, a unit
-        coefficient as None (`_compile`).  The constants are the
-        payloads of `a`.
+        Compiled from `f` and `a` (`_compile`) unless the system was
+        built from its rows.
         """
         index = {x: i for i, x in enumerate(self.variables)}
         rows = _compile(self.semiring, (self.f[x] for x in self.variables), index)
         return rows, [self.a[x].payload for x in self.variables]
+
+    @cached_property
+    def f(self) -> dict[str, Polynomial]:
+        return dict(zip(self.variables, _decode(self.semiring, self.compiled[0], self.variables)))
+
+    @cached_property
+    def a(self) -> dict[str, Value]:
+        return self.vector(self.compiled[1])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.semiring, self.variables, self.compiled) == (
+            other.semiring,
+            other.variables,
+            other.compiled,
+        )
 
     def payloads(self, v: Mapping[str, Value]) -> list:
         """The payloads of a vector in variable order.
@@ -254,7 +309,8 @@ class EquationSystem:
         except KeyError as exc:
             raise InvariantError(f"vector has no value for {exc.args[0]!r}") from None
         if len(v) != len(at):
-            extra = ", ".join(repr(x) for x in v if x not in self.f)
+            declared = set(self.variables)
+            extra = ", ".join(repr(x) for x in v if x not in declared)
             raise InvariantError(f"vector has values for undeclared {extra}")
         return at
 
@@ -319,6 +375,21 @@ def _compile(sr: Semiring, polys: Iterable[Polynomial], index: Mapping[str, int]
         )
         for p in polys
     )
+
+
+def _decode(sr: Semiring, rows: Sequence, names: Sequence[str]) -> list[Polynomial]:
+    """The `Polynomial`s of payload rows, variable j named names[j]: `_compile` inverted."""
+    unit = sr.one()
+
+    def monomial_of(c0, factors):
+        coefficients = (c0, *(c for _, c in factors))
+        return Monomial(
+            sr,
+            tuple(unit if c is None else Value(sr, c) for c in coefficients),
+            tuple(names[j] for j, _ in factors),
+        )
+
+    return [Polynomial(sr, tuple(monomial_of(*m) for m in row)) for row in rows]
 
 
 def _apply(sr: Semiring, rows: Sequence, constants: Sequence, u: Sequence) -> list:
@@ -496,19 +567,6 @@ def _linearize(sr: Semiring, rows: Sequence, at: Sequence) -> tuple:
     return tuple(out)
 
 
-def _polynomials(sr: Semiring, rows: Sequence, names: Sequence[str]) -> list[Polynomial]:
-    """Linear rows as `Polynomial`s of monomials left * x * right."""
-    one = sr._one()
-
-    def side(p):
-        return Value(sr, one if p is None else p)
-
-    return [
-        Polynomial(sr, tuple(Monomial(sr, (side(l), side(r)), (names[j],)) for l, ((j, r),) in row))
-        for row in rows
-    ]
-
-
 def differential(p: Polynomial, x: str, v: Mapping[str, Value]) -> Polynomial:
     """Linearization of p in the direction of x around the point v.
 
@@ -541,4 +599,4 @@ def differential_full(
         rows = _compile(sr, pvec.values(), index)
     except KeyError as exc:
         raise InvariantError(f"point has no value for {exc.args[0]!r}") from None
-    return dict(zip(pvec, _polynomials(sr, _linearize(sr, rows, at), list(v))))
+    return dict(zip(pvec, _decode(sr, _linearize(sr, rows, at), list(v))))

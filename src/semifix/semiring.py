@@ -250,7 +250,7 @@ def _check_extended_nat(payload, label):
 def _parse_extended_nat(text, label):
     if text == "inf":
         return INF
-    if text.isdigit():
+    if text.isdecimal():  # str.isdigit also admits '²', which int() rejects
         return int(text)
     raise ValueError(f"{label} literal must be digits or inf, got {text!r}")
 
@@ -456,7 +456,7 @@ class RelationSemiring(Semiring):
             raise ValueError("relation literal must be a list of rows")
         for row in raw:
             for cell in row:
-                if cell not in (0, 1):
+                if type(cell) is not int or cell not in (0, 1):  # not false, true or 1.0
                     raise ValueError(f"relation cells must be 0 or 1, got {cell!r}")
         q = self.q
         if len(raw) != q or any(len(row) != q for row in raw):

@@ -155,11 +155,11 @@ def solve_linear(sys: EquationSystem, max_iters: int | None = None) -> SolveOutc
     budget (`DEFAULT_KLEENE_BUDGET` by default) when the system keeps
     growing.  A monomial of higher degree is rejected.
     """
-    for x in sys.variables:
-        for m in sys.f[x].monomials:
-            if m.degree > 1:
+    for x, row in zip(sys.variables, sys.compiled[0]):
+        for _, factors in row:
+            if len(factors) > 1:
                 raise InvariantError(
-                    f"linear right-hand side for {x!r} has a degree {m.degree} monomial"
+                    f"linear right-hand side for {x!r} has a degree {len(factors)} monomial"
                 )
     return _solve(sys, max_iters)
 

@@ -12,9 +12,16 @@ from ``--src`` and every warning shown, on
   accel-relation file;
 - ``solve --method newton --steps 4`` and ``solve --method munchausen
   --steps 3``, with and without ``--json``, on every kleene-scalar and
-  counting-words file.
+  counting-words file;
+- the commands that read a system's polynomials and constants, which a
+  parsed system decodes from its payload rows on demand:
+  ``completion --grammar``, ``grammar --level 1``, ``grammar
+  --indexed`` and ``oracle --dim 1 --node-budget 200``, and
+  ``completion --left-linear`` where the instance is commutative, with
+  and without ``--json``, on every counting-words file and the first
+  200 files of the other two corpora.
 
-That is 53,616 invocations.
+That is 79,216 invocations.
 
 It writes one JSON line per invocation: argv, exit code, stdout, and
 stderr with the package directory and the line numbers of source
@@ -43,21 +50,36 @@ SEED = 7
 TENSOR_LEVELS = range(4)
 SOURCE_LINE = re.compile(r"(<src>/\S+\.py):\d+:")
 ACCELERATED = (["--method", "newton", "--steps", "4"], ["--method", "munchausen", "--steps", "3"])
+DECODING = (
+    ["completion", "--grammar"],
+    ["grammar", "--level", "1"],
+    ["grammar", "--indexed"],
+    # the default node budget lets one cyclic counting system run for minutes
+    ["oracle", "--dim", "1", "--node-budget", "200"],
+)
+DECODING_FILES = 200  # files per corpus for DECODING, every file on counting-words
 
 
-def invocations(corpus, systems: dict[str, int], directory: Path) -> list[list[str]]:
-    """Every argv to run, in a fixed order."""
+def invocations(corpus, systems: dict[str, int], directory: Path, commutative) -> list[list[str]]:
+    """Every argv to run, in a fixed order; commutative(path) tells a file's instance apart."""
     runs = []
     for workload, n_systems in systems.items():
         commands = corpus.build(workload, SEED, n_systems, directory / workload)
         for cmd in commands:
             plain = [a for a in cmd.argv if a != "--json"]
             runs += [plain, plain + ["--json"]]
-        for path in sorted({cmd.argv[1] for cmd in commands}):
+        paths = sorted({cmd.argv[1] for cmd in commands})
+        for path in paths:
             if workload == "accel-relation":
                 extra = [["tensor", path, "--level", str(level)] for level in TENSOR_LEVELS]
             else:
                 extra = [["solve", path] + method for method in ACCELERATED]
+            for plain in extra:
+                runs += [plain, plain + ["--json"]]
+        for path in paths if workload == "counting-words" else paths[:DECODING_FILES]:
+            extra = [[argv[0], path, *argv[1:]] for argv in DECODING]
+            if commutative(path):
+                extra.append(["completion", path, "--left-linear"])
             for plain in extra:
                 runs += [plain, plain + ["--json"]]
     return runs
@@ -80,7 +102,10 @@ def main(argv=None) -> int:
     if not Path(cli.__file__).resolve().is_relative_to(src):
         print(f"imported semifix from {cli.__file__}, not {src}", file=sys.stderr)
         return 2
-    runs = invocations(corpus, CORPUS_SYSTEMS, args.corpus_dir.resolve())
+    def commutative(path):
+        return cli.parse(Path(path).read_text(encoding="utf-8")).semiring.is_commutative
+
+    runs = invocations(corpus, CORPUS_SYSTEMS, args.corpus_dir.resolve(), commutative)
     with open(args.out, "w", encoding="utf-8") as fh:
         for run in runs:
             out, err = io.StringIO(), io.StringIO()

@@ -520,3 +520,38 @@ def test_back_to_back_calls_match_fresh_processes(tmp_path, capsys):
         if rc == 1:
             # the usage message; warnings go to pytest's capture instead
             assert got.err == fresh.stderr
+
+
+@pytest.mark.parametrize(
+    "literal,cell",
+    [
+        ("[[false,true],[0,1]]", "False"),
+        ("[[true,0.0],[0,1e0]]", "True"),
+        ("[[1.0,0],[0,1]]", "1.0"),
+    ],
+)
+def test_relation_cells_must_be_json_integers(tmp_path, capsys, literal, cell):
+    path = write(tmp_path, f"semiring relation 2;\nvars x;\nx = {literal};\n")
+    assert main(["solve", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{path}:3:5: not a variable or relation[2] literal: "
+        f"relation cells must be 0 or 1, got {cell}\n"
+    )
+
+
+@pytest.mark.parametrize("name", ["counting", "min-plus"])
+def test_a_superscript_digit_is_not_a_numeric_literal(tmp_path, capsys, name):
+    path = write(tmp_path, f"semiring {name};\nvars x;\nx = ²*x + 1;\n")
+    assert main(["solve", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{path}:3:5: not a variable or {name} literal: "
+        f"{name} literal must be digits or inf, got '²'\n"
+    )
+    # an Arabic-Indic three is a decimal digit, so it reads as 3
+    path = write(tmp_path, f"semiring {name};\nvars x;\nx = ٣;\n", "three.sfx")
+    assert main(["solve", path]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "x = 3"

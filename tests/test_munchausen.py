@@ -14,7 +14,7 @@ from gen import (
     random_triangular_system,
 )
 from semifix import solver
-from semifix.cli import parse
+from semifix.cli import parse, render
 from semifix.munchausen import (
     LinearCfg,
     NonTerm,
@@ -522,7 +522,11 @@ def test_counting_chain_compiles_its_word_sums_once(monkeypatch):
     monkeypatch.setattr(poly_module, "_compile", counted_compile)
     seq = munchausen_sequence(counting_chain(), 3)
     assert seq.stabilized and seq.iterates[2]["x"].payload == 104
+    # the system built from polynomials compiles once; the word sums are written as rows
     assert len(compiles) == 1
+    compiles.clear()
+    assert munchausen_sequence(parse(render(counting_chain())), 3) == seq
+    assert compiles == []
     # a spine cycle exhausts the budget before any word sum is built
     cyclic = parse("semiring counting;\nvars x y z;\nx = 1;\ny = 2*x*y;\nz = 3*x + x;\n")
     compiles.clear()

@@ -10,6 +10,7 @@ relation literals, and characters where `str.isdigit` and `str.isalnum`
 differ from their ASCII counterparts.
 """
 
+import importlib
 import random
 from dataclasses import dataclass
 
@@ -25,7 +26,17 @@ from semifix.polynomial import (
     monomial,
     polynomial,
 )
-from semifix.semiring import COUNTING, Semiring, instance_by_name, relation_semiring
+from semifix.munchausen import completion_via_differential_star
+from semifix.semiring import (
+    BOOLEAN,
+    COUNTING,
+    MIN_PLUS,
+    Semiring,
+    Value,
+    instance_by_name,
+    relation_semiring,
+)
+from semifix.solver import kleene_solve
 
 
 @dataclass(frozen=True)
@@ -207,6 +218,47 @@ def seeded_texts(seed, per_instance):
         for _ in range(per_instance):
             texts.append(render(random_system(sr, rng, rng.randint(1, 4))))
     return texts
+
+
+def test_parsed_systems_decode_to_the_systems_they_render():
+    rng = random.Random(37)
+    for sr in (BOOLEAN, MIN_PLUS, COUNTING, relation_semiring(1), relation_semiring(3)):
+        for _ in range(25):
+            built = random_system(sr, rng, rng.randint(1, 4))
+            parsed = parse(render(built))
+            assert parsed == built and built == parsed
+            assert parsed.f == built.f and parsed.a == built.a
+
+
+def test_parse_and_solve_build_no_monomial_and_compile_nothing(monkeypatch):
+    # the package exports a function named polynomial, which hides the module
+    poly_module = importlib.import_module("semifix.polynomial")
+    made = []
+    compile_rows = poly_module._compile
+
+    def counted_compile(*args):
+        made.append("compile")
+        return compile_rows(*args)
+
+    for cls in (Monomial, Polynomial, Value):
+        init = cls.__init__
+
+        def counted_init(self, *args, _init=init, _name=cls.__name__):
+            made.append(_name)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    monkeypatch.setattr(poly_module, "_compile", counted_compile)
+    n = 16
+    text = "semiring min-plus;\nvars " + " ".join(f"x{i}" for i in range(n)) + ";\n"
+    for i in range(n):
+        text += f"x{i} = 3*x{(i + 1) % n}*x{(i + 5) % n}*2 + x{(i + 3) % n} + {i % 4};\n"
+    sys = parse(text)
+    assert made == []
+    assert kleene_solve(sys).stabilized
+    completion_via_differential_star(sys, sys.a)
+    # Values only for the constants and the two result vectors, none per coefficient
+    assert made == ["Value"] * (3 * n)
 
 
 def test_random_systems_parse_as_the_oracle_reads_them():

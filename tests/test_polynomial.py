@@ -1,5 +1,6 @@
 """Canonical monomials, evaluation, substitution chains, differentials."""
 
+import dataclasses
 import random
 
 import pytest
@@ -158,6 +159,51 @@ def test_equation_system_rejects_bad_shapes():
         equation_system(COUNTING, ("x",), {"x": poly_of_var(COUNTING, "y")})
     with pytest.raises(InvariantError):
         equation_system(COUNTING, ("x",), {"x": poly_of_var(COUNTING, "x"), "y": polynomial(COUNTING, [])})
+
+
+def test_a_system_built_from_rows_checks_them():
+    # x = 2*y*3 + x; y = 1, over counting
+    rows = (((2, ((1, 3),)), (None, ((0, None),))), ())
+    sys = EquationSystem._of_rows(COUNTING, ("x", "y"), rows, [0, 1])
+    built = equation_system(
+        COUNTING,
+        ("x", "y"),
+        {
+            "x": polynomial(
+                COUNTING, [monomial(COUNTING, [ct(2), "y", ct(3)]), mono_of_var(COUNTING, "x")]
+            ),
+            "y": poly_of_value(COUNTING, ct(1)),
+        },
+    )
+    assert sys == built and sys.f == built.f and sys.a == built.a
+
+
+ROW_X = ((None, ((0, None),)),)  # the right-hand side x
+
+
+@pytest.mark.parametrize(
+    "variables,rows,constants,message",
+    [
+        (("x", "y"), (((None, ((2, None),)),), ()), [0, 1], "index 2 out of range .* 'x'"),
+        (("x", "y"), ((), ((None, ((-1, None),)),)), [0, 1], "index -1 out of range .* 'y'"),
+        (("x", "y"), (ROW_X, ((4, ()),)), [0, 1], "constant monomial"),
+        (("x", "y"), (ROW_X,), [0, 1], "cover exactly"),
+        (("x", "y"), (ROW_X, ROW_X), [0], "cover exactly"),
+        (("x", "y"), (ROW_X, ROW_X, ROW_X), [0, 1, 2], "cover exactly"),
+        (("x", "x"), (ROW_X, ROW_X), [0, 1], "duplicate"),
+    ],
+)
+def test_a_system_built_from_rows_rejects_bad_rows(variables, rows, constants, message):
+    with pytest.raises(InvariantError, match=message):
+        EquationSystem._of_rows(COUNTING, variables, rows, constants)
+
+
+def test_a_system_built_from_rows_cannot_be_rebound():
+    sys = EquationSystem._of_rows(BOOLEAN, ("x",), (((None, ((0, None),)),),), [True])
+    assert sys.a == {"x": BOOLEAN.one()} and sys.f == {"x": poly_of_var(BOOLEAN, "x")}
+    for field in ("semiring", "variables", "f", "a", "compiled"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sys, field, getattr(sys, field))
 
 
 def monomial_key(m: Monomial):
