@@ -31,6 +31,15 @@ source trees with the same CORPUS_DIR and compare the two outputs with
 ``cmp``: equal files mean the command line printed the same bytes and
 exited the same way on every invocation.  It reads ``bench/`` and writes only CORPUS_DIR
 and the output file.
+
+    python3 tests/cli_outputs.py --src src --slice 5 CORPUS_DIR tests/data/cli_recording.jsonl
+
+writes the recording that ``tests/test_cli_recording.py`` replays instead:
+the same invocations on the first K files of each corpus, ``completion
+--table`` on each of those files, and the argument shapes and small files
+in ``RECORDED_ARGV`` and ``RECORDED_TEXTS``, with paths relative to
+CORPUS_DIR.  Its first line holds the Python version and the text of every
+file it reads.
 """
 
 from __future__ import annotations
@@ -85,15 +94,112 @@ def invocations(corpus, systems: dict[str, int], directory: Path, commutative) -
     return runs
 
 
+# Invocations of the recording that the corpus commands do not reach:
+# the argument shapes that stop before a file is read, and small files
+# that the tokenizer and the parser reject or read on a special path.
+RECORDED_FILE = "kleene-scalar/0000.sfx"
+RECORDED_ARGV = (
+    [],
+    ["-h"],
+    ["solve", "-h"],
+    ["frobnicate", RECORDED_FILE],
+    ["sol", RECORDED_FILE],
+    ["solve"],
+    ["solve", "missing.sfx"],
+    ["solve", RECORDED_FILE, "--bogus"],
+    ["solve", RECORDED_FILE, "extra"],
+    ["solve", RECORDED_FILE, "--steps", "x"],
+    ["solve", RECORDED_FILE, "--steps", "-1"],
+    ["solve", RECORDED_FILE, "--meth", "newton"],
+    ["solve", RECORDED_FILE, "--method=newton"],
+    ["solve", RECORDED_FILE, "--"],
+    ["solve", "--", RECORDED_FILE],
+    ["--", "solve", RECORDED_FILE],
+    ["--json", "solve", RECORDED_FILE],
+    ["completion", RECORDED_FILE, "--grammar", "--table"],
+    ["oracle", RECORDED_FILE, "--no-complete", "--dim", "0", "--json"],
+)
+RECORDED_TEXTS = {
+    "form-feed": "semiring boolean;\fvars x;\nx = x + 1;\n",
+    "vertical-tab": "semiring boolean;\nvars x;\nx = x\v+ 1;\n",
+    "unexpected": "semiring boolean;\nvars x;\nx = x $ 1;\n",
+    "deep-bracket": "semiring relation 1;\nvars x;\nx = [[[0]]]*x;\n",
+    "unbalanced": "semiring relation 2;\nvars x;\nx = [[0,1],[1,0]*x;\n",
+    "non-ascii-name": "semiring counting;\nvars x\u00e9 y;\nx\u00e9 = y*y + 1;\ny = 2*x\u00e9;\n",
+    "superscript": "semiring counting;\nvars x;\nx = \u00b2*x + 1;\n",
+    "crlf": "semiring min-plus;\r\nvars x y;\r\nx = 3*y + 7;\r\ny = x + 2;\r\n",
+    "eof-comment": "semiring boolean;\nvars x;\nx = x + 1; # no newline",
+    "eof-comment-open": "semiring boolean;\nvars x;\nx = x + 1 # no semicolon",
+    "header": "semiring boolean 2;\nvars x;\nx = 1;\n",
+    "twice": "semiring boolean;\nvars x y x;\nx = 1;\n",
+    "undeclared": "semiring boolean;\nvars x;\ny = 1;\n",
+    "no-name": "semiring ;\nvars x;\nx = 1;\n",
+    "no-factor": "semiring boolean;\nvars x;\nx = + 1;\n",
+    "non-ascii-comment": "semiring boolean; # caf\u00e9\nvars x;\nx = x + 1;\n",
+    "no-equals": "semiring boolean;\nvars x;\nx 1;\n",
+    "second": "semiring boolean;\nvars x;\nx = 1;\nx = 0;\n",
+    "missing": "semiring boolean;\nvars x y;\nx = 1;\n",
+    "bad-literal": "semiring min-plus;\nvars x;\nx = 3*foo + 1;\n",
+    "empty": "",
+    "table-boolean": "semiring boolean;\nvars x y;\nx = x*y + 1;\ny = x*x;\n",
+    "table-relation": "semiring relation 2;\nvars x;\nx = [[0,1],[0,0]]*x*x + [[1,0],[0,0]];\n",
+}
+
+
+def record(cli, argv: list[str], src: Path) -> dict:
+    """One invocation of cli.main in process: argv, exit code, stdout, masked stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(list(argv))
+        except Exception as exc:  # recorded, so that both trees can be compared
+            rc = f"raised {type(exc).__name__}: {exc}"
+    masked = SOURCE_LINE.sub(r"\1:LINE:", err.getvalue().replace(str(src), "<src>"))
+    return {"argv": argv, "exit": rc, "stdout": out.getvalue(), "stderr": masked}
+
+
+def recording_runs(corpus, k: int, commutative) -> tuple[dict[str, str], list[list[str]]]:
+    """The files and argv of the recording, with paths relative to the working directory.
+
+    The corpus files are the first k of each seed-7 corpus, by position:
+    a corpus is generated in order, so building k systems writes the same
+    files as the first k of a full build.
+    """
+    systems = {workload: k for workload in corpus.WORKLOADS}
+    runs = invocations(corpus, systems, Path("."), commutative)
+    paths = sorted({run[1] for run in runs})
+    # a table over a corpus file is megabytes long: record the point count check
+    for path in paths:
+        runs.append(["completion", path, "--table", "--budget", "64"])
+    for name, text in RECORDED_TEXTS.items():
+        path = f"malformed/{name}.sfx"
+        Path(path).parent.mkdir(exist_ok=True)
+        Path(path).write_bytes(text.encode("utf-8"))
+        paths.append(path)
+        for plain in (["solve", path], ["completion", path, "--table"]):
+            runs += [plain, plain + ["--json"]]
+    runs += [list(argv) for argv in RECORDED_ARGV]
+    files = {path: Path(path).read_bytes().decode("utf-8") for path in paths}
+    return files, runs
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", required=True, type=Path, help="directory holding the semifix package")
+    p.add_argument(
+        "--slice",
+        type=int,
+        metavar="K",
+        help="write the committed recording instead: the first K files of each corpus",
+    )
     p.add_argument("corpus_dir", type=Path)
     p.add_argument("out", type=Path)
     args = p.parse_args(argv)
     src = args.src.resolve()
+    out_path = args.out.resolve()
     sys.path[:0] = [str(src), str(BENCH)]
     os.environ.pop("SEMIFIX_BUDGET", None)
+    os.environ["COLUMNS"] = "80"  # help text wraps at the terminal width
     warnings.simplefilter("always")
     import corpus
     from run import CORPUS_SYSTEMS
@@ -105,19 +211,20 @@ def main(argv=None) -> int:
     def commutative(path):
         return cli.parse(Path(path).read_text(encoding="utf-8")).semiring.is_commutative
 
-    runs = invocations(corpus, CORPUS_SYSTEMS, args.corpus_dir.resolve(), commutative)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    header = None
+    if args.slice is None:
+        runs = invocations(corpus, CORPUS_SYSTEMS, args.corpus_dir.resolve(), commutative)
+    else:
+        args.corpus_dir.mkdir(parents=True, exist_ok=True)
+        os.chdir(args.corpus_dir)
+        files, runs = recording_runs(corpus, args.slice, commutative)
+        header = {"python": "%d.%d" % sys.version_info[:2], "files": files}
+    with open(out_path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(json.dumps(header) + "\n")
         for run in runs:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    rc = cli.main(list(run))
-                except Exception as exc:  # recorded, so that both trees can be compared
-                    rc = f"raised {type(exc).__name__}: {exc}"
-            masked = SOURCE_LINE.sub(r"\1:LINE:", err.getvalue().replace(str(src), "<src>"))
-            record = {"argv": run, "exit": rc, "stdout": out.getvalue(), "stderr": masked}
-            fh.write(json.dumps(record) + "\n")
-    print(f"{len(runs)} invocations written to {args.out}")
+            fh.write(json.dumps(record(cli, run, src)) + "\n")
+    print(f"{len(runs)} invocations written to {out_path}")
     return 0
 
 
