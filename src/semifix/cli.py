@@ -10,7 +10,8 @@ one equation per variable, each statement closed by a semicolon.
     z = 2;
 
 Exit codes: 0 success, 1 usage, 2 malformed input, 3 budget exhausted,
-4 violated internal invariant.
+4 violated internal invariant, 141 (128 + SIGPIPE) standard output
+closed before the output was written.
 """
 
 from __future__ import annotations
@@ -65,14 +66,14 @@ class EquationSyntaxError(ValueError):
         self.col = col
 
 
-# One token per match: blanks are skipped, comments and the end are
-# matched so that the end keeps its position, and "other" is either a
-# bracket nested deeper than the two levels spelled out here or a
-# character no token starts with.  Some alternative matches whatever
-# follows the blanks, so no match backtracks into them.  {alpha},
-# {digit} and {alnum} add the non-ASCII characters of the text at hand
-# that str.isalpha, str.isdigit and str.isalnum accept, the classes the
-# file format is defined by.
+# The offset-keeping scan: one token per match.  Blanks are skipped,
+# comments and the end are matched so that the end keeps its position,
+# and "other" is either a bracket nested deeper than the two levels
+# spelled out here or a character no token starts with.  Some
+# alternative matches whatever follows the blanks, so no match
+# backtracks into them.  {alpha}, {digit} and {alnum} add the non-ASCII
+# characters of the text at hand that str.isalpha, str.isdigit and
+# str.isalnum accept, the classes the file format is defined by.
 _TOKEN_PATTERN = r"""
     [ \t\r\n]*
     (?:
@@ -86,6 +87,22 @@ _TOKEN_PATTERN = r"""
     )"""
 _ASCII_TOKEN = re.compile(_TOKEN_PATTERN.format(alpha="", digit="", alnum=""), re.VERBOSE)
 _BRACKET = re.compile(r"[\[\]]")
+
+# The common case, scanned without offsets: ASCII text made only of
+# tokens, blanks and comments, no bracket nested deeper than two levels.
+# _PLAIN_TEXT tells it apart with one fullmatch, and _PLAIN_TOKENS then
+# yields the same tokens as the scan above, the end as "".  Every
+# alternative has one match at a given start (the lookaheads keep a
+# name, a number or a comment from ending early), so a text outside the
+# case fails in linear time.
+_PLAIN_SKIP = r"[ \t\r\n]|#[^\n]*(?![^\n])"
+_PLAIN_TOKEN = (
+    r"[=+*;]|[A-Za-z_][A-Za-z0-9_-]*(?![A-Za-z0-9_-])|[0-9]+(?![0-9])"
+    r"|\[(?:[^\[\]]|\[[^\[\]]*\])*\]"
+)
+_PLAIN_TEXT = re.compile(f"(?:{_PLAIN_SKIP}|{_PLAIN_TOKEN})*")
+_PLAIN_TOKENS = re.compile(f"(?:{_PLAIN_SKIP})*({_PLAIN_TOKEN}|\\Z)")
+_NOT_LITERAL = frozenset(("=", "+", "*", ";", ""))  # punctuation and the end
 
 
 def _token_pattern(text: str) -> re.Pattern:
@@ -104,12 +121,12 @@ def _position(text: str, at: int) -> tuple[int, int]:
     return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
-def _tokenize(text: str, filename: str) -> list[tuple[str, str, int]]:
-    """The (kind, text, offset) tokens of a system, closed by an "end" token.
+def _scan(text: str, filename: str) -> list[tuple[str, int]]:
+    """The (text, offset) tokens of a system, closed by the end token ("", offset).
 
-    Kinds are "punct", "name", "number", "matrix" and "end"; the end
-    token's text is empty.  A comment that runs to the end of the text
-    places the end token at its "#".
+    A comment that runs to the end of the text places the end token at
+    its "#".  Raises on a character no token starts with and on
+    unbalanced brackets.
     """
     pattern = _token_pattern(text)
     n = len(text)
@@ -126,10 +143,10 @@ def _tokenize(text: str, filename: str) -> list[tuple[str, str, int]]:
                 if m.end() == n:
                     end_at = at
             elif kind == "end":
-                tokens.append(("end", "", end_at))
+                tokens.append(("", end_at))
                 return tokens
             else:
-                tokens.append((kind, m[kind], at))
+                tokens.append((m[kind], at))
         if text[at] != "[":
             raise EquationSyntaxError(
                 f"unexpected character {text[at]!r}", filename, *_position(text, at)
@@ -143,67 +160,89 @@ def _tokenize(text: str, filename: str) -> list[tuple[str, str, int]]:
         if depth:
             raise EquationSyntaxError("unbalanced brackets", filename, *_position(text, at))
         pos = bracket.end()
-        tokens.append(("matrix", text[at:pos], at))
+        tokens.append((text[at:pos], at))
+
+
+def _tokenize(text: str, filename: str) -> list[str]:
+    """The tokens of a system as strings, closed by the end token "".
+
+    A token's kind shows in its first character: one of "=+*;" for
+    punctuation, "[" for a matrix, a digit for a number, a letter or "_"
+    for a name.  The common case (see _PLAIN_TEXT) takes one findall;
+    any other text goes through `_scan`, which raises where the text
+    holds no token.  Offsets are left to `_scan` as well: it yields the
+    same tokens, so token i of this list is token i of the scan.
+    """
+    if text.isascii() and _PLAIN_TEXT.fullmatch(text):
+        tokens = _PLAIN_TOKENS.findall(text)
+        if len(tokens) > 1 and not tokens[-2]:  # trailing blanks, then an empty match at the end
+            tokens.pop()
+        return tokens
+    return [token for token, _ in _scan(text, filename)]
+
+
+def _is_name(token: str) -> bool:
+    first = token[:1]
+    return first.isalpha() or first == "_"
 
 
 def parse(text: str, filename: str = "<input>") -> EquationSystem:
     """Read a system from its textual form, in one pass from text to payload rows.
 
-    `_tokenize` splits the text with one compiled pattern into (kind,
-    text, offset) tuples.  The parser then reads each distinct literal
-    once per call (`Semiring._parse` gives a checked payload), multiplies
-    adjacent coefficients with the instance's `_mul`, drops a monomial
-    whose payload product holds a zero, and writes each monomial as the
-    row entry (c0, ((variable index, c1), ...)) that
-    `EquationSystem.compiled` holds, a unit coefficient as None.
-    Constant monomials are summed into the constant payload in order.
-    The system is built from those rows (`EquationSystem._of_rows`), so
-    no `Value`, `Monomial` or `Polynomial` is made until a caller reads
-    `f` or `a`.  An `EquationSyntaxError` is pinned to the line and
-    column of the offending token, computed from its offset only when
-    raised.
+    `_tokenize` splits the text into token strings.  The parser then
+    reads each distinct literal once per call (`Semiring._parse` gives a
+    checked payload), multiplies adjacent coefficients with the
+    instance's `_mul`, drops a monomial whose payload product holds a
+    zero, and writes each monomial as the row entry (c0, ((variable
+    index, c1), ...)) that `EquationSystem.compiled` holds, a unit
+    coefficient as None.  Constant monomials are summed into the constant
+    payload in order.  The system is built from those rows
+    (`EquationSystem._of_rows`), so no `Value`, `Monomial` or `Polynomial`
+    is made until a caller reads `f` or `a`.  An `EquationSyntaxError` is
+    pinned to the line and column of the offending token, whose offset
+    `_scan` gives only when one is raised.
     """
     tokens = _tokenize(text, filename)
 
-    def fail(message: str, at: int):
+    def fail(message: str, i: int):
+        at = _scan(text, filename)[i][1]
         raise EquationSyntaxError(message, filename, *_position(text, at))
 
-    def expected(what: str, token: tuple[str, str, int]):
-        found = token[1]
-        fail(f"expected {what}, found {found!r}" if found else f"expected {what}", token[2])
+    def expected(what: str, i: int):
+        found = tokens[i]
+        fail(f"expected {what}, found {found!r}" if found else f"expected {what}", i)
 
-    kind, word, at = tokens[0]
-    if kind != "name" or word != "semiring":
-        fail("expected 'semiring'", at)
-    name_token = tokens[1]
-    if name_token[0] != "name":
-        expected("a semiring name", name_token)
-    kind, word, at = tokens[2]
-    if kind == "number" and not word.isdecimal():  # str.isdigit also admits '²'
-        fail(f"semiring parameter {word!r} is not a decimal number", at)
-    param = int(word) if kind == "number" else None
-    i = 3 if kind == "number" else 2
+    if tokens[0] != "semiring":
+        fail("expected 'semiring'", 0)
+    name = tokens[1]
+    if not _is_name(name):
+        expected("a semiring name", 1)
+    word = tokens[2]
+    number = word[:1].isdigit()
+    if number and not word.isdecimal():  # str.isdigit also admits '²'
+        fail(f"semiring parameter {word!r} is not a decimal number", 2)
+    param = int(word) if number else None
+    i = 3 if number else 2
     try:
-        sr = instance_by_name(name_token[1], param)
+        sr = instance_by_name(name, param)
     except ValueError as exc:
-        fail(str(exc), name_token[2])
-    if tokens[i][1] != ";":
-        expected("';'", tokens[i])
-    kind, word, at = tokens[i + 1]
-    if kind != "name" or word != "vars":
-        fail("expected 'vars'", at)
+        fail(str(exc), 1)
+    if tokens[i] != ";":
+        expected("';'", i)
+    if tokens[i + 1] != "vars":
+        fail("expected 'vars'", i + 1)
     i += 2
     variables = []
-    while tokens[i][0] == "name":
-        v = tokens[i][1]
+    while _is_name(tokens[i]):
+        v = tokens[i]
         i += 1
         if v in variables:
-            fail(f"variable {v} declared twice", tokens[i][2])
+            fail(f"variable {v} declared twice", i)
         variables.append(v)
     if not variables:
-        fail("expected at least one variable", tokens[i][2])
-    if tokens[i][1] != ";":
-        expected("';'", tokens[i])
+        fail("expected at least one variable", i)
+    if tokens[i] != ";":
+        expected("';'", i)
     i += 1
 
     index = {x: j for j, x in enumerate(variables)}
@@ -211,17 +250,16 @@ def parse(text: str, filename: str = "<input>") -> EquationSystem:
     literals: dict[str, object] = {}  # literal text -> payload, for this call only
     rows: dict[str, tuple] = {}
     constants: dict[str, object] = {}
-    kind, word, at = tokens[i]
-    while kind != "end":
-        if kind != "name":
-            expected("a variable", tokens[i])
-        if word not in index:
-            fail(f"undeclared variable {word}", at)
-        if word in rows:
-            fail(f"second equation for {word}", at)
-        lhs = word
-        if tokens[i + 1][1] != "=":
-            expected("'='", tokens[i + 1])
+    lhs = tokens[i]
+    while lhs:
+        if lhs not in index:
+            if not _is_name(lhs):
+                expected("a variable", i)
+            fail(f"undeclared variable {lhs}", i)
+        if lhs in rows:
+            fail(f"second equation for {lhs}", i)
+        if tokens[i + 1] != "=":
+            expected("'='", i + 1)
         i += 2
         monomials = []
         constant = zero
@@ -230,23 +268,24 @@ def parse(text: str, filename: str = "<input>") -> EquationSystem:
             factors = []  # variable indices
             slot = None
             while True:  # one factor per pass
-                kind, word, at = tokens[i]
-                if kind == "name" and word in index:
+                word = tokens[i]
+                j = index.get(word)
+                if j is not None:
                     coefficients.append(None if slot == one else slot)
-                    factors.append(index[word])
+                    factors.append(j)
                     slot = None
-                elif kind == "name" or kind == "number" or kind == "matrix":
+                elif word not in _NOT_LITERAL:
                     p = literals.get(word)
                     if p is None:
                         try:
                             p = literals[word] = sr._parse(word)
                         except ValueError as exc:
-                            fail(f"not a variable or {sr.name} literal: {exc}", at)
+                            fail(f"not a variable or {sr.name} literal: {exc}", i)
                     slot = p if slot is None else mul(slot, p)
                 else:
-                    fail("expected a variable or literal", at)
+                    fail("expected a variable or literal", i)
                 i += 1
-                if tokens[i][1] != "*":
+                if tokens[i] != "*":
                     break
                 i += 1
             if factors:
@@ -255,18 +294,18 @@ def parse(text: str, filename: str = "<input>") -> EquationSystem:
                     monomials.append((coefficients[0], tuple(zip(factors, coefficients[1:]))))
             elif slot != zero:
                 constant = add(constant, slot)
-            if tokens[i][1] != "+":
+            if tokens[i] != "+":
                 break
             i += 1
-        if tokens[i][1] != ";":
-            expected("';'", tokens[i])
+        if tokens[i] != ";":
+            expected("';'", i)
         i += 1
         rows[lhs] = tuple(monomials)
         constants[lhs] = constant
-        kind, word, at = tokens[i]
+        lhs = tokens[i]
     missing = [v for v in variables if v not in rows]
     if missing:
-        fail(f"no equation for {', '.join(missing)}", at)
+        fail(f"no equation for {', '.join(missing)}", i)
     return EquationSystem._of_rows(
         sr, tuple(variables), tuple(rows[x] for x in variables), [constants[x] for x in variables]
     )
@@ -286,11 +325,37 @@ def _rendered(sys: EquationSystem, v) -> dict[str, str]:
     return {x: sys.semiring.render(v[x]) for x in sys.variables}
 
 
+_encode_str = jsonlib.encoder.encode_basestring_ascii  # the encoder json.dumps uses for str
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """obj as `json.dumps(obj, indent=2)` writes it, at the line break and indent pad.
+
+    Strings and the other scalars go through json's own C encoders;
+    dicts and lists get the separators and two-space indent of
+    json.dumps, so the text is byte for byte the same without its
+    pure-Python indenting encoder.
+    """
+    if type(obj) is str:
+        return _encode_str(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (_encode_str(k) + ": " + _json(v, inner) for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_json(v, inner) for v in obj) + pad + "]"
+    return jsonlib.dumps(obj)
+
+
 def _emit(args, payload: dict, text_lines: list[str]):
     """Print the payload, behind the schema and command envelope, or the text."""
     if args.json:
         envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}
-        print(jsonlib.dumps({**envelope, **payload}, indent=2))
+        print(_json({**envelope, **payload}))
     else:
         for line in text_lines:
             print(line)
@@ -514,13 +579,18 @@ def _run_tensor(args, sys: EquationSystem) -> int:
     return 0 if ref is not None else 3
 
 
-@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process.
 
     Parsing reads it and never changes it, so in-process callers of
     `main` share one; a one-shot `semifix` run builds it once either way.
     """
+    return _parsers()[0]
+
+
+@lru_cache(maxsize=None)
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command line parser and its subcommand parsers by name."""
     top = argparse.ArgumentParser(
         prog="semifix",
         description="Solve polynomial fixed point systems over semiring instances.",
@@ -583,7 +653,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=_count, default=1)
     p.add_argument("--budget", type=_count)
 
-    return top
+    return top, sub.choices
+
+
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, without the top-level pass where it can.
+
+    The top-level parser hands everything after the subcommand name to
+    that subcommand's parser, so when argv[0] names one and its parser
+    leaves nothing over, the namespace is that parser's plus `command`.
+    When argv[0] names no subcommand, or arguments are left over, the
+    full parser parses argv again, so its usage and error texts are the
+    ones printed.  Help and errors inside a subcommand come from that
+    subcommand's parser on both paths.
+    """
+    sub = _parsers()[1].get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 _RUNNERS = {
@@ -597,9 +687,9 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = _sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_argv(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
@@ -614,7 +704,14 @@ def main(argv=None) -> int:
         return 2
     try:
         sys = parse(text, args.file)
-        return _RUNNERS[args.command](args, sys)
+        code = _RUNNERS[args.command](args, sys)
+        _sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: send what is still buffered to
+        # devnull, so that the flush at interpreter exit prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        return 141
     except EquationSyntaxError as exc:
         print(exc, file=_sys.stderr)
         return 2

@@ -464,8 +464,9 @@ class RelationSemiring(Semiring):
         return tuple(sum(1 << j for j, cell in enumerate(row) if cell) for row in raw)
 
     def _render(self, payload):
-        q = self.q
-        return json.dumps([[row >> j & 1 for j in range(q)] for row in payload], separators=(",", ":"))
+        # the text of json.dumps(cells, separators=(",", ":")): cell j of a row is bit j
+        bits = f"0{self.q}b"
+        return "[[" + "],[".join([",".join(format(row, bits)[::-1]) for row in payload]) + "]]"
 
 
 class FunctionSemiring(Semiring):

@@ -1,11 +1,16 @@
 """File format parsing, rendering, and command exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gen import instances_for_order_tests, random_system
+from semifix import cli
 from semifix.cli import EquationSyntaxError, main, parse, render
 from semifix.semiring import BOOLEAN, COUNTING, MIN_PLUS, relation_semiring
 
@@ -555,3 +560,157 @@ def test_a_superscript_digit_is_not_a_numeric_literal(tmp_path, capsys, name):
     path = write(tmp_path, f"semiring {name};\nvars x;\nx = ٣;\n", "three.sfx")
     assert main(["solve", path]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "x = 3"
+
+
+# Argument shapes for the direct subcommand dispatch: the error paths,
+# help, `--` and abbreviations, and every option of every command.
+ARGV_SHAPES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["solve", "-h"],
+    ["frobnicate", "f.sfx"],
+    ["sol", "f.sfx"],
+    ["solve"],
+    ["solve", "missing.sfx"],
+    ["solve", "f.sfx", "--bogus"],
+    ["solve", "f.sfx", "extra"],
+    ["solve", "f.sfx", "g.sfx", "h.sfx"],
+    ["solve", "f.sfx", "--steps", "x"],
+    ["solve", "f.sfx", "--steps", "-1"],
+    ["solve", "f.sfx", "--budget", "-1"],
+    ["solve", "f.sfx", "--meth", "newton"],
+    ["solve", "f.sfx", "--method=newton"],
+    ["solve", "f.sfx", "--method", "bogus"],
+    ["solve", "f.sfx", "--jso"],
+    ["solve", "f.sfx", "--json=1"],
+    ["solve", "f.sfx", "--he"],
+    ["solve", "f.sfx", "-x"],
+    ["solve", "f.sfx", "--"],
+    ["solve", "--", "f.sfx"],
+    ["solve", "--", "-f.sfx"],
+    ["--", "solve", "f.sfx"],
+    ["--json", "solve", "f.sfx"],
+    ["solve", "--json", "f.sfx", "--json"],
+    ["solve", "f.sfx", "--method", "munchausen", "--steps", "4", "--budget", "9", "--json"],
+    ["compare", "f.sfx", "--steps", "2", "--budget", "200", "--json"],
+    ["oracle", "f.sfx", "--no-complete", "--dim", "1", "--node-budget", "7"],
+    ["oracle", "f.sfx", "--complete"],
+    ["completion", "f.sfx"],
+    ["completion", "f.sfx", "--grammar", "--table"],
+    ["completion", "f.sfx", "--left-linear", "--json"],
+    ["completion", "f.sfx", "--table", "--budget", "3"],
+    ["grammar", "f.sfx", "--level", "2", "--indexed"],
+    ["tensor", "f.sfx", "--level", "0", "--budget", "5", "--json"],
+    ["tensor", "f.sfx", "--steps", "1"],
+]
+
+
+def _parse_outcome(parse_argv, argv, capsys):
+    try:
+        result = ("parsed", parse_argv(list(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return (result, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", ARGV_SHAPES, ids=lambda argv: " ".join(argv) or "<none>")
+def test_direct_dispatch_matches_the_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+    assert _parse_outcome(cli._parse_argv, argv, capsys) == want
+
+
+def test_direct_dispatch_skips_the_top_level_parser(monkeypatch):
+    def full_parse(argv):
+        raise AssertionError(f"full parser called on {argv}")
+
+    monkeypatch.setattr(cli.build_parser(), "parse_args", full_parse)
+    args = cli._parse_argv(["compare", "f.sfx", "--steps", "2", "--budget", "200", "--json"])
+    assert vars(args) == {"command": "compare", "file": "f.sfx", "json": True, "steps": 2, "budget": 200}
+
+
+JSON_SYSTEMS = {
+    "counting": "semiring counting;\nvars x y z;\nx = y*y + 1;\ny = z;\nz = 2*z + 1;\n",
+    "boolean": "semiring boolean;\nvars x y;\nx = x*y + 1;\ny = x*x;\n",
+    "relation": "semiring relation 2;\nvars x y;\nx = [[0,1],[0,0]]*y*x + [[1,0],[0,0]];\ny = x + [[0,0],[0,1]];\n",
+    "non-ascii": "semiring min-plus;\nvars xé y;\nxé = 3*y + 7;\ny = xé*xé + 2;\n",
+}
+JSON_COMMANDS = [
+    ("counting", ["solve"]),
+    ("counting", ["solve", "--method", "newton", "--steps", "2"]),
+    ("non-ascii", ["solve", "--method", "munchausen", "--steps", "2"]),
+    ("counting", ["compare"]),
+    ("boolean", ["oracle", "--dim", "1"]),
+    ("counting", ["completion"]),
+    ("boolean", ["completion", "--grammar"]),
+    ("boolean", ["completion", "--left-linear"]),
+    ("boolean", ["completion", "--table"]),
+    ("non-ascii", ["grammar", "--level", "2"]),
+    ("relation", ["grammar", "--indexed"]),
+    ("relation", ["tensor", "--level", "1"]),
+]
+
+
+@pytest.mark.parametrize("system,argv", JSON_COMMANDS, ids=lambda a: " ".join(a) if isinstance(a, list) else a)
+def test_json_writer_matches_json_dumps_on_every_command(system, argv, tmp_path, capsys):
+    path = tmp_path / "s.sfx"
+    path.write_text(JSON_SYSTEMS[system], encoding="utf-8")
+    main([argv[0], str(path), *argv[1:], "--json"])
+    printed = capsys.readouterr().out
+    payload = json.loads(printed)
+    assert printed == json.dumps(payload, indent=2) + "\n"
+    assert cli._json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [{}], "d": [[]]},
+        [[[1, [2, {}]]], {"k": {"l": {"m": None}}}],
+        None,
+        True,
+        False,
+        0,
+        -7,
+        10**30,
+        2.5,
+        "",
+        "café   \U0001f600",
+        "\x00\x01\x1f\x7f\t\n\r\b\f",
+        'quote " and backslash \\ and slash /',
+        {"é\"\\\n": ["é", "\\", '"']},
+        {"t": (1, (2, 3)), "bools": [True, False, None], "n": [0, -1, 3]},
+    ],
+    ids=repr,
+)
+def test_json_writer_matches_json_dumps_on_synthetic_payloads(obj):
+    assert cli._json(obj) == json.dumps(obj, indent=2)
+
+
+def test_a_closed_pipe_exits_141_without_a_traceback(tmp_path):
+    # 4 variables and 4*2^8 rules: about 1.4 MB of JSON, far beyond a pipe's buffer
+    path = tmp_path / "big.sfx"
+    path.write_text(
+        "semiring relation 3;\nvars x1 x2 x3 x4;\n"
+        + "".join(
+            f"x{i} = [[0,1,0],[0,0,1],[1,0,0]]*x{i % 4 + 1}*x{(i + 1) % 4 + 1} + [[1,0,0],[0,0,0],[0,0,1]];\n"
+            for i in range(1, 5)
+        ),
+        encoding="utf-8",
+    )
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "semifix.cli", "grammar", str(path), "--level", "8", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import pytest
 
 from gen import instances_for_order_tests, random_system
+from semifix import cli
 from semifix.cli import EquationSyntaxError, parse, render
 from semifix.polynomial import (
     EquationSystem,
@@ -372,3 +373,35 @@ def test_each_literal_text_is_read_once_per_call(monkeypatch):
     assert calls == ["[[0,1],[1,0]]"]
     parse(text)
     assert calls == ["[[0,1],[1,0]]"] * 2
+
+
+def _token_outcome(tokenize, text):
+    """The token strings, or the error raised, in comparable form."""
+    try:
+        return tokenize(text, "m.sfx")
+    except EquationSyntaxError as exc:
+        return ("syntax", str(exc))
+
+
+def _scanned(text, filename):
+    return [token for token, _ in cli._scan(text, filename)]
+
+
+def test_string_tokens_are_the_scanned_tokens():
+    # The parser reads cli._tokenize's strings and takes an error's offset
+    # from token i of cli._scan, so the two must agree token for token, and fail alike.
+    rng = random.Random(41)
+    texts = seeded_texts(43, 6) + FIXED_CASES + ["  ", "x  # c\n  ", "x;\n\n", "#"]
+    for text in list(texts):
+        for _ in range(30):
+            k = rng.randrange(len(text) + 1)
+            texts.append(text[:k] + rng.choice(MUTANT_ALPHABET) + text[k:])
+    # both the one-findall case and the scan's own case were compared
+    plain = [t for t in texts if t.isascii() and cli._PLAIN_TEXT.fullmatch(t)]
+    assert 0 < len(plain) < len(texts)
+    kinds = set()
+    for text in texts:
+        want = _token_outcome(_scanned, text)
+        assert _token_outcome(cli._tokenize, text) == want, text
+        kinds.add(want[0] if isinstance(want, tuple) else "ok")
+    assert kinds == {"ok", "syntax"}

@@ -145,3 +145,25 @@ def test_check_takes_nested_and_packed_rows():
     for bad in [(4, 0), (-1, 0), (True, False), (1,), (1, 2, 3), [[0, 1], [1]], [[0, 1, 0], [1, 1, 0]]]:
         with pytest.raises(ValueError):
             sr.value(bad)
+
+
+def _json_render(q, payload):
+    return json.dumps([[row >> j & 1 for j in range(q)] for row in payload], separators=(",", ":"))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_render_is_the_compact_json_text_exhaustively(q):
+    sr = relation_semiring(q)
+    for payload in sr._elements():
+        assert sr._render(payload) == _json_render(q, payload)
+
+
+@pytest.mark.parametrize("q", [4, 8, 64])
+def test_render_is_the_compact_json_text_on_samples(q):
+    sr = relation_semiring(q)
+    rng = random.Random(q)
+    full = (1 << q) - 1
+    samples = [sr._zero(), sr._one(), (full,) * q]
+    samples += [tuple(rng.getrandbits(q) for _ in range(q)) for _ in range(40)]
+    for payload in samples:
+        assert sr._render(payload) == _json_render(q, payload)
