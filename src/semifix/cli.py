@@ -88,20 +88,14 @@ _TOKEN_PATTERN = r"""
 _ASCII_TOKEN = re.compile(_TOKEN_PATTERN.format(alpha="", digit="", alnum=""), re.VERBOSE)
 _BRACKET = re.compile(r"[\[\]]")
 
-# The common case, scanned without offsets: ASCII text made only of
-# tokens, blanks and comments, no bracket nested deeper than two levels.
-# _PLAIN_TEXT tells it apart with one fullmatch, and _PLAIN_TOKENS then
-# yields the same tokens as the scan above, the end as "".  Every
-# alternative has one match at a given start (the lookaheads keep a
-# name, a number or a comment from ending early), so a text outside the
-# case fails in linear time.
-_PLAIN_SKIP = r"[ \t\r\n]|#[^\n]*(?![^\n])"
-_PLAIN_TOKEN = (
-    r"[=+*;]|[A-Za-z_][A-Za-z0-9_-]*(?![A-Za-z0-9_-])|[0-9]+(?![0-9])"
-    r"|\[(?:[^\[\]]|\[[^\[\]]*\])*\]"
-)
-_PLAIN_TEXT = re.compile(f"(?:{_PLAIN_SKIP}|{_PLAIN_TOKEN})*")
-_PLAIN_TOKENS = re.compile(f"(?:{_PLAIN_SKIP})*({_PLAIN_TOKEN}|\\Z)")
+# The common case, scanned without offsets: ASCII text of tokens and
+# blanks, with no comment, no blank inside a bracket and no bracket
+# nested deeper than two levels.  findall skips whatever no token
+# matches, so a text is in this case exactly when what it skipped was
+# blanks only, that is, when the tokens joined are the text without its
+# blanks.  In this case the tokens are the ones `_scan` yields.
+_PLAIN_TOKEN = re.compile(r"[=+*;]|[A-Za-z_][A-Za-z0-9_-]*|[0-9]+|\[(?:[^\[\]]|\[[^\[\]]*\])*\]")
+_DELETE_BLANKS = str.maketrans("", "", " \t\r\n")
 _NOT_LITERAL = frozenset(("=", "+", "*", ";", ""))  # punctuation and the end
 
 
@@ -168,16 +162,16 @@ def _tokenize(text: str, filename: str) -> list[str]:
 
     A token's kind shows in its first character: one of "=+*;" for
     punctuation, "[" for a matrix, a digit for a number, a letter or "_"
-    for a name.  The common case (see _PLAIN_TEXT) takes one findall;
+    for a name.  The common case (see _PLAIN_TOKEN) takes one findall;
     any other text goes through `_scan`, which raises where the text
     holds no token.  Offsets are left to `_scan` as well: it yields the
     same tokens, so token i of this list is token i of the scan.
     """
-    if text.isascii() and _PLAIN_TEXT.fullmatch(text):
-        tokens = _PLAIN_TOKENS.findall(text)
-        if len(tokens) > 1 and not tokens[-2]:  # trailing blanks, then an empty match at the end
-            tokens.pop()
-        return tokens
+    if text.isascii():
+        tokens = _PLAIN_TOKEN.findall(text)
+        if "".join(tokens) == text.translate(_DELETE_BLANKS):
+            tokens.append("")
+            return tokens
     return [token for token, _ in _scan(text, filename)]
 
 
@@ -352,7 +346,10 @@ def _json(obj, pad: str = "\n") -> str:
 
 
 def _emit(args, payload: dict, text_lines: list[str]):
-    """Print the payload, behind the schema and command envelope, or the text."""
+    """Print the payload, behind the schema and command envelope, or the text.
+
+    The payload is written by `_json`, as `json.dumps(..., indent=2)` would.
+    """
     if args.json:
         envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}
         print(_json({**envelope, **payload}))

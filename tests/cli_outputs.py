@@ -172,7 +172,7 @@ def recording_runs(corpus, k: int, commutative) -> tuple[dict[str, str], list[li
     for path in paths:
         runs.append(["completion", path, "--table", "--budget", "64"])
     for name, text in RECORDED_TEXTS.items():
-        path = f"malformed/{name}.sfx"
+        path = f"small/{name}.sfx"
         Path(path).parent.mkdir(exist_ok=True)
         Path(path).write_bytes(text.encode("utf-8"))
         paths.append(path)

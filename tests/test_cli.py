@@ -627,13 +627,17 @@ def test_direct_dispatch_skips_the_top_level_parser(monkeypatch):
 
     monkeypatch.setattr(cli.build_parser(), "parse_args", full_parse)
     args = cli._parse_argv(["compare", "f.sfx", "--steps", "2", "--budget", "200", "--json"])
-    assert vars(args) == {"command": "compare", "file": "f.sfx", "json": True, "steps": 2, "budget": 200}
+    want = {"command": "compare", "file": "f.sfx", "json": True, "steps": 2, "budget": 200}
+    assert vars(args) == want
 
 
 JSON_SYSTEMS = {
     "counting": "semiring counting;\nvars x y z;\nx = y*y + 1;\ny = z;\nz = 2*z + 1;\n",
     "boolean": "semiring boolean;\nvars x y;\nx = x*y + 1;\ny = x*x;\n",
-    "relation": "semiring relation 2;\nvars x y;\nx = [[0,1],[0,0]]*y*x + [[1,0],[0,0]];\ny = x + [[0,0],[0,1]];\n",
+    "relation": (
+        "semiring relation 2;\nvars x y;\n"
+        "x = [[0,1],[0,0]]*y*x + [[1,0],[0,0]];\ny = x + [[0,0],[0,1]];\n"
+    ),
     "non-ascii": "semiring min-plus;\nvars xé y;\nxé = 3*y + 7;\ny = xé*xé + 2;\n",
 }
 JSON_COMMANDS = [
@@ -652,7 +656,9 @@ JSON_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("system,argv", JSON_COMMANDS, ids=lambda a: " ".join(a) if isinstance(a, list) else a)
+@pytest.mark.parametrize(
+    "system,argv", JSON_COMMANDS, ids=lambda a: " ".join(a) if isinstance(a, list) else a
+)
 def test_json_writer_matches_json_dumps_on_every_command(system, argv, tmp_path, capsys):
     path = tmp_path / "s.sfx"
     path.write_text(JSON_SYSTEMS[system], encoding="utf-8")
@@ -693,14 +699,11 @@ def test_json_writer_matches_json_dumps_on_synthetic_payloads(obj):
 def test_a_closed_pipe_exits_141_without_a_traceback(tmp_path):
     # 4 variables and 4*2^8 rules: about 1.4 MB of JSON, far beyond a pipe's buffer
     path = tmp_path / "big.sfx"
-    path.write_text(
-        "semiring relation 3;\nvars x1 x2 x3 x4;\n"
-        + "".join(
-            f"x{i} = [[0,1,0],[0,0,1],[1,0,0]]*x{i % 4 + 1}*x{(i + 1) % 4 + 1} + [[1,0,0],[0,0,0],[0,0,1]];\n"
-            for i in range(1, 5)
-        ),
-        encoding="utf-8",
+    rotate, constant = "[[0,1,0],[0,0,1],[1,0,0]]", "[[1,0,0],[0,0,0],[0,0,1]]"
+    equations = "".join(
+        f"x{i} = {rotate}*x{i % 4 + 1}*x{(i + 1) % 4 + 1} + {constant};\n" for i in range(1, 5)
     )
+    path.write_text("semiring relation 3;\nvars x1 x2 x3 x4;\n" + equations, encoding="utf-8")
     src = Path(cli.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.Popen(

@@ -18,7 +18,7 @@ import pytest
 
 from gen import instances_for_order_tests, random_system
 from semifix import cli
-from semifix.cli import EquationSyntaxError, parse, render
+from semifix.cli import EquationSyntaxError, _scan, parse, render
 from semifix.polynomial import (
     EquationSystem,
     Monomial,
@@ -384,24 +384,30 @@ def _token_outcome(tokenize, text):
 
 
 def _scanned(text, filename):
-    return [token for token, _ in cli._scan(text, filename)]
+    return [token for token, _ in _scan(text, filename)]
 
 
-def test_string_tokens_are_the_scanned_tokens():
+def test_string_tokens_are_the_scanned_tokens(monkeypatch):
     # The parser reads cli._tokenize's strings and takes an error's offset
     # from token i of cli._scan, so the two must agree token for token, and fail alike.
+    scanned = []
+
+    def counted_scan(text, filename):
+        scanned.append(text)
+        return _scan(text, filename)
+
+    monkeypatch.setattr(cli, "_scan", counted_scan)
     rng = random.Random(41)
     texts = seeded_texts(43, 6) + FIXED_CASES + ["  ", "x  # c\n  ", "x;\n\n", "#"]
     for text in list(texts):
         for _ in range(30):
             k = rng.randrange(len(text) + 1)
             texts.append(text[:k] + rng.choice(MUTANT_ALPHABET) + text[k:])
-    # both the one-findall case and the scan's own case were compared
-    plain = [t for t in texts if t.isascii() and cli._PLAIN_TEXT.fullmatch(t)]
-    assert 0 < len(plain) < len(texts)
     kinds = set()
     for text in texts:
-        want = _token_outcome(_scanned, text)
-        assert _token_outcome(cli._tokenize, text) == want, text
-        kinds.add(want[0] if isinstance(want, tuple) else "ok")
+        got = _token_outcome(cli._tokenize, text)
+        assert got == _token_outcome(_scanned, text), text
+        kinds.add(got[0] if isinstance(got, tuple) else "ok")
     assert kinds == {"ok", "syntax"}
+    # both the one-findall case and the scan's own case were compared
+    assert 0 < len(set(scanned)) < len(set(texts))
