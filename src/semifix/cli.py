@@ -66,14 +66,14 @@ class EquationSyntaxError(ValueError):
         self.col = col
 
 
-# The offset-keeping scan: one token per match.  Blanks are skipped,
-# comments and the end are matched so that the end keeps its position,
-# and "other" is either a bracket nested deeper than the two levels
-# spelled out here or a character no token starts with.  Some
-# alternative matches whatever follows the blanks, so no match
-# backtracks into them.  {alpha}, {digit} and {alnum} add the non-ASCII
-# characters of the text at hand that str.isalpha, str.isdigit and
-# str.isalnum accept, the classes the file format is defined by.
+# One token per match: blanks are skipped, comments and the end are
+# matched so that the end keeps its position, and "other" is either a
+# bracket nested deeper than the two levels spelled out here or a
+# character no token starts with.  Some alternative matches whatever
+# follows the blanks, so no match backtracks into them.  {alpha},
+# {digit} and {alnum} add the non-ASCII characters of the text at hand
+# that str.isalpha, str.isdigit and str.isalnum accept, the classes the
+# file format is defined by.
 _TOKEN_PATTERN = r"""
     [ \t\r\n]*
     (?:
