@@ -118,7 +118,26 @@ RECORDED_ARGV = (
     ["--json", "solve", RECORDED_FILE],
     ["completion", RECORDED_FILE, "--grammar", "--table"],
     ["oracle", RECORDED_FILE, "--no-complete", "--dim", "0", "--json"],
+    # products, stars and companions at both relation row widths (see RECORDED_TEXTS)
+    ["solve", "small/relation-8.sfx", "--method", "newton"],
+    ["solve", "small/relation-9.sfx", "--method", "newton", "--json"],
+    ["tensor", "small/relation-8.sfx", "--json"],
+    ["tensor", "small/relation-9.sfx"],
 )
+def _matrix(q: int, cells) -> str:
+    """The compact text of the q x q relation holding the (row, column) cells."""
+    return json.dumps([[int((i, j) in cells) for j in range(q)] for i in range(q)], separators=(",", ":"))
+
+
+def _shift_system(q: int) -> str:
+    """A two-variable relation[q] system of shifts, with a literal product."""
+    shift = _matrix(q, {(i, i + 1) for i in range(q - 1)})
+    return (
+        f"semiring relation {q};\nvars x y;\n"
+        f"x = {shift}*{shift}*y + {_matrix(q, {(0, 0)})};\ny = {shift}*x + {_matrix(q, {(q - 1, 0)})};\n"
+    )
+
+
 RECORDED_TEXTS = {
     "form-feed": "semiring boolean;\fvars x;\nx = x + 1;\n",
     "vertical-tab": "semiring boolean;\nvars x;\nx = x\v+ 1;\n",
@@ -143,6 +162,18 @@ RECORDED_TEXTS = {
     "empty": "",
     "table-boolean": "semiring boolean;\nvars x y;\nx = x*y + 1;\ny = x*x;\n",
     "table-relation": "semiring relation 2;\nvars x;\nx = [[0,1],[0,0]]*x*x + [[1,0],[0,0]];\n",
+    # relation literals that are not the compact text of a payload
+    "relation-blanks": "semiring relation 2;\nvars x;\nx = [[0, 1], [1, 0]]*x + [[1,0],[0,0]];\n",
+    "relation-true": "semiring relation 2;\nvars x;\nx = [[true,0],[0,1]]*x;\n",
+    "relation-two": "semiring relation 2;\nvars x;\nx = [[0,2],[1,0]]*x;\n",
+    "relation-leading-zero": "semiring relation 2;\nvars x;\nx = [[01,1],[1,0]]*x;\n",
+    "relation-three-rows": "semiring relation 2;\nvars x;\nx = [[0,1],[1,0],[0,0]]*x;\n",
+    "relation-short-row": "semiring relation 2;\nvars x;\nx = [[0,1],[1]]*x;\n",
+    "relation-empty": "semiring relation 2;\nvars x;\nx = []*x;\n",
+    "relation-empty-row": "semiring relation 2;\nvars x;\nx = [[]]*x;\n",
+    # compact literals at the widest one-byte rows and the narrowest two-byte rows
+    "relation-8": _shift_system(8),
+    "relation-9": _shift_system(9),
 }
 
 
