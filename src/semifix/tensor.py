@@ -61,8 +61,19 @@ def _relation_kernels(q: int) -> tuple[Callable, Callable, Callable]:
         return tuple(sum((m[j] >> i & 1) << j for j in rows) for i in rows)
 
     def kronecker(ma, mb):
-        # pair row (i1, i2) holds block j1 = row i2 of b wherever row i1 of a has j1
-        return tuple(sum(r2 << (j1 * q) for j1 in rows if r1 >> j1 & 1) for r1 in ma for r2 in mb)
+        # pair row (i1, i2) holds block j1 = row i2 of b wherever row i1 of a has j1:
+        # r2 times the spread of r1, whose set bits sit q apart, so no block carries
+        out = []
+        for r1 in ma:
+            spread = 0
+            block = 1
+            while r1:
+                if r1 & 1:
+                    spread |= block
+                r1 >>= 1
+                block <<= q
+            out += [r2 * spread for r2 in mb]
+        return tuple(out)
 
     def readout(m):
         diagonal = 0
