@@ -365,9 +365,19 @@ class RelationSemiring(Semiring):
 
     A payload is a tuple of q row bitmasks: bit j of row i is set when
     cell (i, j) is.  `value` also takes nested rows of q cells each, as
-    callers write them; `_parse` reads the same rows from JSON text.
-    Star is reflexive transitive closure.  Composition only commutes in
-    dimension one.
+    callers write them, and `_parse` reads the same rows from their text,
+    JSON such as [[0,1],[1,0]].  Star is reflexive transitive closure.
+    Composition only commutes in dimension one.
+
+    Up to q = 8 every row is one byte.  `__init__` then builds two
+    tables, `_row_texts[mask]`, the compact text of a row such as
+    "0,1,1", and its inverse `_row_masks`, and binds `_mul` and `_render`
+    to byte-row kernels: a product row joins the rows of y that one
+    `_SET_BITS` entry lists, and a rendered row is one table entry.
+    `_parse` looks a literal's rows up in `_row_masks` when the literal
+    is the compact text of a payload and hands any other text to the
+    JSON reader, so every literal reads or fails as it would at any q.
+    Wider rows take the general methods.
     """
 
     name = "relation"
@@ -382,6 +392,12 @@ class RelationSemiring(Semiring):
         self.is_commutative = q == 1
         self._zero_rows = (0,) * q
         self._one_rows = tuple(1 << i for i in range(q))
+        self._row_masks = None
+        if q <= 8:
+            self._row_texts = tuple(",".join(format(m, f"0{q}b")[::-1]) for m in range(1 << q))
+            self._row_masks = {text: m for m, text in enumerate(self._row_texts)}
+            self._mul = self._mul_byte_rows
+            self._render = self._render_byte_rows
 
     def _check(self, payload):
         q = self.q
@@ -393,7 +409,10 @@ class RelationSemiring(Semiring):
             elif isinstance(row, bool) or not hasattr(row, "__iter__"):
                 raise ValueError(f"relation row must be a bitmask or a list of cells, got {row!r}")
             else:
-                cells = [bool(c) for c in row]
+                cells = list(row)
+                for c in cells:
+                    if type(c) not in (bool, int) or c not in (0, 1):  # not "1", 2 or 1.0
+                        raise ValueError(f"relation cells must be 0 or 1, got {c!r}")
                 if len(cells) != q:
                     raise ValueError(f"relation payload must be a {q}x{q} matrix")
                 row = sum(1 << j for j, c in enumerate(cells) if c)
@@ -425,6 +444,15 @@ class RelationSemiring(Semiring):
             out.append(acc)
         return tuple(out)
 
+    def _mul_byte_rows(self, x, y):
+        out = []
+        for row in x:
+            acc = 0
+            for j in _SET_BITS[row]:
+                acc |= y[j]
+            out.append(acc)
+        return tuple(out)
+
     def _star(self, x):
         # Warshall on bit rows: after pivot k, row i holds every j reachable via 0..k
         closure = [row | 1 << i for i, row in enumerate(x)]
@@ -448,6 +476,15 @@ class RelationSemiring(Semiring):
         return itertools.product(rows, repeat=q)
 
     def _parse(self, text):
+        # the compact text of a payload joins q row texts, which json reads to the same rows
+        masks = self._row_masks
+        if masks is not None and text.startswith("[[") and text.endswith("]]"):
+            rows = tuple(map(masks.get, text[2:-2].split("],[")))
+            if len(rows) == self.q and None not in rows:
+                return rows
+        return self._parse_json(text)
+
+    def _parse_json(self, text):
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -467,6 +504,9 @@ class RelationSemiring(Semiring):
         # the text of json.dumps(cells, separators=(",", ":")): cell j of a row is bit j
         bits = f"0{self.q}b"
         return "[[" + "],[".join([",".join(format(row, bits)[::-1]) for row in payload]) + "]]"
+
+    def _render_byte_rows(self, payload):
+        return "[[" + "],[".join([self._row_texts[row] for row in payload]) + "]]"
 
 
 class FunctionSemiring(Semiring):

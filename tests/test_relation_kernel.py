@@ -3,16 +3,19 @@
 The oracle below computes on q x q tuples of bools, cell by cell, as the
 relation instance once did.  Every packed result must be the packed form
 of the oracle's result: exhaustively for q = 1, 2, on seeded samples for
-larger q.
+larger q, among them q = 8, the widest one-byte rows, and q = 16, the
+narrowest two-byte rows and the largest tensor companion's base.
 """
 
 import itertools
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 
-from semifix.semiring import relation_semiring
+from semifix.semiring import RelationSemiring, relation_semiring
 from semifix.tensor import relation_admissible
 
 
@@ -118,7 +121,7 @@ def test_packed_kernel_matches_nested_exhaustively(q):
             _check_admissible(q, x, y)
 
 
-@pytest.mark.parametrize("q", [3, 4, 9])
+@pytest.mark.parametrize("q", [3, 4, 8, 9, 16])
 def test_packed_kernel_matches_nested_on_samples(q):
     rng = random.Random(q)
     for _ in range(60 if q < 9 else 15):
@@ -147,6 +150,28 @@ def test_check_takes_nested_and_packed_rows():
             sr.value(bad)
 
 
+@pytest.mark.parametrize(
+    "rows, cell",
+    [
+        (["01", "10"], "'0'"),
+        ([["0", "1"], ["1", "0"]], "'0'"),
+        ([[2, 0], [0, 1]], "2"),
+        ([[0.5, 0], [0, None]], "0.5"),
+        ([[0, 1], [1, None]], "None"),
+        ([[1.0, 0], [0, 1]], "1.0"),
+    ],
+)
+def test_check_takes_only_bits_as_cells(rows, cell):
+    # bool("0") is true: reading cells by truth made ["01", "10"] the full relation
+    with pytest.raises(ValueError, match=rf"^relation cells must be 0 or 1, got {cell}$"):
+        relation_semiring(2).value(rows)
+
+
+def test_check_takes_bools_and_bit_ints_as_cells():
+    sr = relation_semiring(2)
+    assert sr.value([[True, 0], [False, 1]]) == sr.value([[1, 0], [0, 1]]) == sr.one()
+
+
 def _json_render(q, payload):
     return json.dumps([[row >> j & 1 for j in range(q)] for row in payload], separators=(",", ":"))
 
@@ -167,3 +192,75 @@ def test_render_is_the_compact_json_text_on_samples(q):
     samples += [tuple(rng.getrandbits(q) for _ in range(q)) for _ in range(40)]
     for payload in samples:
         assert sr._render(payload) == _json_render(q, payload)
+
+
+def json_parse(q, text):
+    """The JSON reader every relation literal went through before the row tables."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"relation literal must look like [[0,1],[1,0]]: {exc}") from exc
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise ValueError("relation literal must be a list of rows")
+    for row in raw:
+        for cell in row:
+            if type(cell) is not int or cell not in (0, 1):
+                raise ValueError(f"relation cells must be 0 or 1, got {cell!r}")
+    if len(raw) != q or any(len(row) != q for row in raw):
+        raise ValueError(f"relation payload must be a {q}x{q} matrix")
+    return tuple(sum(1 << j for j, cell in enumerate(row) if cell) for row in raw)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _edits(text, alphabet):
+    """Every text one character away from text: insertions, deletions, substitutions."""
+    for i in range(len(text) + 1):
+        for ch in alphabet:
+            yield text[:i] + ch + text[i:]
+    for i in range(len(text)):
+        yield text[:i] + text[i + 1 :]
+        for ch in alphabet:
+            yield text[:i] + ch + text[i + 1 :]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_parse_reads_as_json_on_compact_literals_and_their_edits(q):
+    sr = relation_semiring(q)
+    rng = random.Random(100 + q)
+    payloads = [sr._zero(), sr._one()] + [tuple(rng.getrandbits(q) for _ in range(q)) for _ in range(6)]
+    hits = 0
+    for payload in payloads:
+        literal = sr._render(payload)
+        assert sr._parse(literal) == json_parse(q, literal) == payload
+        for text in _edits(literal, "[],01 2-.et"):
+            got = _outcome(sr._parse, text)
+            assert got == _outcome(lambda t: json_parse(q, t), text), text
+            hits += isinstance(got, tuple) and got[0] != "ValueError"
+    assert hits > 0  # some edits still spell a payload, such as a flipped cell
+
+
+def test_row_tables_cover_one_byte_rows_only():
+    for q in (1, 8):
+        sr = relation_semiring(q)
+        assert len(sr._row_texts) == len(sr._row_masks) == 1 << q
+        assert sr._mul.__func__ is RelationSemiring._mul_byte_rows
+    for q in (9, 16):
+        sr = relation_semiring(q)
+        assert sr._row_masks is None
+        assert sr._mul.__func__ is RelationSemiring._mul
+
+
+def test_importing_the_cli_builds_no_relation_instance():
+    code = (
+        "import semifix.cli\n"
+        "from semifix.semiring import relation_semiring\n"
+        "print(relation_semiring.cache_info().currsize)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"
