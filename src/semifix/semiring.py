@@ -364,10 +364,10 @@ class RelationSemiring(Semiring):
     """Square boolean matrices under union and relational composition.
 
     A payload is a tuple of q row bitmasks: bit j of row i is set when
-    cell (i, j) is.  `value` also takes nested rows of q cells each, as
-    callers write them, and `_parse` reads the same rows from their text,
-    JSON such as [[0,1],[1,0]].  Star is reflexive transitive closure.
-    Composition only commutes in dimension one.
+    cell (i, j) is.  `value` also takes nested rows of q cells each (0, 1,
+    False or True), as callers write them, and `_parse` reads the same
+    rows from their text, JSON such as [[0,1],[1,0]].  Star is reflexive
+    transitive closure.  Composition only commutes in dimension one.
 
     Up to q = 8 every row is one byte.  `__init__` then builds two
     tables, `_row_texts[mask]`, the compact text of a row such as

@@ -124,6 +124,8 @@ RECORDED_ARGV = (
     ["tensor", "small/relation-8.sfx", "--json"],
     ["tensor", "small/relation-9.sfx"],
 )
+
+
 def _matrix(q: int, cells) -> str:
     """The compact text of the q x q relation holding the (row, column) cells."""
     return json.dumps([[int((i, j) in cells) for j in range(q)] for i in range(q)], separators=(",", ":"))

@@ -9,12 +9,15 @@ narrowest two-byte rows and the largest tensor companion's base.
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import semifix
 from semifix.semiring import RelationSemiring, relation_semiring
 from semifix.tensor import relation_admissible
 
@@ -262,5 +265,8 @@ def test_importing_the_cli_builds_no_relation_instance():
         "from semifix.semiring import relation_semiring\n"
         "print(relation_semiring.cache_info().currsize)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    env = {**os.environ, "PYTHONPATH": str(Path(semifix.__file__).resolve().parent.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
     assert out.stdout == "0\n"
