@@ -65,13 +65,7 @@ def _relation_kernels(q: int) -> tuple[Callable, Callable, Callable]:
         # r2 times the spread of r1, whose set bits sit q apart, so no block carries
         out = []
         for r1 in ma:
-            spread = 0
-            block = 1
-            while r1:
-                if r1 & 1:
-                    spread |= block
-                r1 >>= 1
-                block <<= q
+            spread = sum(1 << (j * q) for j in rows if r1 >> j & 1)
             out += [r2 * spread for r2 in mb]
         return tuple(out)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import semifix
-from semifix.semiring import RelationSemiring, relation_semiring
+from semifix.semiring import relation_semiring
 from semifix.tensor import relation_admissible
 
 
@@ -148,6 +148,7 @@ def test_check_takes_nested_and_packed_rows():
     nested = sr.value([[0, 1], [1, 1]])
     assert sr.value((0b10, 0b11)) == nested
     assert sr.value([(False, True), 3]) == nested
+    assert sr.value([[True, 0], [False, 1]]) == sr.one()
     for bad in [(4, 0), (-1, 0), (True, False), (1,), (1, 2, 3), [[0, 1], [1]], [[0, 1, 0], [1, 1, 0]]]:
         with pytest.raises(ValueError):
             sr.value(bad)
@@ -168,11 +169,6 @@ def test_check_takes_only_bits_as_cells(rows, cell):
     # bool("0") is true: reading cells by truth made ["01", "10"] the full relation
     with pytest.raises(ValueError, match=rf"^relation cells must be 0 or 1, got {cell}$"):
         relation_semiring(2).value(rows)
-
-
-def test_check_takes_bools_and_bit_ints_as_cells():
-    sr = relation_semiring(2)
-    assert sr.value([[True, 0], [False, 1]]) == sr.value([[1, 0], [0, 1]]) == sr.one()
 
 
 def _json_render(q, payload):
@@ -246,17 +242,6 @@ def test_parse_reads_as_json_on_compact_literals_and_their_edits(q):
             assert got == _outcome(lambda t: json_parse(q, t), text), text
             hits += isinstance(got, tuple) and got[0] != "ValueError"
     assert hits > 0  # some edits still spell a payload, such as a flipped cell
-
-
-def test_row_tables_cover_one_byte_rows_only():
-    for q in (1, 8):
-        sr = relation_semiring(q)
-        assert len(sr._row_texts) == len(sr._row_masks) == 1 << q
-        assert sr._mul.__func__ is RelationSemiring._mul_byte_rows
-    for q in (9, 16):
-        sr = relation_semiring(q)
-        assert sr._row_masks is None
-        assert sr._mul.__func__ is RelationSemiring._mul
 
 
 def test_importing_the_cli_builds_no_relation_instance():
