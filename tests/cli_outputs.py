@@ -36,9 +36,9 @@ and the output file.
 
 writes the recording that ``tests/test_cli_recording.py`` replays instead:
 the same invocations on the first K files of each corpus, ``completion
---table`` on each of those files, and the argument shapes and small files
-in ``RECORDED_ARGV`` and ``RECORDED_TEXTS``, with paths relative to
-CORPUS_DIR.  Its first line holds the Python version and the text of every
+--table`` on each of those files, and the argument shapes, budgets and
+small files in ``RECORDED_ARGV`` and ``RECORDED_TEXTS``, with paths
+relative to CORPUS_DIR.  Its first line holds the Python version and the text of every
 file it reads.
 """
 
@@ -95,8 +95,9 @@ def invocations(corpus, systems: dict[str, int], directory: Path, commutative) -
 
 
 # Invocations of the recording that the corpus commands do not reach:
-# the argument shapes that stop before a file is read, and small files
-# that the tokenizer and the parser reject or read on a special path.
+# the argument shapes that stop before a file is read, small files that
+# the tokenizer and the parser reject or read on a special path, and
+# budgets just below and at the round where an iteration stops.
 RECORDED_FILE = "kleene-scalar/0000.sfx"
 RECORDED_ARGV = (
     [],
@@ -123,6 +124,15 @@ RECORDED_ARGV = (
     ["solve", "small/relation-9.sfx", "--method", "newton", "--json"],
     ["tensor", "small/relation-8.sfx", "--json"],
     ["tensor", "small/relation-9.sfx"],
+    # budgets around the round where an iteration stops: counting-words/0000.sfx
+    # is exhausted at 3 and stabilized at 4
+    *(["solve", "counting-words/0000.sfx", "--budget", str(b)] for b in range(5)),
+    *(["solve", RECORDED_FILE, "--budget", str(b)] for b in range(4)),
+    *(
+        ["solve", "accel-relation/0000.sfx", "--method", "newton", "--steps", "8", "--budget", b]
+        for b in ("3", "4")
+    ),
+    *(["completion", RECORDED_FILE, "--budget", str(b)] for b in range(4)),
 )
 
 
