@@ -6,7 +6,10 @@ and differ only in the degree check.  The unit of work is a payload
 row: that iteration, `_iterate`, loops over raw payload lists on a
 system's compiled rows, and a completion step linearizes those rows at
 a payload point (`polynomial._linearize`) and iterates the result, or
-their companion rows for a tensor cycle.  `sample_chain` is the one
+their companion rows for a tensor cycle.  Its rounds are semi-naive:
+the first application from zero is the constants, and each later round
+re-applies only the rows that read a component the previous round
+changed, which gives every iterate of a full application.  `sample_chain` is the one
 chain loop: Newton, the accelerated iterates (over counting, a step
 applies compiled word sums) and the tensor cycles all step there.
 `Value` is the boundary of the module: public functions,
@@ -23,12 +26,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from semifix.polynomial import (
-    EquationSystem,
-    InvariantError,
-    _apply,
-    _linearize,
-)
+from semifix.polynomial import EquationSystem, InvariantError, _linearize
 from semifix.semiring import Semiring, Value
 
 STABILIZED = "stabilized"
@@ -43,7 +41,8 @@ class BudgetExhaustedError(RuntimeError):
 class SolveOutcome:
     """Result vector plus how it was reached.
 
-    `steps_used` counts right-hand side applications; a stabilized
+    `steps_used` counts right-hand side applications, the rounds of
+    `_iterate`, each of which may re-apply only some rows; a stabilized
     outcome needed exactly that many to stop changing.
     """
 
@@ -117,18 +116,54 @@ def _iterate(
     At most `max_iters` applications, `DEFAULT_KLEENE_BUDGET` (read at
     call time) when it is None.  Returns the last payload list, the
     status and the number of applications used.
+
+    The rounds are semi-naive: each gives the iterate a full application
+    would, and re-applies only the rows that can change.  Every row
+    monomial holds a variable and zero absorbs, so the first application
+    at the zero list is the constants.  After that, a row is re-applied
+    only when it reads a component that the previous round changed.
+    Every other row reads the payloads it read in the previous round, so
+    a full application would give it its current payload again.  The rows
+    that read each component are collected once per call.  A round in
+    which no re-applied row changes is the one a full application would
+    have found unchanged, and it is not counted.  The row loop is
+    `polynomial._apply`'s, inlined over the re-applied rows.
     """
     if max_iters is None:
         max_iters = DEFAULT_KLEENE_BUDGET
-    v = [sr._zero()] * len(constants)
-    status, used = BUDGET_EXHAUSTED, max_iters
-    for i in range(max_iters):
-        nxt = _apply(sr, rows, constants, v)
-        if nxt == v:
-            status, used = STABILIZED, i
-            break
-        v = nxt
-    return v, status, used
+    zero = sr._zero()
+    v = [zero] * len(constants)
+    if max_iters == 0:
+        return v, BUDGET_EXHAUSTED, 0
+    changed = [i for i, c in enumerate(constants) if c != zero]
+    if not changed:
+        return v, STABILIZED, 0
+    v = list(constants)
+    readers = [set() for _ in rows]
+    for i, monos in enumerate(rows):
+        for _, factors in monos:
+            for j, _ in factors:
+                readers[j].add(i)
+    add_p, mul_p = sr._add, sr._mul
+    for used in range(1, max_iters):
+        out = []
+        for i in set().union(*[readers[j] for j in changed]):
+            total = constants[i]
+            for c0, factors in rows[i]:
+                p = c0
+                for j, c in factors:
+                    p = v[j] if p is None else mul_p(p, v[j])
+                    if c is not None:
+                        p = mul_p(p, c)
+                total = add_p(total, p)
+            if total != v[i]:
+                out.append((i, total))
+        if not out:
+            return v, STABILIZED, used
+        for i, p in out:
+            v[i] = p
+        changed = [i for i, _ in out]
+    return v, BUDGET_EXHAUSTED, max_iters
 
 
 def _solve(sys: EquationSystem, max_iters: int | None) -> SolveOutcome:

@@ -12,6 +12,8 @@ from semifix import solver
 from semifix.polynomial import (
     EquationSystem,
     InvariantError,
+    _apply,
+    _linearize,
     differential_full,
     equation_system,
     eval_poly,
@@ -25,10 +27,13 @@ from semifix.polynomial import (
 from semifix.semiring import (
     BOOLEAN,
     COUNTING,
+    COUNTING_CAP,
     INF,
     MIN_PLUS,
+    BooleanSemiring,
     InstanceMismatchError,
     add,
+    make_function_semiring,
     relation_semiring,
     vector_leq,
 )
@@ -398,3 +403,146 @@ def test_equation_system_fields_cannot_be_rebound():
     for field in ("semiring", "variables", "f", "a"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(sys, field, getattr(sys, field))
+
+
+def full_rounds(sr, rows, constants, max_iters):
+    """The iteration that applies every row in every round: the oracle of `_iterate`."""
+    if max_iters is None:
+        max_iters = DEFAULT_KLEENE_BUDGET
+    v = [sr._zero()] * len(constants)
+    status, used = BUDGET_EXHAUSTED, max_iters
+    for i in range(max_iters):
+        nxt = _apply(sr, rows, constants, v)
+        if nxt == v:
+            status, used = STABILIZED, i
+            break
+        v = nxt
+    return v, status, used
+
+
+FUNCTION = make_function_semiring(BOOLEAN, ("a", "b"))
+# small counts grow additively around a cycle; the large ones multiply to 2^62 or past it
+COUNTS = (0, 1, 1, 2, 3, 2**31, 2**31 + 1, COUNTING_CAP // 2, COUNTING_CAP, INF)
+ROW_INSTANCES = [
+    BOOLEAN,
+    MIN_PLUS,
+    COUNTING,
+    relation_semiring(2),
+    relation_semiring(3),
+    relation_semiring(9),
+    FUNCTION,
+]
+BUDGETS = (0, 1, 2, 3, 5, 8, None)
+
+
+def random_payload(sr, rng):
+    if sr is BOOLEAN:
+        return rng.random() < 0.5
+    if sr is MIN_PLUS:
+        return rng.choice((0, 1, 2, 5, 9, INF))
+    if sr is COUNTING:
+        return rng.choice(COUNTS)
+    if sr is FUNCTION:
+        return tuple(rng.random() < 0.5 for _ in sr.points)
+    return tuple(sum(1 << j for j in range(sr.q) if rng.random() < 0.3) for _ in range(sr.q))
+
+
+def random_rows(sr, rng, n):
+    """Payload rows and constants of n variables; coefficients are units half the time."""
+
+    def coefficient():
+        return None if rng.random() < 0.5 else random_payload(sr, rng)
+
+    def monomial_row():
+        factors = tuple((rng.randrange(n), coefficient()) for _ in range(rng.randint(1, 2)))
+        return coefficient(), factors
+
+    rows = tuple(tuple(monomial_row() for _ in range(rng.randint(0, 3))) for _ in range(n))
+    constants = [sr._zero() if rng.random() < 0.6 else random_payload(sr, rng) for _ in range(n)]
+    return rows, constants
+
+
+def iteration_cases(sr, seed):
+    """Own rows, and their linearizations at random points, of random systems."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(30):
+        rows, constants = random_rows(sr, rng, rng.randint(1, 8))
+        at = [random_payload(sr, rng) for _ in constants]
+        cases += [(rows, constants), (_linearize(sr, rows, at), at)]
+    return cases
+
+
+@pytest.mark.parametrize("sr", ROW_INSTANCES, ids=lambda sr: sr.name)
+def test_iterate_equals_full_rounds(sr):
+    for rows, constants in iteration_cases(sr, 18):
+        for budget in BUDGETS:
+            assert solver._iterate(sr, rows, constants, budget) == full_rounds(
+                sr, rows, constants, budget
+            )
+
+
+def test_iterate_equals_full_rounds_on_counting_cycles():
+    # x = x + y and y = y + c grow without bound; z = x*x + 2^30*y reaches 2^62 and saturates
+    rows = (
+        ((None, ((0, None),)), (None, ((1, None),))),
+        ((None, ((1, None),)),),
+        ((None, ((0, None), (0, None))), (2**30, ((1, None),))),
+    )
+    for constants in ([0, 1, 0], [2**31 - 1, 2**31, 1], [COUNTING_CAP, 1, 0]):
+        for budget in BUDGETS:
+            assert solver._iterate(COUNTING, rows, constants, budget) == full_rounds(
+                COUNTING, rows, constants, budget
+            )
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_iterate_equals_full_rounds_on_tensor_companions(q, monkeypatch):
+    # the companion rows and constants a tensor cycle iterates, over relation[q * q]
+    tensor_module = importlib.import_module("semifix.tensor")
+    calls = []
+
+    def recorded(sr, rows, constants, max_iters):
+        calls.append((sr, rows, constants))
+        return full_rounds(sr, rows, constants, max_iters)
+
+    monkeypatch.setattr(tensor_module, "_iterate", recorded)
+    rng = random.Random(q)
+    for _ in range(12):
+        tensor_module.tensor_pipeline(random_system(relation_semiring(q), rng, rng.randint(1, 3)), 1)
+    assert {sr.q for sr, _, _ in calls} == {q * q}
+    for sr, rows, constants in calls:
+        for budget in BUDGETS:
+            assert solver._iterate(sr, rows, constants, budget) == full_rounds(
+                sr, rows, constants, budget
+            )
+
+
+class CountingBoolean(BooleanSemiring):
+    """The boolean instance, counting the payload sums and products it makes."""
+
+    def __init__(self):
+        self.ops = 0
+
+    def _add(self, x, y):
+        self.ops += 1
+        return x or y
+
+    def _mul(self, x, y):
+        self.ops += 1
+        return x and y
+
+
+def test_a_chain_is_iterated_with_work_linear_in_its_length():
+    # x1 = x2; ...; xn = 1: a full application per round makes n sums, n rounds make n^2
+    sr, n = CountingBoolean(), 100
+    names = [f"x{i}" for i in range(1, n + 1)]
+    rhs = {x: poly_of_var(sr, y) for x, y in zip(names, names[1:])}
+    rhs[names[-1]] = poly_of_value(sr, sr.one())
+    sys = equation_system(sr, names, rhs)
+    sys.compiled
+    sr.ops = 0
+    out = kleene_solve(sys)
+    assert out.stabilized and out.steps_used == n
+    assert out.value == {x: sr.one() for x in names}
+    assert sr.ops <= 2 * n
