@@ -364,8 +364,9 @@ class RelationSemiring(Semiring):
     """Square boolean matrices under union and relational composition.
 
     A payload is a tuple of q row bitmasks: bit j of row i is set when
-    cell (i, j) is.  `value` also takes nested rows of q cells each (0, 1,
-    False or True), as callers write them, and `_parse` reads the same
+    cell (i, j) is.  `value` takes a list or tuple of q rows, each a
+    bitmask or a list or tuple of q cells (0, 1, False or True), as
+    callers write them, and `_parse` reads the same
     rows from their text, JSON such as [[0,1],[1,0]].  Star is reflexive
     transitive closure.  Composition only commutes in dimension one.
 
@@ -401,12 +402,15 @@ class RelationSemiring(Semiring):
 
     def _check(self, payload):
         q = self.q
+        if not isinstance(payload, (list, tuple)):
+            raise ValueError(f"relation payload must be a {q}x{q} matrix")
         rows = []
         for row in payload:
             if type(row) is int:
                 if not 0 <= row < 1 << q:
                     raise ValueError(f"relation row {row!r} has bits beyond {q} columns")
-            elif isinstance(row, bool) or not hasattr(row, "__iter__"):
+            elif not isinstance(row, (list, tuple, str)):
+                # a set or dict has no cell order; a string fails on its first cell
                 raise ValueError(f"relation row must be a bitmask or a list of cells, got {row!r}")
             else:
                 cells = list(row)
