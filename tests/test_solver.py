@@ -540,7 +540,6 @@ def test_a_chain_is_iterated_with_work_linear_in_its_length():
     rhs = {x: poly_of_var(sr, y) for x, y in zip(names, names[1:])}
     rhs[names[-1]] = poly_of_value(sr, sr.one())
     sys = equation_system(sr, names, rhs)
-    sys.compiled
     sr.ops = 0
     out = kleene_solve(sys)
     assert out.stabilized and out.steps_used == n
