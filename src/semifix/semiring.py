@@ -366,9 +366,9 @@ class RelationSemiring(Semiring):
     A payload is a tuple of q row bitmasks: bit j of row i is set when
     cell (i, j) is.  `value` takes a list or tuple of q rows, each a
     bitmask or a list or tuple of q cells (0, 1, False or True), as
-    callers write them, and `_parse` reads the same
-    rows from their text, JSON such as [[0,1],[1,0]].  Star is reflexive
-    transitive closure.  Composition only commutes in dimension one.
+    callers write them, and `_parse` reads the same rows from their
+    text, JSON such as [[0,1],[1,0]].  Star is reflexive transitive
+    closure.  Composition only commutes in dimension one.
 
     Up to q = 8 every row is one byte.  `__init__` then builds two
     tables, `_row_texts[mask]`, the compact text of a row such as

@@ -9,9 +9,10 @@ a payload point (`polynomial._linearize`) and iterates the result, or
 their companion rows for a tensor cycle.  Its rounds are semi-naive:
 the first application from zero is the constants, and each later round
 re-applies only the rows that read a component the previous round
-changed, which gives every iterate of a full application.  `sample_chain` is the one
-chain loop: Newton, the accelerated iterates (over counting, a step
-applies compiled word sums) and the tensor cycles all step there.
+changed, which gives every iterate of a full application.
+`sample_chain` is the one chain loop: Newton, the accelerated iterates
+(over counting, a step applies compiled word sums) and the tensor
+cycles all step there.
 `Value` is the boundary of the module: public functions,
 `sample_chain` included, convert their vectors once on entry and wrap
 each result once.  A missing budget becomes `DEFAULT_KLEENE_BUDGET`,

@@ -38,8 +38,8 @@ writes the recording that ``tests/test_cli_recording.py`` replays instead:
 the same invocations on the first K files of each corpus, ``completion
 --table`` on each of those files, and the argument shapes, budgets and
 small files in ``RECORDED_ARGV`` and ``RECORDED_TEXTS``, with paths
-relative to CORPUS_DIR.  Its first line holds the Python version and the text of every
-file it reads.
+relative to CORPUS_DIR.  Its first line holds the Python version and
+the text of every file it reads.
 """
 
 from __future__ import annotations
