@@ -37,9 +37,9 @@ and the output file.
 writes the recording that ``tests/test_cli_recording.py`` replays instead:
 the same invocations on the first K files of each corpus, ``completion
 --table`` on each of those files, and the argument shapes, budgets and
-small files in ``RECORDED_ARGV`` and ``RECORDED_TEXTS``, with paths
-relative to CORPUS_DIR.  Its first line holds the Python version and
-the text of every file it reads.
+small files in ``RECORDED_ARGV``, ``RECORDED_TEXTS`` and
+``TREE_SUM_TEXTS``, with paths relative to CORPUS_DIR.  Its first line
+holds the Python version and the text of every file it reads.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ DECODING = (
     ["completion", "--grammar"],
     ["grammar", "--level", "1"],
     ["grammar", "--indexed"],
-    # the default node budget lets one cyclic counting system run for minutes
+    # the node budget of every earlier run, so that their outputs stay comparable
     ["oracle", "--dim", "1", "--node-budget", "200"],
 )
 DECODING_FILES = 200  # files per corpus for DECODING, every file on counting-words
@@ -133,6 +133,15 @@ RECORDED_ARGV = (
         for b in ("3", "4")
     ),
     *(["completion", RECORDED_FILE, "--budget", str(b)] for b in range(4)),
+    # tree sums whose smallest trees are large, or which never stop growing
+    # (see TREE_SUM_TEXTS), at the default node budget
+    *(
+        ["oracle", f"small/{name}.sfx", "--dim", dim, *json_flag]
+        for name, dim in (
+            ("chain-16", "1"), ("min-plus-45", "1"), ("min-plus-45", "2"), ("counting-cycle", "1")
+        )
+        for json_flag in ([], ["--json"])
+    ),
 )
 
 
@@ -189,6 +198,30 @@ RECORDED_TEXTS = {
 }
 
 
+
+
+def _chain(semiring: str, last: str) -> str:
+    """x1 = x2; ...; x15 = x16; x16 = last; over the named instance."""
+    names = [f"x{i}" for i in range(1, 17)]
+    equations = "".join(f"{x} = {y};\n" for x, y in zip(names, names[1:]))
+    return f"semiring {semiring};\nvars {' '.join(names)};\n{equations}x16 = {last};\n"
+
+
+# Files that only the oracle runs of RECORDED_ARGV read: a completion table
+# over the 16 boolean variables of the chain would hold 65,536 points per line.
+TREE_SUM_TEXTS = {
+    # the first tree of x1 has 17 nodes
+    "chain-16": _chain("boolean", "1"),
+    # the smallest tree of z of dimension 2 has 20 nodes; its sum is 45
+    "min-plus-45": (
+        "semiring min-plus;\nvars x y z;\n"
+        "x = 2*y*y + 9*z*z;\ny = 9*y + 8;\nz = 1*z*z*2 + x*2*x*7;\n"
+    ),
+    # every tree sum of dimension 1 grows without bound
+    "counting-cycle": _chain("counting", "x1 + 1"),
+}
+
+
 def record(cli, argv: list[str], src: Path) -> dict:
     """One invocation of cli.main in process: argv, exit code, stdout, masked stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -214,13 +247,14 @@ def recording_runs(corpus, k: int, commutative) -> tuple[dict[str, str], list[li
     # a table over a corpus file is megabytes long: record the point count check
     for path in paths:
         runs.append(["completion", path, "--table", "--budget", "64"])
-    for name, text in RECORDED_TEXTS.items():
+    for name, text in {**RECORDED_TEXTS, **TREE_SUM_TEXTS}.items():
         path = f"small/{name}.sfx"
         Path(path).parent.mkdir(exist_ok=True)
         Path(path).write_bytes(text.encode("utf-8"))
         paths.append(path)
-        for plain in (["solve", path], ["completion", path, "--table"]):
-            runs += [plain, plain + ["--json"]]
+        if name in RECORDED_TEXTS:
+            for plain in (["solve", path], ["completion", path, "--table"]):
+                runs += [plain, plain + ["--json"]]
     runs += [list(argv) for argv in RECORDED_ARGV]
     files = {path: Path(path).read_bytes().decode("utf-8") for path in paths}
     return files, runs
