@@ -4,7 +4,9 @@ Each equation x = m_1 + ... + m_k becomes the productions x -> w(m_i),
 where w(m) spells the monomial out as a word over coefficients and
 variables, units included.  Trees built from these productions carry a
 dimension, a measure of how balanced they are, and their yields multiply
-out to values again.
+out to values again.  `tree_sum` sums the yields of the trees of bounded
+dimension exactly, one linear solve per dimension; `enumerate_trees`
+lists small trees one by one, its brute-force reference.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ from semifix.polynomial import (
     EquationSystem,
     InvariantError,
     Monomial,
+    equation_system,
     monomial,
+    polynomial,
 )
-from semifix.semiring import Semiring, Value, add, add_all, mul
+from semifix.semiring import Semiring, Value, add, mul_all
+from semifix.solver import solve_linear
 
 
 @dataclass(frozen=True)
@@ -220,104 +225,6 @@ def _fold_dim(dmax: int, cnt: int, d: int) -> tuple[int, int]:
 TreeSumResult = namedtuple("TreeSumResult", "value stabilized")
 
 DEFAULT_NODE_BUDGET = 5_000
-INITIAL_NODE_BUDGET = 8
-PLATEAU_WINDOW = 3  # unchanged growth rounds that make a tree sum stabilized
-
-
-class _TreeAggregator:
-    """Sums tree yields grouped by exact node count without building trees.
-
-    Tables map (symbol, node count) to {dimension: summed value}; per
-    rule prefix tables fold children left to right so products respect
-    the symbol order.  Dimensions above the bound are pruned eagerly,
-    except that a tied pair sitting exactly at the bound is kept out too
-    since its parent would overshoot.
-    """
-
-    def __init__(self, g: Cfg, dim_bound: int, complete_only: bool, at):
-        self.g = g
-        self.sr = g.semiring
-        self.dim_bound = dim_bound
-        self.complete_only = complete_only
-        self.at = at
-        self.filled_to = 0
-        self.tables: dict[tuple[Symbol, int], dict[int, Value]] = {}
-        # prefix[(var, rule, i)][nodes] = {(dmax, cnt): value}
-        self.prefix: dict[tuple[str, int, int], dict[int, dict]] = {}
-        for x in g.nonterminals:
-            for r, word in enumerate(g.rules[x]):
-                for i in range(len(word) + 1):
-                    self.prefix[(x, r, i)] = {}
-                self.prefix[(x, r, 0)][0] = {(-1, 0): self.sr.one()}
-
-    def _leaf_table(self, sym: Symbol) -> dict[int, Value]:
-        if isinstance(sym, Lit):
-            return {0: sym.value}
-        if not self.complete_only:
-            return {0: self.at[sym.var]}
-        return {}
-
-    def extend(self, n_max: int):
-        g, sr = self.g, self.sr
-        symbols: set[Symbol] = {Ref(x) for x in g.nonterminals}
-        for words in g.rules.values():
-            for word in words:
-                symbols.update(word)
-        for n in range(self.filled_to + 1, n_max + 1):
-            if n == 1:
-                for sym in symbols:
-                    self.tables[(sym, 1)] = self._leaf_table(sym)
-                continue
-            # extend every rule prefix to n - 1 consumed nodes
-            for x in g.nonterminals:
-                for r, word in enumerate(g.rules[x]):
-                    for i in range(1, len(word) + 1):
-                        self._extend_prefix(x, r, i, word[i - 1], n - 1)
-            for sym in symbols:
-                table: dict[int, Value] = {}
-                if isinstance(sym, Ref):
-                    for r, word in enumerate(g.rules.get(sym.var, ())):
-                        states = self.prefix[(sym.var, r, len(word))].get(n - 1, {})
-                        for (dmax, cnt), val in states.items():
-                            d = dmax + 1 if cnt >= 2 else dmax
-                            if d > self.dim_bound:
-                                continue
-                            table[d] = add(table[d], val) if d in table else val
-                self.tables[(sym, n)] = table
-        self.filled_to = max(self.filled_to, n_max)
-
-    def _extend_prefix(self, x: str, r: int, i: int, child: Symbol, m: int):
-        """Fill prefix table i at exactly m consumed nodes."""
-        target = self.prefix[(x, r, i)]
-        if m in target:
-            return
-        acc: dict = {}
-        before = self.prefix[(x, r, i - 1)]
-        min_before = i - 1  # each earlier child ate at least one node
-        for used in range(min_before, m):
-            states = before.get(used)
-            if not states:
-                continue
-            child_table = self.tables.get((child, m - used))
-            if not child_table:
-                continue
-            for (dmax, cnt), val in states.items():
-                for d, cval in child_table.items():
-                    ndmax, ncnt = _fold_dim(dmax, cnt, d)
-                    if ndmax > self.dim_bound or (
-                        ndmax == self.dim_bound and ncnt >= 2
-                    ):
-                        continue
-                    key = (ndmax, ncnt)
-                    prod = mul(val, cval)
-                    acc[key] = add(acc[key], prod) if key in acc else prod
-        target[m] = acc
-
-    def total(self, root: str, n_max: int) -> Value:
-        parts = []
-        for n in range(1, n_max + 1):
-            parts.extend(self.tables.get((Ref(root), n), {}).values())
-        return add_all(self.sr, parts)
 
 
 def tree_sum(
@@ -328,14 +235,27 @@ def tree_sum(
     at: Mapping[str, Value] | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> TreeSumResult:
-    """Sum of yields over trees within a dimension bound.
+    """Sum of yields over trees of dimension at most `dim_bound`, exactly.
 
-    Aggregates by node count from `INITIAL_NODE_BUDGET` nodes up and
-    grows the count budget by a quarter per round; once `PLATEAU_WINDOW`
-    consecutive rounds leave the total unchanged the sum is reported as
-    stabilized.  That verdict is a plateau heuristic, not a proof.
-    Without `complete_only` an `at` vector supplies values for
-    nonterminal leaves.
+    Layer k holds Y_k(s), the sum over trees of symbol s of dimension
+    exactly k; L_k(s) = Y_0(s) + ... + Y_k(s), and L_{-1}(s) is zero.  A
+    literal is Y_0 = its value.  Without `complete_only` a nonterminal
+    leaf adds its `at` value to Y_0.  A node expanding x by the rule
+    s_1 ... s_m has dimension k in one of two disjoint ways: one child
+    has dimension k and the others less,
+
+        sum_i L_{k-1}(s_<i) Y_k(s_i) L_{k-1}(s_>i),
+
+    or the first two children that reach the maximum have dimension k-1,
+
+        sum_{i<j} L_{k-2}(s_<i) Y_{k-1}(s_i) L_{k-2}(s_i+1 ... s_j-1)
+                  Y_{k-1}(s_j) L_{k-1}(s_>j),
+
+    where a product over a sequence keeps its order.  Given the layers
+    below it, layer k is a two-sided linear system in Y_k, solved by
+    `solve_linear` within `node_budget` rounds.  The sum is stabilized
+    when every layer's solve stabilized; otherwise it adds up the
+    iterates the exhausted solves reached.
     """
     if root not in g.rules:
         raise InvariantError(f"unknown variable {root!r}")
@@ -344,20 +264,43 @@ def tree_sum(
             raise InvariantError("open trees need an `at` vector for nonterminal leaves")
         if not set(g.nonterminals) <= set(at):
             raise InvariantError("`at` vector must cover every nonterminal")
-    agg = _TreeAggregator(g, dim_bound, complete_only, at)
-    budget = min(INITIAL_NODE_BUDGET, node_budget)
-    agg.extend(budget)
-    total = agg.total(root, budget)
-    streak = 0
-    while budget < node_budget:
-        budget = min(node_budget, max(budget + 1, budget + budget // 4))
-        agg.extend(budget)
-        nxt = agg.total(root, budget)
-        streak = streak + 1 if nxt == total else 0
-        total = nxt
-        if streak >= PLATEAU_WINDOW:
-            return TreeSumResult(total, True)
-    return TreeSumResult(total, False)
+    sr = g.semiring
+    zero = sr.zero()
+    layers: list[dict[str, Value]] = []  # Y_0, Y_1, ... per nonterminal
+    sums: list[dict[str, Value]] = []  # L_0, L_1, ... per nonterminal
+
+    def exactly(k: int, s: Symbol) -> Value:
+        """Y_k(s) of a layer below the one being solved."""
+        if isinstance(s, Lit):
+            return s.value if k == 0 else zero
+        return layers[k][s.var] if k >= 0 else zero
+
+    def at_most(k: int, word: tuple[Symbol, ...]) -> Value:
+        """The product of L_k over the word."""
+        if k < 0:
+            return zero if word else sr.one()
+        return mul_all(sr, (s.value if isinstance(s, Lit) else sums[k][s.var] for s in word))
+
+    stabilized = True
+    for k in range(dim_bound + 1):
+        rhs = {}
+        for x in g.nonterminals:
+            terms = [monomial(sr, [at[x]])] if k == 0 and not complete_only else []
+            for word in g.rules[x]:
+                for i, s in enumerate(word):
+                    own = s.var if isinstance(s, Ref) else exactly(k, s)
+                    left, right = at_most(k - 1, word[:i]), at_most(k - 1, word[i + 1 :])
+                    terms.append(monomial(sr, [left, own, right]))
+                    for j in range(i + 1, len(word)):
+                        pair = [at_most(k - 2, word[:i]), exactly(k - 1, s)]
+                        pair += [at_most(k - 2, word[i + 1 : j]), exactly(k - 1, word[j])]
+                        terms.append(monomial(sr, pair + [at_most(k - 1, word[j + 1 :])]))
+            rhs[x] = polynomial(sr, terms)
+        out = solve_linear(equation_system(sr, g.nonterminals, rhs), node_budget)
+        stabilized = stabilized and out.stabilized
+        layers.append(out.value)
+        sums.append({x: add(sums[-1][x], v) if sums else v for x, v in out.value.items()})
+    return TreeSumResult(sums[-1][root] if sums else zero, stabilized)
 
 
 def decompose(t: DerivationTree, m: int) -> tuple[DerivationTree, list[DerivationTree]]:

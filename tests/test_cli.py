@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,20 @@ def test_oracle_skips_truncated_tree_sums(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "skipped"
     assert data["stabilized"] is False
+
+
+def test_oracle_work_is_bounded_on_a_growing_system(tmp_path, capsys):
+    # seed-7 counting-words 0003.sfx: x4 grows by one in every round
+    path = write(
+        tmp_path,
+        "semiring counting;\nvars x1 x2 x3 x4;\n"
+        "x1 = 3*x3*x1*2 + 1;\nx2 = x1;\nx3 = 1;\nx4 = x4 + 1;\n",
+    )
+    started = time.monotonic()
+    with pytest.warns(RuntimeWarning):
+        assert main(["oracle", path, "--dim", "1"]) == 3
+    assert time.monotonic() - started < 5.0
+    assert capsys.readouterr().out.splitlines()[-1] == "status: budget-exhausted"
 
 
 def test_completion_values_and_grammar(tmp_path, capsys):

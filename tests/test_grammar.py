@@ -23,6 +23,7 @@ from semifix.grammar import (
     yield_value,
     yield_word,
 )
+from semifix.cli import parse
 from semifix.polynomial import (
     InvariantError,
     equation_system,
@@ -32,7 +33,7 @@ from semifix.polynomial import (
     poly_of_var,
     polynomial,
 )
-from semifix.semiring import BOOLEAN, COUNTING, add_all, relation_semiring
+from semifix.semiring import BOOLEAN, COUNTING, MIN_PLUS, add_all, relation_semiring
 from semifix.solver import newton_solve
 
 REL2 = relation_semiring(2)
@@ -221,11 +222,41 @@ def test_tree_sum_open_trees_match_enumeration():
 def test_tree_sum_flags_unstable_budget():
     sys = boolean_loop_system()
     g = grammar_with_constants(sys)
-    got = tree_sum(g, "x", 3, node_budget=6)
+    got = tree_sum(g, "x", 3, node_budget=1)
     assert not got.stabilized
     settled = tree_sum(g, "x", 3)
     assert settled.stabilized
     assert settled.value == BOOLEAN.one()
+
+
+def chain_text(semiring, last):
+    """x1 = x2; ...; x15 = x16; x16 = last; the first tree of x1 has 17 nodes."""
+    names = [f"x{i}" for i in range(1, 17)]
+    equations = "".join(f"{x} = {y};\n" for x, y in zip(names, names[1:]))
+    return f"semiring {semiring};\nvars {' '.join(names)};\n{equations}x16 = {last};\n"
+
+
+def test_tree_sum_reaches_the_end_of_a_long_chain():
+    g = grammar_with_constants(parse(chain_text("boolean", "1")))
+    for x in g.nonterminals:
+        assert tree_sum(g, x, 1) == (BOOLEAN.one(), True), x
+
+
+def test_tree_sum_finds_a_large_smallest_tree():
+    # the smallest tree of z of dimension 2 has 20 nodes
+    sys = parse(
+        "semiring min-plus;\nvars x y z;\n"
+        "x = 2*y*y + 9*z*z;\ny = 9*y + 8;\nz = 1*z*z*2 + x*2*x*7;\n"
+    )
+    g = grammar_with_constants(sys)
+    assert newton_solve(sys, 2).iterates[2]["z"] == MIN_PLUS.value(45)
+    for budget in (15, 200, 5000):
+        assert tree_sum(g, "z", 2, node_budget=budget) == (MIN_PLUS.value(45), True), budget
+
+
+def test_tree_sum_of_a_growing_cycle_is_not_stabilized():
+    g = grammar_with_constants(parse(chain_text("counting", "x1 + 1")))
+    assert not tree_sum(g, "x1", 1).stabilized
 
 
 def test_tree_sum_requires_point_for_open_trees():
