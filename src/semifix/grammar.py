@@ -270,7 +270,7 @@ def tree_sum(
     sums: list[dict[str, Value]] = []  # L_0, L_1, ... per nonterminal
 
     def exactly(k: int, s: Symbol) -> Value:
-        """Y_k(s) of a layer below the one being solved."""
+        """Y_k(s) of a literal, or of a nonterminal in a layer already solved."""
         if isinstance(s, Lit):
             return s.value if k == 0 else zero
         return layers[k][s.var] if k >= 0 else zero

@@ -198,8 +198,6 @@ RECORDED_TEXTS = {
 }
 
 
-
-
 def _chain(semiring: str, last: str) -> str:
     """x1 = x2; ...; x15 = x16; x16 = last; over the named instance."""
     names = [f"x{i}" for i in range(1, 17)]

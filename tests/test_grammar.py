@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gen import instances_for_order_tests, random_point, random_triangular_system
+from semifix.cli import parse
 from semifix.grammar import (
     Cfg,
     DerivationTree,
@@ -23,7 +24,6 @@ from semifix.grammar import (
     yield_value,
     yield_word,
 )
-from semifix.cli import parse
 from semifix.polynomial import (
     InvariantError,
     equation_system,
