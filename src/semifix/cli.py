@@ -23,7 +23,7 @@ import re
 import sys as _sys
 from functools import lru_cache
 
-from semifix.grammar import DEFAULT_NODE_BUDGET, grammar_with_constants, tree_sum
+from semifix.grammar import DEFAULT_NODE_BUDGET, _tree_sums, grammar_with_constants
 from semifix.munchausen import (
     NonTerm,
     Terminal,
@@ -460,17 +460,9 @@ def _run_compare(args, sys: EquationSystem) -> int:
 
 
 def _run_oracle(args, sys: EquationSystem) -> int:
-    node_budget = args.node_budget
     g = grammar_with_constants(sys)
     at = None if args.complete else dict(sys.a)
-    sums = {}
-    all_stable = True
-    for x in sys.variables:
-        res = tree_sum(
-            g, x, args.dim, complete_only=args.complete, at=at, node_budget=node_budget
-        )
-        sums[x] = res.value
-        all_stable = all_stable and res.stabilized
+    sums, all_stable = _tree_sums(g, args.dim, args.complete, at, args.node_budget)
     payload = {
         "semiring": sys.semiring.name,
         "dim": args.dim,

@@ -259,6 +259,18 @@ def tree_sum(
     """
     if root not in g.rules:
         raise InvariantError(f"unknown variable {root!r}")
+    sums, stabilized = _tree_sums(g, dim_bound, complete_only, at, node_budget)
+    return TreeSumResult(sums[root], stabilized)
+
+
+def _tree_sums(
+    g: Cfg,
+    dim_bound: int,
+    complete_only: bool,
+    at: Mapping[str, Value] | None,
+    node_budget: int,
+) -> tuple[dict[str, Value], bool]:
+    """`tree_sum` of every nonterminal at once, and whether every layer's solve stabilized."""
     if not complete_only:
         if at is None:
             raise InvariantError("open trees need an `at` vector for nonterminal leaves")
@@ -300,7 +312,7 @@ def tree_sum(
         stabilized = stabilized and out.stabilized
         layers.append(out.value)
         sums.append({x: add(sums[-1][x], v) if sums else v for x, v in out.value.items()})
-    return TreeSumResult(sums[-1][root] if sums else zero, stabilized)
+    return (sums[-1] if sums else dict.fromkeys(g.nonterminals, zero)), stabilized
 
 
 def decompose(t: DerivationTree, m: int) -> tuple[DerivationTree, list[DerivationTree]]:

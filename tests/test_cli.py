@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from gen import instances_for_order_tests, random_system
-from semifix import cli
+from semifix import cli, grammar
 from semifix.cli import EquationSyntaxError, main, parse, render
 from semifix.semiring import BOOLEAN, COUNTING, MIN_PLUS, relation_semiring
 
@@ -168,6 +168,21 @@ def test_oracle_work_is_bounded_on_a_growing_system(tmp_path, capsys):
         assert main(["oracle", path, "--dim", "1"]) == 3
     assert time.monotonic() - started < 5.0
     assert capsys.readouterr().out.splitlines()[-1] == "status: budget-exhausted"
+
+
+def test_oracle_solves_each_dimension_layer_once_for_all_variables(tmp_path, capsys, monkeypatch):
+    solved = []
+    solve_linear = grammar.solve_linear
+
+    def counted(*args, **kwargs):
+        solved.append(args)
+        return solve_linear(*args, **kwargs)
+
+    monkeypatch.setattr(grammar, "solve_linear", counted)
+    path = write(tmp_path, "semiring boolean;\nvars x y z;\nx = y*z + 1;\ny = x;\nz = y*y + x;\n")
+    assert main(["oracle", path, "--dim", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == ["x = 1", "y = 1", "z = 1"]
+    assert len(solved) == 2  # dimension layers 0 and 1
 
 
 def test_completion_values_and_grammar(tmp_path, capsys):
