@@ -12,6 +12,13 @@ one equation per variable, each statement closed by a semicolon.
 Exit codes: 0 success, 1 usage, 2 malformed input, 3 budget exhausted,
 4 violated internal invariant, 141 (128 + SIGPIPE) standard output
 closed before the output was written.
+
+The options are declared once, on the argparse subcommand parsers.  The
+common argv shape, a subcommand name, one file and exact option strings
+with well-formed values, is read directly from a table derived from
+those parsers (`_read_argv`), into the namespace argparse would build.
+argparse reads every other argv and writes every usage, help and error
+text.
 """
 
 from __future__ import annotations
@@ -645,17 +652,97 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return top, sub.choices
 
 
-def _parse_argv(argv: list[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, without the top-level pass where it can.
+@lru_cache(maxsize=None)
+def _argv_readers() -> dict[str, tuple[dict, str, dict]]:
+    """Per subcommand name: its defaults, its positional and the options read directly.
 
-    The top-level parser hands everything after the subcommand name to
-    that subcommand's parser, so when argv[0] names one and its parser
-    leaves nothing over, the namespace is that parser's plus `command`.
-    When argv[0] names no subcommand, or arguments are left over, the
-    full parser parses argv again, so its usage and error texts are the
-    ones printed.  Help and errors inside a subcommand come from that
+    Derived from the subcommand parsers of `_parsers`, so each option is
+    declared once.  The options map every option string of an ungrouped
+    one-value `store` action or `store_true` flag to its action; the
+    mutually exclusive flags and every other kind of action are left to
+    argparse.
+    """
+    readers = {}
+    for name, p in _parsers()[1].items():
+        grouped = {a for g in p._mutually_exclusive_groups for a in g._group_actions}
+        options = {
+            s: a
+            for a in p._actions
+            if a not in grouped
+            and (
+                type(a) is argparse._StoreTrueAction
+                or (type(a) is argparse._StoreAction and a.nargs is None)
+            )
+            for s in a.option_strings
+        }
+        defaults = {a.dest: a.default for a in p._actions if a.default is not argparse.SUPPRESS}
+        (positional,) = [a.dest for a in p._actions if not a.option_strings]
+        readers[name] = (defaults, positional, options)
+    return readers
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """`build_parser().parse_args(argv)` for the common argv shape, else None.
+
+    The shape: argv[0] names a subcommand exactly, one word that does not
+    start with "-" is the file, and every other word is an exact option
+    string from `_argv_readers`, either a flag or an option followed by
+    one value that does not start with "-", passes the option's type and
+    lies in its choices.  Such an argv parses without an error, to the
+    subcommand's defaults overridden by the words read, as here.
+    """
+    reader = _argv_readers().get(argv[0]) if argv else None
+    if reader is None:
+        return None
+    defaults, positional, options = reader
+    values = dict(defaults)
+    file = None
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] != "-":
+            if file is not None:
+                return None
+            file = word
+            continue
+        action = options.get(word)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        value = next(words, "-")  # a missing value is rejected as one starting with "-"
+        if value[:1] == "-":
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if file is None:
+        return None
+    values[positional] = file
+    return argparse.Namespace(command=argv[0], **values)
+
+
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, without argparse where it can.
+
+    `_read_argv` reads the common shape directly.  Any other argv goes to
+    argparse, which writes every help, usage and error text.  The
+    top-level parser hands everything after the subcommand name to that
+    subcommand's parser, so when argv[0] names one and its parser leaves
+    nothing over, the namespace is that parser's plus `command`.  When
+    argv[0] names no subcommand, or arguments are left over, the full
+    parser parses argv again, so its usage and error texts are the ones
+    printed.  Help and errors inside a subcommand come from that
     subcommand's parser on both paths.
     """
+    args = _read_argv(argv)
+    if args is not None:
+        return args
     sub = _parsers()[1].get(argv[0]) if argv else None
     if sub is not None:
         args, rest = sub.parse_known_args(argv[1:])

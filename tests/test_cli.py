@@ -1,5 +1,8 @@
 """File format parsing, rendering, and command exit codes."""
 
+import contextlib
+import importlib
+import io
 import json
 import os
 import random
@@ -9,6 +12,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gen import instances_for_order_tests, random_system
 from semifix import cli, grammar
@@ -633,6 +638,16 @@ ARGV_SHAPES = [
     ["grammar", "f.sfx", "--level", "2", "--indexed"],
     ["tensor", "f.sfx", "--level", "0", "--budget", "5", "--json"],
     ["tensor", "f.sfx", "--steps", "1"],
+    ["solve", "-1"],
+    ["solve", "f.sfx", "--steps", "٣"],
+    ["solve", "f.sfx", "--steps", " 2"],
+    ["solve", "", "--json"],
+    ["solve", "f.sfx", "--method", ""],
+    ["solve", "f.sfx", "--json", "--steps"],
+    ["solve", "f.sfx", "--steps", "2", "--steps", "3"],
+    ["solve", "compare"],
+    ["oracle", "f.sfx", "--no-complete"],
+    ["completion", "f.sfx", "--grammar", "--left-linear"],
 ]
 
 
@@ -651,14 +666,80 @@ def test_direct_dispatch_matches_the_full_parser(argv, capsys, monkeypatch):
     assert _parse_outcome(cli._parse_argv, argv, capsys) == want
 
 
-def test_direct_dispatch_skips_the_top_level_parser(monkeypatch):
-    def full_parse(argv):
-        raise AssertionError(f"full parser called on {argv}")
+def _bench_argv(tmp_path, monkeypatch) -> list[list[str]]:
+    """Every argv shape the benchmark issues, on a few systems of each workload."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    corpus = importlib.import_module("corpus")
+    return [
+        cmd.argv
+        for workload in corpus.WORKLOADS
+        for cmd in corpus.build(workload, 1, 6, tmp_path / workload)
+    ]
 
-    monkeypatch.setattr(cli.build_parser(), "parse_args", full_parse)
+
+def test_direct_dispatch_skips_the_top_level_parser(tmp_path, monkeypatch):
+    bench_argv = _bench_argv(tmp_path, monkeypatch)
+    want = [vars(cli.build_parser().parse_args(argv)) for argv in bench_argv]
+
+    def argparse_called(argv, *rest):
+        raise AssertionError(f"argparse called on {argv}")
+
+    monkeypatch.setattr(cli.build_parser(), "parse_args", argparse_called)
+    for sub in cli._parsers()[1].values():
+        monkeypatch.setattr(sub, "parse_known_args", argparse_called)
     args = cli._parse_argv(["compare", "f.sfx", "--steps", "2", "--budget", "200", "--json"])
-    want = {"command": "compare", "file": "f.sfx", "json": True, "steps": 2, "budget": 200}
-    assert vars(args) == want
+    want_compare = {"command": "compare", "file": "f.sfx", "json": True, "steps": 2, "budget": 200}
+    assert vars(args) == want_compare
+    shapes = {(argv[0], *argv[2:]) for argv in bench_argv}
+    assert len(shapes) == 7  # two on each scalar workload, three on accel-relation
+    assert [vars(cli._parse_argv(argv)) for argv in bench_argv] == want
+
+
+# The argv the direct reader is checked on: a subcommand name, a file,
+# and more files, values and options in exact, abbreviated and "=" forms,
+# the options mostly the subcommand's own.
+READER_OPTIONS = {
+    name: sorted({s for a in sub._actions for s in a.option_strings})
+    for name, sub in cli._parsers()[1].items()
+}
+READER_EVERY_OPTION = sorted({s for options in READER_OPTIONS.values() for s in options})
+READER_VALUES = ["0", "3", "-1", "x", "newton", "", "kleene", "٣", " 2"]
+READER_FILES = ["g.sfx", "-f", "--"]
+
+
+@st.composite
+def reader_argv(draw):
+    command = draw(st.sampled_from(sorted(READER_OPTIONS)))
+    option = st.sampled_from(READER_OPTIONS[command])
+    value = st.sampled_from(READER_VALUES)
+    groups = st.one_of(
+        st.tuples(option),
+        st.tuples(option, value),
+        st.tuples(option, value),
+        st.tuples(st.builds(lambda o, n: o[:n], option, st.integers(3, 12))),
+        st.tuples(st.builds("{}={}".format, option, value)),
+        st.tuples(st.sampled_from(READER_EVERY_OPTION)),
+        st.tuples(value),
+        st.tuples(st.sampled_from(READER_FILES)),
+    )
+    words = [word for group in draw(st.lists(groups, max_size=3)) for word in group]
+    words.insert(draw(st.integers(0, len(words))), "f.sfx")
+    return [command, *words]
+
+
+@settings(max_examples=500, deadline=None)
+@given(reader_argv())
+def test_direct_reader_reads_an_argv_as_the_full_parser_does_or_not_at_all(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            want = vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            want = None
+    got = cli._read_argv(argv)
+    if want is None:
+        assert got is None
+    elif got is not None:
+        assert vars(got) == want
 
 
 JSON_SYSTEMS = {
