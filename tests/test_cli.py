@@ -666,19 +666,15 @@ def test_direct_dispatch_matches_the_full_parser(argv, capsys, monkeypatch):
     assert _parse_outcome(cli._parse_argv, argv, capsys) == want
 
 
-def _bench_argv(tmp_path, monkeypatch) -> list[list[str]]:
-    """Every argv shape the benchmark issues, on a few systems of each workload."""
+def test_direct_dispatch_skips_the_top_level_parser(tmp_path, monkeypatch):
+    # every argv shape the benchmark issues, on a few systems of each workload
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     corpus = importlib.import_module("corpus")
-    return [
+    bench_argv = [
         cmd.argv
         for workload in corpus.WORKLOADS
         for cmd in corpus.build(workload, 1, 6, tmp_path / workload)
     ]
-
-
-def test_direct_dispatch_skips_the_top_level_parser(tmp_path, monkeypatch):
-    bench_argv = _bench_argv(tmp_path, monkeypatch)
     want = [vars(cli.build_parser().parse_args(argv)) for argv in bench_argv]
 
     def argparse_called(argv, *rest):
