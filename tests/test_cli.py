@@ -711,7 +711,6 @@ def reader_argv(draw):
     groups = st.one_of(
         st.tuples(option),
         st.tuples(option, value),
-        st.tuples(option, value),
         st.tuples(st.builds(lambda o, n: o[:n], option, st.integers(3, 12))),
         st.tuples(st.builds("{}={}".format, option, value)),
         st.tuples(st.sampled_from(READER_EVERY_OPTION)),
