@@ -731,25 +731,10 @@ def _parse_argv(argv: list[str]) -> argparse.Namespace:
     """`build_parser().parse_args(argv)`, without argparse where it can.
 
     `_read_argv` reads the common shape directly.  Any other argv goes to
-    argparse, which writes every help, usage and error text.  The
-    top-level parser hands everything after the subcommand name to that
-    subcommand's parser, so when argv[0] names one and its parser leaves
-    nothing over, the namespace is that parser's plus `command`.  When
-    argv[0] names no subcommand, or arguments are left over, the full
-    parser parses argv again, so its usage and error texts are the ones
-    printed.  Help and errors inside a subcommand come from that
-    subcommand's parser on both paths.
+    the full parser, which writes every help, usage and error text.
     """
     args = _read_argv(argv)
-    if args is not None:
-        return args
-    sub = _parsers()[1].get(argv[0]) if argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 _RUNNERS = {
