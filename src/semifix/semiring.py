@@ -285,7 +285,10 @@ class MinPlusSemiring(Semiring):
         return min(x, y)
 
     def _mul(self, x, y):
-        return x + y
+        try:
+            return x + y
+        except OverflowError:  # INF plus an int beyond float range: INF absorbs it
+            return INF
 
     def _star(self, x):
         return 0

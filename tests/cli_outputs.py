@@ -124,6 +124,9 @@ RECORDED_ARGV = (
     ["solve", "small/relation-9.sfx", "--method", "newton", "--json"],
     ["tensor", "small/relation-8.sfx", "--json"],
     ["tensor", "small/relation-9.sfx"],
+    ["compare", "small/min-plus-beyond-float.sfx"],
+    ["completion", "small/min-plus-beyond-float.sfx", "--json"],
+    ["oracle", "small/min-plus-deep.sfx", "--dim", "1024"],
     # budgets around the round where an iteration stops: counting-words/0000.sfx
     # is exhausted at 3 and stabilized at 4
     *(["solve", "counting-words/0000.sfx", "--budget", str(b)] for b in range(5)),
@@ -195,6 +198,10 @@ RECORDED_TEXTS = {
     # compact literals at the widest one-byte rows and the narrowest two-byte rows
     "relation-8": _shift_system(8),
     "relation-9": _shift_system(9),
+    # min-plus costs beyond float range, which inf absorbs: a literal, and the
+    # costs of about 2^1024 that the oracle's layer solves reach at --dim 1024
+    "min-plus-beyond-float": "semiring min-plus;\nvars x;\nx = inf*1" + "0" * 400 + " + 2;\n",
+    "min-plus-deep": "semiring min-plus;\nvars x y;\nx = x*y + 3;\ny = x*x + 1;\n",
 }
 
 

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -823,3 +824,101 @@ def test_a_closed_pipe_exits_141_without_a_traceback(tmp_path):
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+# An int beyond float range next to inf: math.inf + 10**400 raises OverflowError.
+MIN_PLUS_BEYOND_FLOAT = "semiring min-plus;\nvars x;\nx = inf*1" + "0" * 400 + " + 2;\n"
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["compare"], ["completion"]], ids=" ".join)
+def test_min_plus_infinity_absorbs_a_literal_beyond_float_range(tmp_path, capsys, argv):
+    path = write(tmp_path, MIN_PLUS_BEYOND_FLOAT)
+    assert main([argv[0], path, *argv[1:], "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    if argv == ["compare"]:
+        assert {r["status"] for r in payload["results"].values()} == {"stabilized"}
+        assert {r["values"]["x"] for r in payload["results"].values()} == {"2"}
+        assert {v["verdict"] for v in payload["verdicts"]} == {"OK"}
+    else:
+        assert payload["values"] == {"x": "2"}
+        assert payload.get("status", "stabilized") == "stabilized"
+
+
+def test_oracle_layer_costs_beyond_float_range_add_to_infinity(tmp_path, capsys):
+    # the cheapest tree of exact dimension k costs about 2^k, and the layer
+    # solve of dimension 1024 adds it to inf
+    path = write(tmp_path, "semiring min-plus;\nvars x y;\nx = x*y + 3;\ny = x*x + 1;\n")
+    assert main(["oracle", path, "--dim", "1024", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["tree_sums"] == payload["iterate"] == {"x": "3", "y": "1"}
+    assert payload["verdict"] == "OK"
+
+
+# Literals per instance, with the edges of each: inf, the counting cap and
+# a min-plus cost beyond float range.
+CRASH_LITERALS = {
+    "boolean": ("0", "1"),
+    "min-plus": ("0", "3", "inf", "1" + "0" * 400),
+    "counting": ("0", "1", "2", "inf", str(2**62)),
+    "relation 2": ("[[0,0],[0,0]]", "[[1,0],[0,1]]", "[[0,1],[1,0]]", "[[1,1],[0,1]]"),
+}
+# Every subcommand and mode, at small dimensions, levels and budgets.
+CRASH_COMMANDS = (
+    ["solve", "--budget", "20"],
+    ["solve", "--method", "newton", "--steps", "2", "--budget", "20"],
+    ["solve", "--method", "munchausen", "--steps", "2", "--budget", "20"],
+    ["compare", "--steps", "1", "--budget", "20"],
+    ["oracle", "--dim", "1", "--node-budget", "20"],
+    ["oracle", "--dim", "1", "--no-complete", "--node-budget", "20"],
+    ["completion", "--budget", "20"],
+    ["completion", "--grammar"],
+    ["completion", "--left-linear"],
+    ["completion", "--table", "--budget", "64"],
+    ["grammar", "--level", "2"],
+    ["grammar", "--indexed"],
+    ["tensor", "--level", "1", "--budget", "20"],
+)
+
+
+@st.composite
+def system_texts(draw):
+    instance = draw(st.sampled_from(sorted(CRASH_LITERALS)))
+    variables = ["x", "y", "z"][: draw(st.integers(1, 3))]
+    factor = st.sampled_from(variables) | st.sampled_from(CRASH_LITERALS[instance])
+    product = st.lists(factor, min_size=1, max_size=3).map("*".join)
+    equations = "".join(
+        f"{x} = {' + '.join(draw(st.lists(product, min_size=1, max_size=3)))};\n"
+        for x in variables
+    )
+    return f"semiring {instance};\nvars {' '.join(variables)};\n{equations}"
+
+
+def _json_exhausted(payload: dict) -> bool:
+    """Whether a --json payload reports a budget that ran out, by the command's own field."""
+    status = payload.get("status", "stabilized")
+    assert status in ("stabilized", "budget-exhausted")
+    return (
+        status == "budget-exhausted"
+        or payload.get("stabilized") is False
+        or ("reference" in payload and payload["reference"] is None)
+    )
+
+
+@pytest.mark.filterwarnings("ignore:newton iteration over non-idempotent")
+@settings(max_examples=100, deadline=None)
+@given(system_texts())
+def test_every_command_exits_with_a_documented_code_on_generated_systems(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.sfx")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in CRASH_COMMANDS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([argv[0], path, *argv[1:], "--json"])
+            # a well-formed file is never malformed input nor an internal fault
+            assert code in (0, 1, 3), (argv, text)
+            if out.getvalue():
+                assert code == (3 if _json_exhausted(json.loads(out.getvalue())) else 0), argv
+            else:
+                assert code != 0, argv

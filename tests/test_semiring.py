@@ -149,6 +149,14 @@ def test_min_plus_add_is_min(x, y):
     assert add(_mp(x), _mp(y)).payload == min(x, y)
 
 
+def test_min_plus_infinity_absorbs_ints_beyond_float_range():
+    # math.inf + 10**400 raises OverflowError; the product is still infinite
+    huge = 10**400
+    assert mul(_mp(INF), _mp(huge)) == _mp(INF)
+    assert mul(_mp(huge), _mp(INF)) == _mp(INF)
+    assert mul(_mp(huge), _mp(huge)).payload == 2 * huge
+
+
 @given(extended_nats, extended_nats)
 def test_counting_order_is_numeric(x, y):
     a, b = _ct(x), _ct(y)
