@@ -19,6 +19,13 @@ with well-formed values, is read directly from a table derived from
 those parsers (`_read_argv`), into the namespace argparse would build.
 argparse reads every other argv and writes every usage, help and error
 text.
+
+A run loads only the modules its command runs: this one, `polynomial`,
+`semiring` and `solver` always; `munchausen` for `compare`, `solve
+--method munchausen`, `completion --grammar`, `--left-linear` and
+`--table`, `grammar` and `tensor`; `grammar` for `oracle`; `tensor` for
+`tensor`.  Each runner imports them in the branch that needs them, so a
+one-shot `solve` or `completion` does not pay for their import.
 """
 
 from __future__ import annotations
@@ -30,21 +37,6 @@ import re
 import sys as _sys
 from functools import lru_cache
 
-from semifix.grammar import DEFAULT_NODE_BUDGET, _tree_sums, grammar_with_constants
-from semifix.munchausen import (
-    NonTerm,
-    Terminal,
-    indexed_grammar_of,
-    indexed_to_json,
-    left_linear_completion_grammar,
-    lincfg_to_json,
-    linear_completion_grammar,
-    munchausen_grammar,
-    munchausen_sequence,
-    completion_via_differential_star,
-    completion_function_table,
-    render_lsym,
-)
 from semifix.polynomial import (
     EquationSystem,
     InvariantError,
@@ -57,8 +49,13 @@ from semifix.semiring import (
     instance_by_name,
     vector_eq,
 )
-from semifix.solver import BudgetExhaustedError, kleene_solve, newton_solve
-from semifix.tensor import tensor_pipeline
+from semifix.solver import (
+    DEFAULT_NODE_BUDGET,
+    BudgetExhaustedError,
+    completion_via_differential_star,
+    kleene_solve,
+    newton_solve,
+)
 
 SCHEMA_VERSION = "v1"
 
@@ -412,6 +409,8 @@ def _run_solve(args, sys: EquationSystem) -> int:
         if args.method == "newton":
             seq = newton_solve(sys, args.steps, budget)
         else:
+            from semifix.munchausen import munchausen_sequence
+
             seq = munchausen_sequence(sys, args.steps, budget=budget)
         values = seq.iterates[-1] if seq.iterates else None
         status, steps = seq.status, max(len(seq.iterates) - 1, 0)
@@ -431,6 +430,8 @@ def _run_solve(args, sys: EquationSystem) -> int:
 
 
 def _run_compare(args, sys: EquationSystem) -> int:
+    from semifix.munchausen import munchausen_sequence
+
     budget = _budget(args)
     results = {}
     out = kleene_solve(sys, budget)
@@ -467,6 +468,8 @@ def _run_compare(args, sys: EquationSystem) -> int:
 
 
 def _run_oracle(args, sys: EquationSystem) -> int:
+    from semifix.grammar import _tree_sums, grammar_with_constants
+
     g = grammar_with_constants(sys)
     at = None if args.complete else dict(sys.a)
     sums, all_stable = _tree_sums(g, args.dim, args.complete, at, args.node_budget)
@@ -498,11 +501,19 @@ def _run_completion(args, sys: EquationSystem) -> int:
     if args.left_linear and not sys.semiring.is_commutative:
         raise BadUsage(f"--left-linear needs a commutative instance, got {sys.semiring.name}")
     if args.grammar or args.left_linear:
+        from semifix.munchausen import (
+            left_linear_completion_grammar,
+            lincfg_to_json,
+            linear_completion_grammar,
+        )
+
         build = linear_completion_grammar if args.grammar else left_linear_completion_grammar
         lg = build(sys)
         _emit(args, {"grammar": lincfg_to_json(lg)}, _grammar_lines(lg))
         return 0
     if args.table:
+        from semifix.munchausen import completion_function_table
+
         table = completion_function_table(sys, _budget(args))
         fs = table[sys.variables[0]].semiring
         shown = {x: fs.render(table[x]) for x in sys.variables}
@@ -515,6 +526,8 @@ def _run_completion(args, sys: EquationSystem) -> int:
 
 
 def _grammar_lines(lg) -> list[str]:
+    from semifix.munchausen import render_lsym
+
     lines = []
     for lhs, words in lg.rules.items():
         alts = " | ".join(" ".join(render_lsym(s) for s in w) for w in words)
@@ -526,6 +539,15 @@ DEFAULT_GRAMMAR_RULES = 1 << 16  # `grammar --level` rules allowed without SEMIF
 
 
 def _run_grammar(args, sys: EquationSystem) -> int:
+    from semifix.munchausen import (
+        NonTerm,
+        Terminal,
+        indexed_grammar_of,
+        indexed_to_json,
+        lincfg_to_json,
+        munchausen_grammar,
+    )
+
     if args.indexed:
         ig = indexed_grammar_of(sys)
 
@@ -558,6 +580,9 @@ def _run_grammar(args, sys: EquationSystem) -> int:
 
 
 def _run_tensor(args, sys: EquationSystem) -> int:
+    from semifix.munchausen import munchausen_sequence
+    from semifix.tensor import tensor_pipeline
+
     if getattr(sys.semiring, "q", None) is None:
         raise BadUsage(f"tensor command needs a relation system, got {sys.semiring.name}")
     got = tensor_pipeline(sys, args.level)

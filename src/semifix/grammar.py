@@ -24,7 +24,7 @@ from semifix.polynomial import (
     polynomial,
 )
 from semifix.semiring import Semiring, Value, add, mul_all
-from semifix.solver import solve_linear
+from semifix.solver import DEFAULT_NODE_BUDGET, solve_linear
 
 
 @dataclass(frozen=True)
@@ -223,8 +223,6 @@ def _fold_dim(dmax: int, cnt: int, d: int) -> tuple[int, int]:
 
 
 TreeSumResult = namedtuple("TreeSumResult", "value stabilized")
-
-DEFAULT_NODE_BUDGET = 5_000
 
 
 def tree_sum(

@@ -47,6 +47,7 @@ from semifix.solver import (
     SequenceOutcome,
     SolveOutcome,
     _chain_step,
+    completion_via_differential_star,  # re-exported: defined beside newton_step
     kleene_solve,
     newton_step,
     sample_chain,
@@ -526,18 +527,6 @@ def canonical_form(lg: LinearCfg):
         words = sorted(" ".join(render_lsym(s) for s in word) for word in lg.rules[lhs])
         shape.append(((lhs.var, lhs.index), tuple(words)))
     return tuple(shape)
-
-
-def completion_via_differential_star(
-    sys: EquationSystem, v: Mapping[str, Value], budget: int | None = None
-) -> dict[str, Value]:
-    """Completion value at v through the star of the linearization at v."""
-    out = newton_step(sys, v, budget)
-    if not out.stabilized:
-        raise BudgetExhaustedError(
-            f"linear solve did not stabilize within {out.steps_used} iterations"
-        )
-    return out.value
 
 
 def completion_function_table(

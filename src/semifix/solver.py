@@ -107,6 +107,10 @@ class SequenceOutcome:
 
 
 DEFAULT_KLEENE_BUDGET = 10_000
+# Rounds of each dimension layer's linear solve in a derivation tree sum
+# (`grammar.tree_sum`, the `oracle` command) when no budget is given; kept
+# here so that the command line reads it without loading `grammar`.
+DEFAULT_NODE_BUDGET = 5_000
 
 
 def _iterate(
@@ -227,6 +231,18 @@ def newton_step(
     """
     u, status, used = _completion_step(sys, sys.payloads(v), max_linear_iters)
     return SolveOutcome(sys.vector(u), status, used)
+
+
+def completion_via_differential_star(
+    sys: EquationSystem, v: Mapping[str, Value], budget: int | None = None
+) -> dict[str, Value]:
+    """Completion value at v through the star of the linearization at v."""
+    out = newton_step(sys, v, budget)
+    if not out.stabilized:
+        raise BudgetExhaustedError(
+            f"linear solve did not stabilize within {out.steps_used} iterations"
+        )
+    return out.value
 
 
 def _chain_step(sys: EquationSystem, max_linear_iters: int | None) -> Callable:

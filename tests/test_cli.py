@@ -297,14 +297,14 @@ def test_grammar_level_text_is_unchanged_within_the_budget(tmp_path, capsys):
 def test_grammar_level_counts_rules_before_building(tmp_path, capsys, monkeypatch):
     import time
 
-    import semifix.cli
+    import semifix.munchausen
 
     def refuse(sys, n):
         raise AssertionError("ladder built before the size check")
 
     path = write(tmp_path, B2)
     with monkeypatch.context() as patched:
-        patched.setattr(semifix.cli, "munchausen_grammar", refuse)
+        patched.setattr(semifix.munchausen, "munchausen_grammar", refuse)
         started = time.monotonic()
         assert main(["grammar", path, "--level", "40"]) == 3
         assert time.monotonic() - started < 1.0
