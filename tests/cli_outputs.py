@@ -103,6 +103,7 @@ RECORDED_ARGV = (
     [],
     ["-h"],
     ["solve", "-h"],
+    *([command, "-h"] for command in ("compare", "oracle", "completion", "grammar", "tensor")),
     ["frobnicate", RECORDED_FILE],
     ["sol", RECORDED_FILE],
     ["solve"],
@@ -118,6 +119,13 @@ RECORDED_ARGV = (
     ["--", "solve", RECORDED_FILE],
     ["--json", "solve", RECORDED_FILE],
     ["completion", RECORDED_FILE, "--grammar", "--table"],
+    # one bad argv per option kind: exclusive flags, a count, a negative
+    # count, a missing value and a value outside the choices
+    ["completion", RECORDED_FILE, "--left-linear", "--table"],
+    ["oracle", RECORDED_FILE, "--dim", "x"],
+    ["grammar", RECORDED_FILE, "--level", "-2"],
+    ["tensor", RECORDED_FILE, "--budget"],
+    ["solve", RECORDED_FILE, "--method", "bogus"],
     ["oracle", RECORDED_FILE, "--no-complete", "--dim", "0", "--json"],
     # products, stars and companions at both relation row widths (see RECORDED_TEXTS)
     ["solve", "small/relation-8.sfx", "--method", "newton"],
