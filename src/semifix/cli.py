@@ -13,12 +13,13 @@ Exit codes: 0 success, 1 usage, 2 malformed input, 3 budget exhausted,
 4 violated internal invariant, 141 (128 + SIGPIPE) standard output
 closed before the output was written.
 
-The options are declared once, on the argparse subcommand parsers.  The
-common argv shape, a subcommand name, one file and exact option strings
-with well-formed values, is read directly from a table derived from
-those parsers (`_read_argv`), into the namespace argparse would build.
-argparse reads every other argv and writes every usage, help and error
-text.
+Each subcommand's options are declared once, in one table
+(`_COMMANDS`).  The common argv shape, a subcommand name, one file and
+exact option strings with well-formed values, is read directly from it
+(`_read_argv`), into the namespace argparse would build, and builds no
+parser.  Every other argv goes to the argparse parser that
+`build_parser` builds from the same table, which writes every usage,
+help and error text.
 
 A run loads only the modules its command runs: this one, `polynomial`,
 `semiring` and `solver` always; `munchausen` for `compare`, `solve
@@ -600,126 +601,118 @@ def _run_tensor(args, sys: EquationSystem) -> int:
     return 0 if ref is not None else 3
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process.
+# Each subcommand's help, then its options in the order its help lists
+# them.  An option is (option string, kind, default, help), the kind one
+# of `_count`, a tuple of choices, `_FLAG` (store_true), `_EXCLUSIVE` (a
+# flag of the subcommand's one mutually exclusive group) and `_NEGATABLE`
+# (`--x/--no-x`).  Every subcommand takes `file` and `_JSON` first.
+_FLAG, _EXCLUSIVE, _NEGATABLE = "store_true", "exclusive", "--x/--no-x"
+_JSON = ("--json", _FLAG, False, "machine readable output")
+_COMMANDS = {
+    "solve": (
+        "compute the least solution",
+        ("--method", ("kleene", "newton", "munchausen"), "kleene", None),
+        ("--steps", _count, 3, "iterates for the accelerated methods"),
+        ("--budget", _count, None, "iteration budget override"),
+    ),
+    "compare": (
+        "run all methods and diff the results",
+        ("--steps", _count, 2, None),
+        ("--budget", _count, None, None),
+    ),
+    "oracle": (
+        "sum derivation trees by dimension",
+        ("--dim", _count, 2, "dimension bound"),
+        ("--complete", _NEGATABLE, True, "restrict to fully expanded trees"),
+        ("--node-budget", _count, DEFAULT_NODE_BUDGET, None),
+    ),
+    "completion": (
+        "substitution closure of the system",
+        ("--grammar", _EXCLUSIVE, False, "emit the closure grammar"),
+        (
+            "--left-linear",
+            _EXCLUSIVE,
+            False,
+            "emit the left linear variant (commutative instances only)",
+        ),
+        ("--table", _EXCLUSIVE, False, "tabulate the closure over a finite instance"),
+        ("--budget", _count, None, "linear solve iterations, or table points with --table"),
+    ),
+    "grammar": (
+        "emit the doubling ladder grammar",
+        ("--level", _count, 1, "number of doublings"),
+        ("--indexed", _FLAG, False, "emit the stack indexed form"),
+    ),
+    "tensor": (
+        "solve through the tensor companion",
+        ("--level", _count, 1, None),
+        ("--budget", _count, None, None),
+    ),
+}
 
-    Parsing reads it and never changes it, so in-process callers of
-    `main` share one; a one-shot `semifix` run builds it once either way.
-    """
-    return _parsers()[0]
+
+def _reader(options: tuple) -> tuple[dict, dict]:
+    """A subcommand's namespace defaults, and the destination and kind of
+    each option `_read_argv` reads: all but the exclusive and negatable flags."""
+    defaults = {"file": None}
+    read = {}
+    for option, kind, default, _ in (_JSON, *options):
+        dest = option[2:].replace("-", "_")
+        defaults[dest] = default
+        if kind not in (_EXCLUSIVE, _NEGATABLE):
+            read[option] = (dest, kind)
+    return defaults, read
+
+
+_READERS = {name: _reader(options) for name, (_, *options) in _COMMANDS.items()}  # built once
 
 
 @lru_cache(maxsize=None)
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The command line parser and its subcommand parsers by name."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built from `_COMMANDS` once per process.
+
+    Parsing reads it and never changes it, so in-process callers of
+    `main` share one.  `main` builds it only for an argv that
+    `_read_argv` declines.
+    """
     top = argparse.ArgumentParser(
         prog="semifix",
         description="Solve polynomial fixed point systems over semiring instances.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (help_text, *options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="system description file")
-        p.add_argument("--json", action="store_true", help="machine readable output")
-
-    p = sub.add_parser("solve", help="compute the least solution")
-    common(p)
-    p.add_argument(
-        "--method",
-        choices=("kleene", "newton", "munchausen"),
-        default="kleene",
-    )
-    p.add_argument("--steps", type=_count, default=3, help="iterates for the accelerated methods")
-    p.add_argument("--budget", type=_count, help="iteration budget override")
-
-    p = sub.add_parser("compare", help="run all methods and diff the results")
-    common(p)
-    p.add_argument("--steps", type=_count, default=2)
-    p.add_argument("--budget", type=_count)
-
-    p = sub.add_parser("oracle", help="sum derivation trees by dimension")
-    common(p)
-    p.add_argument("--dim", type=_count, default=2, help="dimension bound")
-    p.add_argument(
-        "--complete",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="restrict to fully expanded trees",
-    )
-    p.add_argument("--node-budget", type=_count, default=DEFAULT_NODE_BUDGET)
-
-    p = sub.add_parser("completion", help="substitution closure of the system")
-    common(p)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--grammar", action="store_true", help="emit the closure grammar")
-    mode.add_argument(
-        "--left-linear",
-        action="store_true",
-        help="emit the left linear variant (commutative instances only)",
-    )
-    mode.add_argument(
-        "--table", action="store_true", help="tabulate the closure over a finite instance"
-    )
-    p.add_argument(
-        "--budget", type=_count, help="linear solve iterations, or table points with --table"
-    )
-
-    p = sub.add_parser("grammar", help="emit the doubling ladder grammar")
-    common(p)
-    p.add_argument("--level", type=_count, default=1, help="number of doublings")
-    p.add_argument("--indexed", action="store_true", help="emit the stack indexed form")
-
-    p = sub.add_parser("tensor", help="solve through the tensor companion")
-    common(p)
-    p.add_argument("--level", type=_count, default=1)
-    p.add_argument("--budget", type=_count)
-
-    return top, sub.choices
-
-
-@lru_cache(maxsize=None)
-def _argv_readers() -> dict[str, tuple[dict, str, dict]]:
-    """Per subcommand name: its defaults, its positional and the options read directly.
-
-    Derived from the subcommand parsers of `_parsers`, so each option is
-    declared once.  The options map every option string of an ungrouped
-    one-value `store` action or `store_true` flag to its action; the
-    mutually exclusive flags and every other kind of action are left to
-    argparse.
-    """
-    readers = {}
-    for name, p in _parsers()[1].items():
-        grouped = {a for g in p._mutually_exclusive_groups for a in g._group_actions}
-        options = {
-            s: a
-            for a in p._actions
-            if a not in grouped
-            and (
-                type(a) is argparse._StoreTrueAction
-                or (type(a) is argparse._StoreAction and a.nargs is None)
-            )
-            for s in a.option_strings
-        }
-        defaults = {a.dest: a.default for a in p._actions if a.default is not argparse.SUPPRESS}
-        (positional,) = [a.dest for a in p._actions if not a.option_strings]
-        readers[name] = (defaults, positional, options)
-    return readers
+        group = None
+        for option, kind, default, help_text in (_JSON, *options):
+            if kind == _EXCLUSIVE:
+                group = group or p.add_mutually_exclusive_group()
+                group.add_argument(option, action="store_true", help=help_text)
+                continue
+            if kind == _FLAG:
+                how = {"action": "store_true"}
+            elif kind == _NEGATABLE:
+                how = {"action": argparse.BooleanOptionalAction}
+            else:
+                how = {"choices" if type(kind) is tuple else "type": kind}
+            p.add_argument(option, default=default, help=help_text, **how)
+    return top
 
 
 def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     """`build_parser().parse_args(argv)` for the common argv shape, else None.
 
     The shape: argv[0] names a subcommand exactly, one word that does not
-    start with "-" is the file, and every other word is an exact option
-    string from `_argv_readers`, either a flag or an option followed by
-    one value that does not start with "-", passes the option's type and
-    lies in its choices.  Such an argv parses without an error, to the
-    subcommand's defaults overridden by the words read, as here.
+    start with "-" is the file, and every other word is an option string
+    of `_READERS`, either a flag or an option followed by one value that
+    does not start with "-" and passes its `_count` or lies in its
+    choices.  Such an argv parses without an error, to the subcommand's
+    defaults overridden by the words read, as here.
     """
-    reader = _argv_readers().get(argv[0]) if argv else None
+    reader = _READERS.get(argv[0]) if argv else None
     if reader is None:
         return None
-    defaults, positional, options = reader
+    defaults, options = reader
     values = dict(defaults)
     file = None
     words = iter(argv[1:])
@@ -729,26 +722,28 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
                 return None
             file = word
             continue
-        action = options.get(word)
-        if action is None:
+        option = options.get(word)
+        if option is None:
             return None
-        if action.nargs == 0:
-            values[action.dest] = action.const
+        dest, kind = option
+        if kind == _FLAG:
+            values[dest] = True
             continue
         value = next(words, "-")  # a missing value is rejected as one starting with "-"
         if value[:1] == "-":
             return None
-        if action.type is not None:
-            try:
-                value = action.type(value)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+        if type(kind) is tuple:
+            if value not in kind:
                 return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        values[action.dest] = value
+        else:
+            try:
+                value = kind(value)
+            except argparse.ArgumentTypeError:
+                return None
+        values[dest] = value
     if file is None:
         return None
-    values[positional] = file
+    values["file"] = file
     return argparse.Namespace(command=argv[0], **values)
 
 

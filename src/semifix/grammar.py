@@ -276,8 +276,10 @@ def _tree_sums(
             raise InvariantError("`at` vector must cover every nonterminal")
     sr = g.semiring
     zero = sr.zero()
-    layers: list[dict[str, Value]] = []  # Y_0, Y_1, ... per nonterminal
-    sums: list[dict[str, Value]] = []  # L_0, L_1, ... per nonterminal
+    # Y_k and L_k per nonterminal, by k: layer k reads only Y_k-1, L_k-1
+    # and L_k-2, so no more are kept
+    layers: dict[int, dict[str, Value]] = {}
+    sums: dict[int, dict[str, Value]] = {}
 
     def exactly(k: int, s: Symbol) -> Value:
         """Y_k(s) of a literal, or of a nonterminal in a layer already solved."""
@@ -308,9 +310,11 @@ def _tree_sums(
             rhs[x] = polynomial(sr, terms)
         out = solve_linear(equation_system(sr, g.nonterminals, rhs), node_budget)
         stabilized = stabilized and out.stabilized
-        layers.append(out.value)
-        sums.append({x: add(sums[-1][x], v) if sums else v for x, v in out.value.items()})
-    return (sums[-1] if sums else dict.fromkeys(g.nonterminals, zero)), stabilized
+        layers[k] = out.value
+        sums[k] = {x: add(sums[k - 1][x], v) if k else v for x, v in out.value.items()}
+        layers.pop(k - 1, None)
+        sums.pop(k - 2, None)
+    return (sums[dim_bound] if sums else dict.fromkeys(g.nonterminals, zero)), stabilized
 
 
 def decompose(t: DerivationTree, m: int) -> tuple[DerivationTree, list[DerivationTree]]:

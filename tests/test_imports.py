@@ -46,6 +46,7 @@ for command in ("solve", "completion"):
     with contextlib.redirect_stdout(io.StringIO()):
         assert semifix.cli.main([command, sys.argv[1], "--json"]) == 0
     steps[command] = loaded()
+steps["parsers built"] = semifix.cli.build_parser.cache_info().misses
 print(json.dumps(steps))
 """
 
@@ -58,6 +59,7 @@ def test_a_kleene_solve_and_a_completion_load_no_grammar_ladder_or_tensor(tmp_pa
     for step in ("import semifix.cli", "solve", "completion"):
         assert ON_DEMAND.isdisjoint(steps[step]), step
     assert "semifix.solver" in steps["import semifix.cli"]
+    assert steps["parsers built"] == 0
 
 
 STAR_IMPORT = """
