@@ -680,8 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solve polynomial fixed point systems over semiring instances.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_text, *options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, (summary, *options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("file", help="system description file")
         group = None
         for option, kind, default, help_text in (_JSON, *options):
