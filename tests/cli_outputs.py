@@ -144,6 +144,19 @@ RECORDED_ARGV = (
         for b in ("3", "4")
     ),
     *(["completion", RECORDED_FILE, "--budget", str(b)] for b in range(4)),
+    # chains at linear budgets 0, 1 and 2, on a system whose chain changes and on
+    # systems whose constants already solve them (see RECORDED_TEXTS): one
+    # application of f can confirm a fixed point only with two rounds to spare
+    *(
+        ["solve", path, *method, "--budget", str(b)]
+        for path in ("accel-relation/0000.sfx", "small/fixed-relation.sfx")
+        for method in (
+            ["--method", "newton", "--steps", "8"], ["--method", "munchausen", "--steps", "4"]
+        )
+        for b in range(3)
+    ),
+    *(["completion", "small/fixed-boolean.sfx", "--budget", str(b)] for b in range(3)),
+    ["tensor", "small/fixed-relation.sfx", "--level", "2"],
     # tree sums whose smallest trees are large, or which never stop growing
     # (see TREE_SUM_TEXTS), at the default node budget
     *(
@@ -210,6 +223,12 @@ RECORDED_TEXTS = {
     # costs of about 2^1024 that the oracle's layer solves reach at --dim 1024
     "min-plus-beyond-float": "semiring min-plus;\nvars x;\nx = inf*1" + "0" * 400 + " + 2;\n",
     "min-plus-deep": "semiring min-plus;\nvars x y;\nx = x*y + 3;\ny = x*x + 1;\n",
+    # systems whose constants already solve them, f(a) <= a; z stays zero
+    "fixed-boolean": "semiring boolean;\nvars x y;\nx = x*y + 1;\ny = 1;\n",
+    "fixed-relation": (
+        "semiring relation 2;\nvars x y z;\nx = x*y + [[1,1],[0,1]];\n"
+        "y = [[1,0],[0,0]]*y*x + [[1,1],[0,1]];\nz = z*x;\n"
+    ),
 }
 
 
