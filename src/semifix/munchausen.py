@@ -439,9 +439,7 @@ def munchausen_sequence(
     sanity checked when that is cheap.  On budget exhaustion the
     finished prefix is returned, flagged.
     """
-    if b is None:
-        b = sys.a
-    else:
+    if b is not None:
         sys.payloads(b)  # a missing or an extra variable is an InvariantError
         _check_b_vector(sys, b)
     if sys.semiring.is_idempotent:

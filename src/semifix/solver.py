@@ -9,15 +9,18 @@ a payload point (`polynomial._linearize`) and iterates the result, or
 their companion rows for a tensor cycle.  Its rounds are semi-naive:
 the first application from zero is the constants, and each later round
 re-applies only the rows that read a component the previous round
-changed, which gives every iterate of a full application.
+changed, which gives every iterate of a full application.  Over an
+idempotent instance a completion step's second round is one
+application of the system's own rows, so a point the step leaves
+unchanged is confirmed without linearizing.
 `sample_chain` is the one chain loop: Newton, the accelerated iterates
 (over counting, a step applies compiled word sums) and the tensor
 cycles all step there.
-`Value` is the boundary of the module: public functions,
-`sample_chain` included, convert their vectors once on entry and wrap
-each result once.  A missing budget becomes `DEFAULT_KLEENE_BUDGET`,
-read at call time, in `_iterate` and, for Newton's steps, in
-`newton_solve`.
+`Value` is the boundary of the module: public functions convert their
+vectors once on entry and wrap each result once, and `sample_chain`
+wraps a sample when it is read.  A missing budget becomes
+`DEFAULT_KLEENE_BUDGET`, read at call time, in `_iterate`, in
+`_completion_step` and, for Newton's steps, in `newton_solve`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from semifix.polynomial import EquationSystem, InvariantError, _linearize
+from semifix.polynomial import EquationSystem, InvariantError, _apply, _linearize
 from semifix.semiring import Semiring, Value
 
 STABILIZED = "stabilized"
@@ -57,16 +60,20 @@ class SolveOutcome:
 
 
 class ChainSamples(Sequence):
-    """Read-only samples of a chain that reached a fixed point.
+    """Read-only samples of a chain, kept as payload lists until read.
 
-    Holds the samples computed before the fixed point and the fixed
-    point once; every later index reads the fixed point, so memory does
-    not grow with the number of samples.  `len` and indexing are O(1);
-    it compares equal to, and prints as, the list of the same items.
+    Each read wraps the sample in `Value`s (`EquationSystem.vector`), so
+    a caller that reads only the last sample wraps only that one.  The
+    first `length` samples are `payloads`, and every later index up to
+    `length` reads the last of them: a run that reached a fixed point
+    stores it once, so memory does not grow with the number of samples.
+    `len` and indexing are O(1); it compares equal to, and prints as,
+    the list of the same items.
     """
 
-    def __init__(self, prefix: list[dict[str, Value]], length: int):
-        self._prefix = prefix
+    def __init__(self, sys: EquationSystem, payloads: list[list], length: int):
+        self._sys = sys
+        self._payloads = payloads
         self._length = length
 
     def __len__(self) -> int:
@@ -79,7 +86,7 @@ class ChainSamples(Sequence):
             k += self._length
         if not 0 <= k < self._length:
             raise IndexError("chain sample index out of range")
-        return self._prefix[min(k, len(self._prefix) - 1)]
+        return self._sys.vector(self._payloads[min(k, len(self._payloads) - 1)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -95,7 +102,8 @@ class SequenceOutcome:
     """A sequence of iterates plus the status of the run that produced them.
 
     When the status reports budget exhaustion the sequence holds the
-    iterates finished before the budget ran out.
+    iterates finished before the budget ran out.  A chain's iterates are
+    a `ChainSamples` view, which wraps an iterate only when it is read.
     """
 
     iterates: Sequence[dict[str, Value]]
@@ -114,13 +122,20 @@ DEFAULT_NODE_BUDGET = 5_000
 
 
 def _iterate(
-    sr: Semiring, rows: Sequence, constants: Sequence, max_iters: int | None
+    sr: Semiring,
+    rows: Sequence,
+    constants: Sequence,
+    max_iters: int | None,
+    start: list | None = None,
 ) -> tuple[list, str, int]:
     """Apply constants + rows from zero until the payload list stops changing.
 
     At most `max_iters` applications, `DEFAULT_KLEENE_BUDGET` (read at
     call time) when it is None.  Returns the last payload list, the
-    status and the number of applications used.
+    status and the number of applications used.  `start`, when given,
+    is the second iterate, constants + rows(constants), already computed
+    by the caller and different from the constants: the rounds resume
+    after it, as the second, and `max_iters` must be at least 2.
 
     The rounds are semi-naive: each gives the iterate a full application
     would, and re-applies only the rows that can change.  Every row
@@ -136,21 +151,25 @@ def _iterate(
     """
     if max_iters is None:
         max_iters = DEFAULT_KLEENE_BUDGET
-    zero = sr._zero()
-    v = [zero] * len(constants)
-    if max_iters == 0:
-        return v, BUDGET_EXHAUSTED, 0
-    changed = [i for i, c in enumerate(constants) if c != zero]
-    if not changed:
-        return v, STABILIZED, 0
-    v = list(constants)
+    if start is None:
+        zero = sr._zero()
+        v = [zero] * len(constants)
+        if max_iters == 0:
+            return v, BUDGET_EXHAUSTED, 0
+        changed = [i for i, c in enumerate(constants) if c != zero]
+        if not changed:
+            return v, STABILIZED, 0
+        v, first = list(constants), 1
+    else:
+        changed = [i for i, (p, c) in enumerate(zip(start, constants)) if p != c]
+        v, first = list(start), 2
     readers = [set() for _ in rows]
     for i, monos in enumerate(rows):
         for _, factors in monos:
             for j, _ in factors:
                 readers[j].add(i)
     add_p, mul_p = sr._add, sr._mul
-    for used in range(1, max_iters):
+    for used in range(first, max_iters):
         out = []
         for i in set().union(*[readers[j] for j in changed]):
             total = constants[i]
@@ -210,10 +229,25 @@ def _completion_step(
     """The completion step at the payload list `at`, as `_iterate` returns it.
 
     The system's compiled rows, linearized at `at`, iterated from zero
-    with `at` as the constants.
+    with `at` as the constants.  Over an idempotent instance the second
+    iterate, at + D_at(at), is at + f(at): each term of the differential
+    evaluates at `at` to its whole monomial, and its copies add up to
+    one.  One application of the rows (`_apply`) computes it, when the
+    plain iteration would reach it: `at` has a nonzero component (the
+    all-zero point is stable after no round) and the budget allows a
+    second round.  If it equals `at`, the step is stable after one
+    round and nothing is linearized; otherwise the linear rounds resume
+    from it.  Either way the payloads, status and count are those of
+    the plain iteration.
     """
     sr = sys.semiring
-    return _iterate(sr, _linearize(sr, sys.compiled[0], at), at, max_linear_iters)
+    rows, start = sys.compiled[0], None
+    budget = DEFAULT_KLEENE_BUDGET if max_linear_iters is None else max_linear_iters
+    if sr.is_idempotent and budget >= 2 and at.count(sr._zero()) < len(at):
+        start = _apply(sr, rows, at, at)
+        if start == at:
+            return at, STABILIZED, 1
+    return _iterate(sr, _linearize(sr, rows, at), at, budget, start)
 
 
 def newton_step(
@@ -223,11 +257,13 @@ def newton_step(
 
     D_v is the differential around v.  v is converted once, the
     system's compiled rows are linearized at it and iterated like
-    `solve_linear` would, and the result is wrapped once.  Newton
-    iteration, the idempotent accelerated iterates, the differential
-    star and the function table apply it; a tensor cycle maps its
-    linearized rows to the companion.  It depends on v alone, so once
-    C(v) == v every further application repeats it.
+    `solve_linear` would (`_completion_step`; over idempotent instances
+    one application of f confirms C(v) == v without linearizing), and
+    the result is wrapped once.  Newton iteration, the idempotent
+    accelerated iterates, the differential star and the function table
+    apply it; a tensor cycle maps its linearized rows to the companion.
+    It depends on v alone, so once C(v) == v every further application
+    repeats it.
     """
     u, status, used = _completion_step(sys, sys.payloads(v), max_linear_iters)
     return SolveOutcome(sys.vector(u), status, used)
@@ -258,7 +294,7 @@ def _chain_step(sys: EquationSystem, max_linear_iters: int | None) -> Callable:
 def sample_chain(
     sys: EquationSystem,
     step: Callable,
-    b: Mapping[str, Value],
+    b: Mapping[str, Value] | None,
     n: int,
     steps_at: Callable[[int], int],
     affordable: int | None = None,
@@ -267,38 +303,38 @@ def sample_chain(
     """Samples 0..n of the chain b, step(b), step(step(b)), ...
 
     The one chain loop and the payload/`Value` boundary of every chain:
-    b is converted once (`EquationSystem.payloads`), `step` maps a
-    payload list to the next one, or to None when it exhausted its
-    budget, which ends the run, flagged, and each sample is wrapped
-    once.  Sample k is taken after steps_at(k) steps, nondecreasing in
-    k.  The first fixed point fills all later samples, whose step counts
-    are not computed, as a `ChainSamples` view that stores it once.
-    Only samples up to `affordable` (default n) are taken, and at most
-    `max_steps` steps (default unbounded); a run cut short by either is
-    flagged too.  A negative n is an `InvariantError`.
+    b is converted once (`EquationSystem.payloads`), or read from the
+    compiled constants when it is None, `step` maps a payload list to
+    the next one, or to None when it exhausted its budget, which ends
+    the run, flagged.  The samples stay payload lists, in a
+    `ChainSamples` view that wraps a sample only when it is read.
+    Sample k is taken after steps_at(k) steps, nondecreasing in k.  The
+    first fixed point fills all later samples, whose step counts are not
+    computed, and is stored once.  Only samples up to `affordable`
+    (default n) are taken, and at most `max_steps` steps (default
+    unbounded); a run cut short by either is flagged too.  A negative n
+    is an `InvariantError`.
     """
     if n < 0:
         raise InvariantError("iterate count must be nonnegative")
-    v = sys.payloads(b)
+    v = sys.compiled[1] if b is None else sys.payloads(b)
     last = n if affordable is None else min(n, affordable)
     status = STABILIZED if last == n else BUDGET_EXHAUSTED
-    iterates: list = []
+    samples: list = []
     taken = 0
     for k in range(last + 1):
         target = steps_at(k)
         while taken < target:
-            if taken == max_steps:
-                return SequenceOutcome(iterates, BUDGET_EXHAUSTED)
-            nxt = step(v)
+            nxt = None if taken == max_steps else step(v)
             if nxt is None:
-                return SequenceOutcome(iterates, BUDGET_EXHAUSTED)
+                return SequenceOutcome(ChainSamples(sys, samples, len(samples)), BUDGET_EXHAUSTED)
             taken += 1
             if nxt == v:
-                iterates.append(sys.vector(v))
-                return SequenceOutcome(ChainSamples(iterates, last + 1), status)
+                samples.append(v)
+                return SequenceOutcome(ChainSamples(sys, samples, last + 1), status)
             v = nxt
-        iterates.append(sys.vector(v))
-    return SequenceOutcome(iterates, status)
+        samples.append(v)
+    return SequenceOutcome(ChainSamples(sys, samples, last + 1), status)
 
 
 def newton_solve(
@@ -321,4 +357,4 @@ def newton_solve(
         )
     budget = DEFAULT_KLEENE_BUDGET if max_linear_iters is None else max_linear_iters
     step = _chain_step(sys, budget)
-    return sample_chain(sys, step, sys.a, n_steps, lambda k: k, max_steps=budget)
+    return sample_chain(sys, step, None, n_steps, lambda k: k, max_steps=budget)

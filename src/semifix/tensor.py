@@ -257,4 +257,4 @@ def tensor_pipeline(sys: EquationSystem, n: int) -> dict[str, Value]:
             )
         return [readout(t) for t in y]
 
-    return sample_chain(sys, cycle, sys.a, n, lambda k: 1 << k).iterates[n]
+    return sample_chain(sys, cycle, None, n, lambda k: 1 << k).iterates[n]

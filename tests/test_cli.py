@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from gen import instances_for_order_tests, random_system
 from semifix import cli, grammar
 from semifix.cli import EquationSyntaxError, main, parse, render
+from semifix.polynomial import EquationSystem
 from semifix.semiring import BOOLEAN, COUNTING, MIN_PLUS, relation_semiring
 
 CHAIN = """\
@@ -493,6 +494,25 @@ def test_newton_chain_steps_are_bounded_by_the_budget(tmp_path, capsys):
     with pytest.warns(RuntimeWarning):
         assert main(["solve", path, "--method", "newton", "--steps", "20", "--budget", "6"]) == 3
     assert capsys.readouterr().out.splitlines()[-1] == "status: budget-exhausted after 6 steps"
+
+
+def test_a_newton_solve_wraps_only_the_sample_it_prints(tmp_path, capsys, monkeypatch):
+    # x1 = x2*x2; ...; x6 = 1 changes on five steps, so the chain holds seven samples
+    text = "semiring boolean;\nvars x1 x2 x3 x4 x5 x6;\n"
+    text += "".join(f"x{i} = x{i + 1}*x{i + 1};\n" for i in range(1, 6)) + "x6 = 1;\n"
+    path = write(tmp_path, text)
+    vector, wrapped = EquationSystem.vector, []
+
+    def counted(self, payloads):
+        wrapped.append(list(payloads))
+        return vector(self, payloads)
+
+    monkeypatch.setattr(EquationSystem, "vector", counted)
+    assert main(["solve", path, "--method", "newton", "--steps", "8", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["status"], data["steps"]) == ("stabilized", 8)
+    assert set(data["values"].values()) == {"1"}
+    assert wrapped == [[True] * 6]
 
 
 def test_linear_solve_budget_does_not_scale_with_constants(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from gen import instances_for_order_tests, random_system
 from semifix import solver
+from semifix.cli import parse
 from semifix.polynomial import (
     EquationSystem,
     InvariantError,
@@ -545,3 +546,140 @@ def test_a_chain_is_iterated_with_work_linear_in_its_length():
     assert out.stabilized and out.steps_used == n
     assert out.value == {x: sr.one() for x in names}
     assert sr.ops <= 2 * n
+
+
+def completion_oracle(sr, rows, at, budget):
+    """The completion step as the plain linear iteration: rows linearized at `at`, from zero."""
+    return solver._iterate(sr, _linearize(sr, rows, at), at, budget)
+
+
+@pytest.mark.parametrize("sr", ROW_INSTANCES, ids=lambda sr: sr.name)
+def test_completion_step_matches_the_linear_iteration_oracle(sr, monkeypatch):
+    iterate, paths = solver._iterate, []
+
+    def recorded(*args):
+        paths.append("resumed" if len(args) > 4 and args[4] is not None else "linear")
+        return iterate(*args)
+
+    monkeypatch.setattr(solver, "_iterate", recorded)
+    rng = random.Random(23)
+    tally = {"confirmed": 0, "resumed": 0, "linear": 0}
+    for _ in range(15):
+        n = rng.randint(1, 6)
+        rows, constants = random_rows(sr, rng, n)
+        sys = EquationSystem._of_rows(sr, tuple(f"x{i}" for i in range(n)), rows, constants)
+        zeros = [sr._zero()] * n
+        points = [zeros, constants, completion_oracle(sr, rows, constants, None)[0]]
+        points.append(iterate(sr, rows, constants, None)[0])  # the least solution
+        points += [[random_payload(sr, rng) for _ in range(n)] for _ in range(2)]
+        for at in points:
+            for budget in (0, 1, 2, 3, 5, None):
+                paths.clear()
+                got = solver._completion_step(sys, list(at), budget)
+                tally[paths[0] if paths else "confirmed"] += 1
+                assert got == completion_oracle(sr, rows, at, budget)
+                if at == zeros and budget != 0:
+                    # no round is needed to see that zero stays zero
+                    assert got == (zeros, STABILIZED, 0)
+    if sr.is_idempotent:
+        assert tally["confirmed"] and tally["resumed"]
+    else:
+        assert tally["confirmed"] == tally["resumed"] == 0
+
+
+# x1 = x2*x2; ...; x6 = 1: each Newton step settles one more variable
+SQUARES = parse(
+    "semiring boolean;\nvars x1 x2 x3 x4 x5 x6;\n"
+    + "".join(f"x{i} = x{i + 1}*x{i + 1};\n" for i in range(1, 6))
+    + "x6 = 1;\n"
+)
+FIXED_RELATION = (
+    "semiring relation 2;\nvars x y z;\nx = x*y + [[1,1],[0,1]];\n"
+    "y = [[1,0],[0,0]]*y*x + [[1,1],[0,1]];\nz = z*x;\n"
+)
+
+
+def count_linearizations(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _linearize(*args)
+
+    monkeypatch.setattr(solver, "_linearize", counted)
+    return calls
+
+
+def test_chains_linearize_only_on_changing_steps(monkeypatch):
+    from semifix.munchausen import munchausen_sequence
+
+    calls = count_linearizations(monkeypatch)
+    sys = boolean_system_xyz()
+    # three steps reach and confirm the fixed point; the confirming one is one application of f
+    out = newton_solve(sys, 8)
+    assert out.stabilized and out.iterates[-1] == kleene_solve(sys).value
+    assert len(calls) == 2
+    calls.clear()
+    assert munchausen_sequence(sys, 3).iterates == [out.iterates[1 << k] for k in range(4)]
+    assert len(calls) == 2
+
+
+def test_chains_from_constants_that_solve_the_system_never_linearize(monkeypatch):
+    from semifix.munchausen import munchausen_sequence
+
+    calls = count_linearizations(monkeypatch)
+    fixed_boolean = parse("semiring boolean;\nvars x y;\nx = x*y + 1;\ny = 1;\n")
+    for sys in (fixed_boolean, parse(FIXED_RELATION)):
+        assert vector_leq(eval_rhs(sys, sys.a), sys.a)
+        for seq in (newton_solve(sys, 8), munchausen_sequence(sys, 4)):
+            assert seq.stabilized and seq.iterates == [sys.a] * len(seq.iterates)
+    assert calls == []
+
+
+def test_tensor_cycles_solve_through_the_companion_at_a_fixed_point(monkeypatch):
+    tensor_module = importlib.import_module("semifix.tensor")
+    iterate, companions = tensor_module._iterate, []
+
+    def counted(*args):
+        companions.append(args[0])
+        return iterate(*args)
+
+    monkeypatch.setattr(tensor_module, "_iterate", counted)
+    sys = parse(FIXED_RELATION)
+    assert tensor_module.tensor_pipeline(sys, 2) == sys.a
+    # the first cycle finds the fixed point, through the companion over relation[4]
+    assert [sr.q for sr in companions] == [4]
+
+
+def test_lazy_samples_equal_eager_newton_steps():
+    runs = ((boolean_system_xyz(), None, STABILIZED), (SQUARES, 3, BUDGET_EXHAUSTED))
+    for sys, budget, status in runs:
+        out = newton_solve(sys, 8, budget)
+        assert out.status == status
+        eager = [dict(sys.a)]
+        while len(eager) < len(out.iterates):
+            eager.append(newton_step(sys, eager[-1], budget).value)
+        assert out.iterates == eager and eager == out.iterates
+        assert len(out.iterates) == len(eager) and list(out.iterates) == eager
+        assert out.iterates[-1] == eager[-1] and out.iterates[-len(eager)] == eager[0]
+        assert out.iterates[1:3] == eager[1:3] and out.iterates[::-2] == eager[::-2]
+        assert repr(out.iterates) == repr(eager)
+    assert len(out.iterates) == 4  # cut by the step budget
+
+
+def test_sample_text_is_the_list_of_vectors():
+    from semifix.munchausen import munchausen_sequence
+
+    # the README's library example
+    sys = equation_system(
+        BOOLEAN,
+        ("x", "y"),
+        {
+            "x": polynomial(BOOLEAN, [monomial(BOOLEAN, ["y", "y"])]),
+            "y": polynomial(
+                BOOLEAN, [monomial(BOOLEAN, ["x"]), monomial(BOOLEAN, [BOOLEAN.one()])]
+            ),
+        },
+    )
+    one = "{'x': <boolean 1>, 'y': <boolean 1>}"
+    assert str(munchausen_sequence(sys, 2).iterates) == f"[{one}, {one}, {one}]"
