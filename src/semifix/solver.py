@@ -62,13 +62,14 @@ class SolveOutcome:
 class ChainSamples(Sequence):
     """Read-only samples of a chain, kept as payload lists until read.
 
-    Each read wraps the sample in `Value`s (`EquationSystem.vector`), so
-    a caller that reads only the last sample wraps only that one.  The
-    first `length` samples are `payloads`, and every later index up to
-    `length` reads the last of them: a run that reached a fixed point
-    stores it once, so memory does not grow with the number of samples.
-    `len` and indexing are O(1); it compares equal to, and prints as,
-    the list of the same items.
+    `payloads` holds the computed samples, and the view reads as
+    `length` samples: every index past the last computed one reads the
+    last, so a run that reached a fixed point stores it once and memory
+    does not grow with the number of samples.  Each read wraps the
+    sample in `Value`s (`EquationSystem.vector`), so a caller that reads
+    only the last sample wraps only that one.  `len` and indexing are
+    O(1); it compares equal to, and prints as, the list of the same
+    items.
     """
 
     def __init__(self, sys: EquationSystem, payloads: list[list], length: int):
@@ -102,8 +103,8 @@ class SequenceOutcome:
     """A sequence of iterates plus the status of the run that produced them.
 
     When the status reports budget exhaustion the sequence holds the
-    iterates finished before the budget ran out.  A chain's iterates are
-    a `ChainSamples` view, which wraps an iterate only when it is read.
+    iterates finished before the budget ran out.  The iterates are a
+    `ChainSamples` view, which wraps an iterate only when it is read.
     """
 
     iterates: Sequence[dict[str, Value]]
