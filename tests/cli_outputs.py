@@ -157,6 +157,14 @@ RECORDED_ARGV = (
     ),
     *(["completion", "small/fixed-boolean.sfx", "--budget", str(b)] for b in range(3)),
     ["tensor", "small/fixed-relation.sfx", "--level", "2"],
+    # expansion budgets just below and at 1, 2 and 4 times the 8 expansions of a
+    # layer whose words repeat (see RECORDED_TEXTS): 0, 1, 1, 2 and 3 iterates
+    *(
+        ["solve", "small/counting-duplicate-words.sfx", "--method", "munchausen", "--steps", "3",
+         "--budget", b]
+        for b in ("7", "8", "15", "16", "32")
+    ),
+    ["compare", "small/counting-duplicate-words.sfx", "--json"],
     # tree sums whose smallest trees are large, or which never stop growing
     # (see TREE_SUM_TEXTS), at the default node budget
     *(
@@ -229,6 +237,8 @@ RECORDED_TEXTS = {
         "semiring relation 2;\nvars x y z;\nx = x*y + [[1,1],[0,1]];\n"
         "y = [[1,0],[0,0]]*y*x + [[1,1],[0,1]];\nz = z*x;\n"
     ),
+    # words that two derivations spell alike count once: x's layer takes 8 expansions
+    "counting-duplicate-words": "semiring counting;\nvars x y z;\nx = y*y + y*y;\ny = z + z*1;\nz = 2;\n",
 }
 
 
