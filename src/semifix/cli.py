@@ -520,7 +520,7 @@ def _run_completion(args, sys: EquationSystem) -> int:
         shown = {x: fs.render(table[x]) for x in sys.variables}
         _emit(args, {"table": shown}, [f"{x}: {shown[x]}" for x in sys.variables])
         return 0
-    values = completion_via_differential_star(sys, dict(sys.a), _budget(args))
+    values = completion_via_differential_star(sys, None, _budget(args))
     shown = _rendered(sys, values)
     _emit(args, {"values": shown}, [f"{x} = {shown[x]}" for x in sys.variables])
     return 0

@@ -11,6 +11,12 @@ every accelerated iterate is read off one chain b, S(b), S(S(b)), ...
 at powers of two by `solver.sample_chain`, the one payload chain loop;
 over counting, S applies compiled word sums.  The ladder itself remains
 only behind the `grammar` command and the tests' oracles.
+
+Without idempotence a layer's value sums its distinct words, which one
+breadth-first kernel lists (`_layer_expansion`) over coded words: a
+negative int ~k is the spine symbol of key k, anything else a plug.
+The counting chain codes the system's payload rows directly, and the
+ladder codes its grammar symbols.
 """
 
 from __future__ import annotations
@@ -279,39 +285,41 @@ def _layer_linear(lg, layer, keys, b, solved, budget):
     return {nt: out.value[names[nt]] for nt in keys}, out.steps_used, out.stabilized
 
 
-def _layer_expansion(lg, layer, keys, budget, spent):
+def _layer_expansion(rules, keys, budget, spent):
     """Distinct fully expanded words of one layer per key, breadth first.
 
-    Works without idempotence: every distinct sentential form counts
-    once, and expansion always rewrites the leftmost same-layer
-    nonterminal.  Finishes when the layer's spine graph is acyclic.
+    Words are coded: a negative int ~k is a spine symbol, which expands
+    to the words rules[k], and any other symbol is an opaque plug.  Key
+    k starts from the word (~k,).  Works without idempotence: every
+    distinct sentential form counts once, and expansion always rewrites
+    the leftmost spine symbol.  `spent` counts expansions across calls;
+    at `budget` the layer stops unfinished, flagged.  Finishes when the
+    spine graph is acyclic.  Returns the finished words per key, in key
+    order.
     """
-    words: dict[NonTerm, list[tuple[LSym, ...]]] = {}
+    words = []
     ok = True
-    for nt in keys:
-        start = (nt,)
+    for k in keys:
+        start = (~k,)
         seen = {start}
         queue = deque([start])
-        finished = words[nt] = []
+        finished = []
+        words.append(finished)
         while queue:
             form = queue.popleft()
-            pos = next(
-                (
-                    i
-                    for i, s in enumerate(form)
-                    if isinstance(s, NonTerm) and s.index == layer
-                ),
-                None,
-            )
-            if pos is None:
+            for pos, s in enumerate(form):
+                if s.__class__ is int and s < 0:
+                    break
+            else:
                 finished.append(form)
                 continue
             if spent[0] >= budget:
                 ok = False
                 continue
             spent[0] += 1
-            for word in lg.rules[form[pos]]:
-                nxt = form[:pos] + word + form[pos + 1 :]
+            head, tail = form[:pos], form[pos + 1 :]
+            for word in rules[~s]:
+                nxt = head + word + tail
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
@@ -325,27 +333,27 @@ def _word_sum(sr, forms, layer, b, solved) -> Value:
     )
 
 
-def _word_rows(sr: Semiring, forms_per_variable, variables) -> tuple:
+def _word_rows(sr: Semiring, words_per_variable) -> tuple:
     """Payload rows summing expanded words, as `EquationSystem.compiled` holds them.
 
-    One row per variable, from its list of words.  Each distinct word
-    is its own monomial, so equal products add up; adjacent terminals
-    are multiplied, a unit coefficient is None, and a word whose
-    product holds a zero is dropped.
+    One row per variable, from its list of finished coded words: a
+    variable index is a variable, a 1-tuple holds a coefficient payload.
+    Each distinct word is its own monomial, so equal products add up;
+    adjacent coefficients are multiplied, a unit coefficient is None,
+    and a word whose product holds a zero is dropped.
     """
-    index = {x: j for j, x in enumerate(variables)}
     mul, zero, one = sr._mul, sr._zero(), sr._one()
     rows = []
-    for forms in forms_per_variable:
+    for words in words_per_variable:
         row = []
-        for form in forms:
+        for word in words:
             coefficients, factors, slot = [], [], None
-            for s in form:
-                if isinstance(s, Terminal):
-                    slot = s.value.payload if slot is None else mul(slot, s.value.payload)
+            for s in word:
+                if s.__class__ is tuple:
+                    slot = s[0] if slot is None else mul(slot, s[0])
                 else:
                     coefficients.append(None if slot == one else slot)
-                    factors.append(index[s.var])
+                    factors.append(s)
                     slot = None
             coefficients.append(None if slot == one else slot)
             if zero not in coefficients:
@@ -362,7 +370,8 @@ def evaluate_grammar(
     Layers are solved bottom up; each layer sees the ones below as
     finished constants.  Idempotent instances solve each layer as a
     linear system, others sum the layer's distinct expansions so that
-    repeated words are not double counted.
+    repeated words are not double counted: the layer's nonterminals are
+    coded ~k for `_layer_expansion`, every other symbol is a plug.
     """
     if lg.level is None:
         raise InvariantError("can only evaluate complete ladders")
@@ -379,15 +388,17 @@ def evaluate_grammar(
             values, used, ok = _layer_linear(lg, layer, keys, b, solved, budget)
             steps += used
         else:
+            code = {nt: ~k for k, nt in enumerate(keys)}
+            rules = [[tuple(code.get(s, s) for s in word) for word in lg.rules[nt]] for nt in keys]
             words, ok = _layer_expansion(
-                lg,
-                layer,
-                keys,
+                rules,
+                range(len(keys)),
                 DEFAULT_EXPANSION_BUDGET if budget is None else budget,
                 spent,
             )
             values = {
-                nt: _word_sum(lg.semiring, words[nt], layer, b, solved) for nt in keys
+                nt: _word_sum(lg.semiring, forms, layer, b, solved)
+                for nt, forms in zip(keys, words)
             }
             steps = spent[0]
         solved.update(values)
@@ -430,13 +441,15 @@ def munchausen_sequence(
     b, S(b), S(S(b)), ... (`solver.sample_chain`), so the ladder remains
     only behind `grammar` and the oracles.  Over idempotent instances S
     is the completion step, and `budget` bounds each linear solve.
-    Otherwise S applies the completion grammar's word sums, expanded
-    once in c expansions and written once as payload rows (`_word_rows`);
-    iterate k exists only if 2^k * c <= budget, as for its ladder; a
-    cycle of spines exhausts any budget, so it is reported before
-    expanding.  The default b is the
-    constant part; a custom one must cover exactly the variables and is
-    sanity checked when that is cheap.  On budget exhaustion the
+    Otherwise S applies the completion grammar's word sums: its words
+    are coded from the compiled rows (variable j as the plug j, its
+    spine as ~j, a coefficient as a 1-tuple), expanded once in c
+    expansions (`_layer_expansion`) and written once as payload rows
+    (`_word_rows`); no grammar symbol is built.  Iterate k exists only
+    if 2^k * c <= budget, as for its ladder; a cycle of spines exhausts
+    any budget, so it is reported before expanding.  The default b is
+    the constant part; a custom one must cover exactly the variables and
+    is sanity checked when that is cheap.  On budget exhaustion the
     finished prefix is returned, flagged.
     """
     if b is not None:
@@ -452,14 +465,29 @@ def munchausen_sequence(
         live -= leaves
     sr, step, top = sys.semiring, None, -1  # top: last iterate whose ladder fits the budget
     if not live:
+        # per monomial and occurrence, (c0,) j1 (c1,) ... with that occurrence
+        # as ~j, then the closing word (y,); a unit is spelled (one,), as the
+        # grammar spells it, so that the same words count once
+        one, rules = (sr._one(),), []
+        for y, row in enumerate(rows):
+            rule = []
+            for c0, factors in row:
+                spelled = [one if c0 is None else (c0,)]
+                for j, c in factors:
+                    spelled += (j, one if c is None else (c,))
+                for pos in range(1, len(spelled), 2):
+                    spelled[pos] = ~spelled[pos]
+                    rule.append(tuple(spelled))
+                    spelled[pos] = ~spelled[pos]
+            rule.append((y,))
+            rules.append(rule)
         budget = DEFAULT_EXPANSION_BUDGET if budget is None else budget
         spent = [0]
-        keys = [NonTerm(y, 1) for y in sys.variables]
-        words, ok = _layer_expansion(linear_completion_grammar(sys), 1, keys, budget, spent)
+        words, ok = _layer_expansion(rules, range(len(rows)), budget, spent)
         while ok and top < n and spent[0] << (top + 1) <= budget:
             top += 1
     if top >= 0:  # otherwise the chain takes no step
-        sums = _word_rows(sr, [words[nt] for nt in keys], sys.variables)
+        sums = _word_rows(sr, words)
         step = partial(_apply, sr, sums, [sr._zero()] * len(sums))
     return sample_chain(sys, step, b, n, lambda k: 1 << k, top)
 

@@ -271,15 +271,18 @@ def newton_step(
 
 
 def completion_via_differential_star(
-    sys: EquationSystem, v: Mapping[str, Value], budget: int | None = None
+    sys: EquationSystem, v: Mapping[str, Value] | None = None, budget: int | None = None
 ) -> dict[str, Value]:
-    """Completion value at v through the star of the linearization at v."""
-    out = newton_step(sys, v, budget)
-    if not out.stabilized:
-        raise BudgetExhaustedError(
-            f"linear solve did not stabilize within {out.steps_used} iterations"
-        )
-    return out.value
+    """Completion value at v through the star of the linearization at v.
+
+    v defaults to the constants, read from the compiled system; the
+    result is wrapped once.
+    """
+    at = sys.compiled[1] if v is None else sys.payloads(v)
+    u, status, used = _completion_step(sys, at, budget)
+    if status != STABILIZED:
+        raise BudgetExhaustedError(f"linear solve did not stabilize within {used} iterations")
+    return sys.vector(u)
 
 
 def _chain_step(sys: EquationSystem, max_linear_iters: int | None) -> Callable:

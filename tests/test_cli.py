@@ -515,6 +515,20 @@ def test_a_newton_solve_wraps_only_the_sample_it_prints(tmp_path, capsys, monkey
     assert wrapped == [[True] * 6]
 
 
+def test_a_completion_wraps_only_the_vector_it_prints(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "semiring min-plus;\nvars x y;\nx = 3*y + 7;\ny = x + 2;\n")
+    vector, wrapped = EquationSystem.vector, []
+
+    def counted(self, payloads):
+        wrapped.append(list(payloads))
+        return vector(self, payloads)
+
+    monkeypatch.setattr(EquationSystem, "vector", counted)
+    assert main(["completion", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["values"] == {"x": "5", "y": "2"}
+    assert wrapped == [[5, 2]]
+
+
 def test_linear_solve_budget_does_not_scale_with_constants(tmp_path, capsys):
     path = write(tmp_path, "semiring counting;\nvars x;\nx = x + 100000;\n")
     assert main(["completion", path]) == 3

@@ -532,3 +532,45 @@ def test_counting_chain_compiles_its_word_sums_once(monkeypatch):
     compiles.clear()
     assert munchausen_sequence(cyclic, 2, budget=4000).iterates == []
     assert compiles == []
+
+
+DUPLICATE_WORDS = "semiring counting;\nvars x y z;\nx = y*y + y*y;\ny = z + z*1;\nz = 2;\n"
+
+
+def test_counting_chain_expands_coded_payload_words(monkeypatch):
+    munchausen = importlib.import_module("semifix.munchausen")
+    built = []
+
+    def no_nonterm(*args):
+        built.append(args)
+        raise AssertionError("the counting chain built a grammar symbol")
+
+    monkeypatch.setattr(munchausen, "NonTerm", no_nonterm)
+    sys = parse(DUPLICATE_WORDS)
+    seq = munchausen_sequence(sys, 2)
+    assert "f" not in vars(sys) and built == []
+    # each word that two derivations spell counts once: x = y*y + y*y and y = z + z*1
+    assert [seq.iterates[k]["x"].payload for k in range(3)] == [0, 12, 104]
+    assert seq.iterates[2]["y"].payload == 8
+    assert kleene_solve(sys).value["x"].payload == 32
+
+
+def test_counting_chain_layer_cost_sets_the_affordable_iterates(monkeypatch):
+    munchausen = importlib.import_module("semifix.munchausen")
+    spent = []
+    expand = munchausen._layer_expansion
+
+    def counted(rules, keys, budget, used):
+        out = expand(rules, keys, budget, used)
+        spent.append(used[0])
+        return out
+
+    monkeypatch.setattr(munchausen, "_layer_expansion", counted)
+    sys = parse(DUPLICATE_WORDS)
+    for budget, iterates in ((7, 0), (8, 1), (15, 1), (16, 2)):
+        spent.clear()
+        seq = munchausen_sequence(sys, 3, budget=budget)
+        assert not seq.stabilized and len(seq.iterates) == iterates
+        assert spent == [min(budget, 8)]
+    # the ladder's layer of the same grammar takes the same 8 expansions
+    assert evaluate_grammar(munchausen_grammar(sys, 0), dict(sys.a)).steps_used == 8
