@@ -410,9 +410,14 @@ def evaluate_grammar(
     )
 
 
-def _check_b_vector(sys: EquationSystem, b: Mapping[str, Value]):
-    """Warn when b leaves the bracket between the constants and the solution."""
-    lfp = kleene_solve(sys)
+def _check_b_vector(sys: EquationSystem, b: Mapping[str, Value], budget: int | None):
+    """Warn when b leaves the bracket between the constants and the solution.
+
+    The solution is plain iteration's within `budget` rounds
+    (`DEFAULT_KLEENE_BUDGET` when None); if it does not stabilize there,
+    the warning says that b cannot be verified.
+    """
+    lfp = kleene_solve(sys, budget)
     if not lfp.stabilized:
         warnings.warn(
             "cannot verify the start vector: plain iteration did not stabilize",
@@ -448,13 +453,14 @@ def munchausen_sequence(
     (`_word_rows`); no grammar symbol is built.  Iterate k exists only
     if 2^k * c <= budget, as for its ladder; a cycle of spines exhausts
     any budget, so it is reported before expanding.  The default b is
-    the constant part; a custom one must cover exactly the variables and
-    is sanity checked when that is cheap.  On budget exhaustion the
-    finished prefix is returned, flagged.
+    the constant part; a custom one must cover exactly the variables,
+    and a warning says when it lies outside [constants, least solution]
+    or when plain iteration does not stabilize within the same budget.
+    On budget exhaustion the finished prefix is returned, flagged.
     """
     if b is not None:
         sys.payloads(b)  # a missing or an extra variable is an InvariantError
-        _check_b_vector(sys, b)
+        _check_b_vector(sys, b, budget)
     if sys.semiring.is_idempotent:
         return sample_chain(sys, _chain_step(sys, budget), b, n, lambda k: 1 << k)
     # A spine cycle (y -> z when z occurs in f[y]) spells ever longer

@@ -309,6 +309,10 @@ class CountingSemiring(Semiring):
     The one non-idempotent instance, kept as a stress test: 1 + 1 = 2.
     Star is 1 at zero and infinity everywhere else, and results above
     COUNTING_CAP saturate to infinity; a literal above it is rejected.
+    Infinity is the float `INF`, so it absorbs in native `+`, and in `*`
+    once the zero guard has kept 0 * INF at 0.  `_add` and `_mul` compare
+    the native result with the cap, and only a result past it goes
+    through `_cap`, the one place where saturation happens.
     """
 
     name = "counting"
@@ -330,17 +334,15 @@ class CountingSemiring(Semiring):
         return INF if n > COUNTING_CAP else n
 
     def _add(self, x, y):
-        if x == INF or y == INF:
-            return INF
-        return self._cap(x + y)
+        n = x + y
+        return n if n <= COUNTING_CAP else self._cap(n)
 
     def _mul(self, x, y):
         # guard keeps 0 absorbing even against infinity
         if x == 0 or y == 0:
             return 0
-        if x == INF or y == INF:
-            return INF
-        return self._cap(x * y)
+        n = x * y
+        return n if n <= COUNTING_CAP else self._cap(n)
 
     def _star(self, x):
         return 1 if x == 0 else INF

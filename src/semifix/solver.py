@@ -145,9 +145,13 @@ def _iterate(
     only when it reads a component that the previous round changed.
     Every other row reads the payloads it read in the previous round, so
     a full application would give it its current payload again.  The rows
-    that read each component are collected once per call.  A round in
-    which no re-applied row changes is the one a full application would
-    have found unchanged, and it is not counted.  The row loop is
+    that read each component are collected once per call; when one
+    component changed, its readers are the round's rows as they stand.
+    A round reads only the previous iterate and writes each new payload
+    into a copy of it, which becomes the next iterate, so the rounds are
+    Jacobi rounds and `constants` and `start` are never written.  A round
+    in which no re-applied row changes is the one a full application
+    would have found unchanged, and it is not counted.  The row loop is
     `polynomial._apply`'s, inlined over the re-applied rows.
     """
     if max_iters is None:
@@ -171,8 +175,12 @@ def _iterate(
                 readers[j].add(i)
     add_p, mul_p = sr._add, sr._mul
     for used in range(first, max_iters):
-        out = []
-        for i in set().union(*[readers[j] for j in changed]):
+        if len(changed) == 1:
+            dirty = readers[changed[0]]
+        else:
+            dirty = set().union(*[readers[j] for j in changed])
+        w, changed = v[:], []
+        for i in dirty:
             total = constants[i]
             for c0, factors in rows[i]:
                 p = c0
@@ -182,12 +190,11 @@ def _iterate(
                         p = mul_p(p, c)
                 total = add_p(total, p)
             if total != v[i]:
-                out.append((i, total))
-        if not out:
+                w[i] = total
+                changed.append(i)
+        if not changed:
             return v, STABILIZED, used
-        for i, p in out:
-            v[i] = p
-        changed = [i for i, _ in out]
+        v = w
     return v, BUDGET_EXHAUSTED, max_iters
 
 

@@ -3,6 +3,7 @@
 import importlib
 import random
 import time
+import warnings
 from itertools import product
 
 import pytest
@@ -176,8 +177,10 @@ LATE_CUT_SYSTEMS = (
 )
 
 
+@pytest.mark.filterwarnings("ignore:cannot verify the start vector:RuntimeWarning")
 def test_idempotent_sequence_matches_ladder_oracle():
-    # the completion-step chain against the ladder evaluation it stands for
+    # the completion-step chain against the ladder evaluation it stands for;
+    # budgets below the Kleene round count leave the start check unverified
     rng = random.Random(37)
     systems = [
         random_system(sr, rng, rng.randint(1, 3))
@@ -323,6 +326,33 @@ def test_start_vector_check_skipped_when_iteration_diverges():
     )
     with pytest.warns(RuntimeWarning, match="did not stabilize"):
         munchausen_sequence(sys, 0, b={"x": ct(5)}, budget=50)
+
+
+def test_start_vector_check_iterates_within_the_budget(monkeypatch):
+    # the bracket's upper end is plain iteration's, under the caller's budget
+    munchausen = importlib.import_module("semifix.munchausen")
+    rounds = []
+
+    def recorded(sys, max_iters=None):
+        out = kleene_solve(sys, max_iters)
+        rounds.append(out.steps_used)
+        return out
+
+    monkeypatch.setattr(munchausen, "kleene_solve", recorded)
+    ct = COUNTING.value
+    growing = parse("semiring counting;\nvars x y;\nx = x + y;\ny = 1;\n")
+    with pytest.warns(RuntimeWarning, match="cannot verify"):
+        munchausen_sequence(growing, 1, b={"x": ct(0), "y": ct(1)}, budget=200)
+    assert rounds == [200]
+    chain = counting_chain()  # least solution x = 4, y = 2, z = 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        munchausen_sequence(chain, 1, b={"x": ct(0), "y": ct(2), "z": ct(2)}, budget=200)
+    with pytest.warns(RuntimeWarning, match="start vector is outside"):
+        munchausen_sequence(chain, 1, b={"x": ct(5), "y": ct(2), "z": ct(2)}, budget=200)
+    with pytest.warns(RuntimeWarning, match="cannot verify"):
+        munchausen_sequence(chain, 1, b={"x": ct(0), "y": ct(2), "z": ct(2)}, budget=2)
+    assert rounds == [200, 3, 3, 2]
 
 
 def test_expansion_budget_flags_growing_layer():

@@ -130,6 +130,49 @@ def test_counting_saturates_at_cap():
     assert COUNTING.value(COUNTING_CAP + 1) == _ct(INF)
 
 
+def guarded_add(x, y):
+    """Reference `CountingSemiring._add`: infinity guarded, then the sum capped."""
+    if x == INF or y == INF:
+        return INF
+    return INF if x + y > COUNTING_CAP else x + y
+
+
+def guarded_mul(x, y):
+    """Reference `CountingSemiring._mul`: zero and infinity guarded, then the product capped."""
+    if x == 0 or y == 0:
+        return 0
+    if x == INF or y == INF:
+        return INF
+    return INF if x * y > COUNTING_CAP else x * y
+
+
+def test_counting_ops_equal_the_guarded_definitions(monkeypatch):
+    capped = []
+
+    def cap(n):
+        capped.append(n)
+        return INF if n > COUNTING_CAP else n
+
+    monkeypatch.setattr(COUNTING, "_cap", cap)
+    edges = (0, 1, 2, 3, 2**31, 2**61, COUNTING_CAP - 1, COUNTING_CAP, INF)
+    # sums and products on either side of the cap
+    crossing = [(2**31, 2**31), (2**31, 2**31 + 1), (2**61, 2), (2**61 + 1, 2), (3, 2**61)]
+    crossing += [(2**61, 2**61), (2**61, 2**61 + 1), (COUNTING_CAP - 1, 1), (COUNTING_CAP - 1, 2)]
+    pairs = list(itertools.product(edges, repeat=2)) + crossing
+    pairs += [(y, x) for x, y in crossing]
+    for x, y in pairs:
+        for op, reference, native in (
+            (COUNTING._add, guarded_add, x + y),
+            (COUNTING._mul, guarded_mul, x * y if x and y else 0),
+        ):
+            capped.clear()
+            got, want = op(x, y), reference(x, y)
+            assert got == want and type(got) is type(want)
+            assert want is not INF or got is INF
+            # the cap is consulted only for a result past it
+            assert capped == ([] if native <= COUNTING_CAP else [native])
+
+
 def test_min_plus_order_reverses_numbers():
     mp = MIN_PLUS
     assert nat_leq(_mp(INF), _mp(3))

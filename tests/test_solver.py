@@ -490,11 +490,34 @@ def test_iterate_equals_full_rounds_on_counting_cycles():
         ((None, ((1, None),)),),
         ((None, ((0, None), (0, None))), (2**30, ((1, None),))),
     )
-    for constants in ([0, 1, 0], [2**31 - 1, 2**31, 1], [COUNTING_CAP, 1, 0]):
-        for budget in BUDGETS:
+    cases = [(rows, c) for c in ([0, 1, 0], [2**31 - 1, 2**31, 1], [COUNTING_CAP, 1, 0])]
+    # x = x + y beside the constant y: from the second round on, x alone changes
+    one_reader = (((None, ((0, None),)), (None, ((1, None),))), ())
+    cases += [(one_reader, c) for c in ([0, 1], [1, 2**61], [COUNTING_CAP, 1])]
+    # 200 is the counting workload's budget
+    for rows, constants in cases:
+        for budget in BUDGETS + (200,):
             assert solver._iterate(COUNTING, rows, constants, budget) == full_rounds(
                 COUNTING, rows, constants, budget
             )
+
+
+@pytest.mark.parametrize("sr", ROW_INSTANCES, ids=lambda sr: sr.name)
+def test_iterate_leaves_constants_and_start_as_given(sr):
+    # a completion step passes its point itself as the constants
+    resumed = 0
+    for rows, constants in iteration_cases(sr, 25):
+        given = list(constants)
+        solver._iterate(sr, rows, constants, None)
+        assert constants == given
+        start = _apply(sr, rows, constants, constants)
+        if start != constants:
+            resumed += 1
+            second = list(start)
+            got = solver._iterate(sr, rows, constants, None, start)
+            assert got == full_rounds(sr, rows, constants, None)
+            assert constants == given and start == second
+    assert resumed
 
 
 @pytest.mark.parametrize("q", [2, 3])
