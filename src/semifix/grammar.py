@@ -15,16 +15,9 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Mapping, Union
 
-from semifix.polynomial import (
-    EquationSystem,
-    InvariantError,
-    Monomial,
-    equation_system,
-    monomial,
-    polynomial,
-)
-from semifix.semiring import Semiring, Value, add, mul_all
-from semifix.solver import DEFAULT_NODE_BUDGET, solve_linear
+from semifix.polynomial import EquationSystem, InvariantError, Monomial, _payload, _word_rows, monomial
+from semifix.semiring import Semiring, Value
+from semifix.solver import DEFAULT_NODE_BUDGET, STABILIZED, _iterate
 
 
 @dataclass(frozen=True)
@@ -268,53 +261,65 @@ def _tree_sums(
     at: Mapping[str, Value] | None,
     node_budget: int,
 ) -> tuple[dict[str, Value], bool]:
-    """`tree_sum` of every nonterminal at once, and whether every layer's solve stabilized."""
+    """`tree_sum` of every nonterminal at once, and whether every layer's solve stabilized.
+
+    The rule words are coded once, a nonterminal as its index and a
+    literal as its payload in a 1-tuple.  Y_k-1, L_k-1 and L_k-2 are
+    payload lists, None below layer 0, where every sum is zero.  Each
+    layer's terms are written as coded words, L and Y values as 1-tuples
+    around the layer's own variables, and solved by `_iterate` on the
+    rows `_word_rows` writes.
+    """
     if not complete_only:
         if at is None:
             raise InvariantError("open trees need an `at` vector for nonterminal leaves")
         if not set(g.nonterminals) <= set(at):
             raise InvariantError("`at` vector must cover every nonterminal")
     sr = g.semiring
-    zero = sr.zero()
-    # Y_k and L_k per nonterminal, by k: layer k reads only Y_k-1, L_k-1
-    # and L_k-2, so no more are kept
-    layers: dict[int, dict[str, Value]] = {}
-    sums: dict[int, dict[str, Value]] = {}
+    zero = sr._zero()
+    index = {x: i for i, x in enumerate(g.nonterminals)}
+    rules = [
+        [tuple(index[s.var] if isinstance(s, Ref) else (_payload(sr, s.value),) for s in word)
+         for word in g.rules[x]]
+        for x in g.nonterminals
+    ]
+    leaves = None if complete_only else [(_payload(sr, at[x]),) for x in g.nonterminals]
+    none = (zero,)
 
-    def exactly(k: int, s: Symbol) -> Value:
-        """Y_k(s) of a literal, or of a nonterminal in a layer already solved."""
-        if isinstance(s, Lit):
-            return s.value if k == 0 else zero
-        return layers[k][s.var] if k >= 0 else zero
+    def at_most(sums, part):
+        """The product of L over `part` as coded coefficients; None is L_-1."""
+        if sums is None:
+            return [none] if part else []
+        return [(sums[s],) if s.__class__ is int else s for s in part]
 
-    def at_most(k: int, word: tuple[Symbol, ...]) -> Value:
-        """The product of L_k over the word."""
-        if k < 0:
-            return zero if word else sr.one()
-        return mul_all(sr, (s.value if isinstance(s, Lit) else sums[k][s.var] for s in word))
+    def exactly(layer, s, k):
+        """Y_k(s) as a coded coefficient, `layer` the payloads of Y_k."""
+        if s.__class__ is int:
+            return none if layer is None else (layer[s],)
+        return s if k == 0 else none
 
+    y = below = lower = None  # Y_k-1, L_k-1, L_k-2
     stabilized = True
     for k in range(dim_bound + 1):
-        rhs = {}
-        for x in g.nonterminals:
-            terms = [monomial(sr, [at[x]])] if k == 0 and not complete_only else []
-            for word in g.rules[x]:
+        words = []
+        for x, rule in enumerate(rules):
+            terms = [(leaves[x],)] if leaves and not k else []
+            for word in rule:
                 for i, s in enumerate(word):
-                    own = s.var if isinstance(s, Ref) else exactly(k, s)
-                    left, right = at_most(k - 1, word[:i]), at_most(k - 1, word[i + 1 :])
-                    terms.append(monomial(sr, [left, own, right]))
+                    own = s if s.__class__ is int or not k else none
+                    terms.append(at_most(below, word[:i]) + [own] + at_most(below, word[i + 1 :]))
                     for j in range(i + 1, len(word)):
-                        pair = [at_most(k - 2, word[:i]), exactly(k - 1, s)]
-                        pair += [at_most(k - 2, word[i + 1 : j]), exactly(k - 1, word[j])]
-                        terms.append(monomial(sr, pair + [at_most(k - 1, word[j + 1 :])]))
-            rhs[x] = polynomial(sr, terms)
-        out = solve_linear(equation_system(sr, g.nonterminals, rhs), node_budget)
-        stabilized = stabilized and out.stabilized
-        layers[k] = out.value
-        sums[k] = {x: add(sums[k - 1][x], v) if k else v for x, v in out.value.items()}
-        layers.pop(k - 1, None)
-        sums.pop(k - 2, None)
-    return (sums[dim_bound] if sums else dict.fromkeys(g.nonterminals, zero)), stabilized
+                        pair = at_most(lower, word[:i]) + [exactly(y, s, k - 1)]
+                        pair += at_most(lower, word[i + 1 : j]) + [exactly(y, word[j], k - 1)]
+                        terms.append(pair + at_most(below, word[j + 1 :]))
+            words.append(terms)
+        layer, status, _ = _iterate(sr, *_word_rows(sr, words), node_budget)
+        stabilized = stabilized and status == STABILIZED
+        sums = layer if below is None else [sr._add(p, q) for p, q in zip(below, layer)]
+        y, below, lower = layer, sums, below
+    if below is None:
+        below = [zero] * len(g.nonterminals)
+    return dict(zip(g.nonterminals, (Value(sr, p) for p in below))), stabilized
 
 
 def decompose(t: DerivationTree, m: int) -> tuple[DerivationTree, list[DerivationTree]]:

@@ -32,20 +32,14 @@ from semifix.polynomial import (
     InvariantError,
     Monomial,
     _apply,
-    equation_system,
+    _payload,
+    _word_rows,
     mono_of_value,
     monomial,
     polynomial,
     substitute_occurrence,
 )
-from semifix.semiring import (
-    Semiring,
-    Value,
-    add_all,
-    make_function_semiring,
-    mul_all,
-    vector_leq,
-)
+from semifix.semiring import Semiring, Value, make_function_semiring, vector_leq
 from semifix.solver import (
     BUDGET_EXHAUSTED,
     STABILIZED,
@@ -53,11 +47,11 @@ from semifix.solver import (
     SequenceOutcome,
     SolveOutcome,
     _chain_step,
+    _iterate,
     completion_via_differential_star,  # re-exported: defined beside newton_step
     kleene_solve,
     newton_step,
     sample_chain,
-    solve_linear,
 )
 
 DEFAULT_EXPANSION_BUDGET = 100_000
@@ -253,38 +247,6 @@ def munchausen_grammar(sys: EquationSystem, n: int) -> LinearCfg:
     return g
 
 
-def _plug_value(
-    sym: LSym, layer: int, b: Mapping[str, Value], solved: Mapping[NonTerm, Value]
-) -> Value:
-    if isinstance(sym, Terminal):
-        return sym.value
-    if isinstance(sym, VarTerminal):
-        return b[sym.var]
-    if sym.index >= layer:
-        raise InvariantError(f"{render_lsym(sym)} is not below layer {layer}")
-    return solved[sym]
-
-
-def _layer_linear(lg, layer, keys, b, solved, budget):
-    """Solve one layer as a linear system over the instance."""
-    sr = lg.semiring
-    names = {nt: f"{nt.var}@{nt.index}" for nt in keys}
-    rhs = {}
-    for nt in keys:
-        monos = []
-        for word in lg.rules[nt]:
-            factors = []
-            for sym in word:
-                if isinstance(sym, NonTerm) and sym.index == layer:
-                    factors.append(names[sym])
-                else:
-                    factors.append(_plug_value(sym, layer, b, solved))
-            monos.append(monomial(sr, factors))
-        rhs[names[nt]] = polynomial(sr, monos)
-    out = solve_linear(equation_system(sr, [names[nt] for nt in keys], rhs), budget)
-    return {nt: out.value[names[nt]] for nt in keys}, out.steps_used, out.stabilized
-
-
 def _layer_expansion(rules, keys, budget, spent):
     """Distinct fully expanded words of one layer per key, breadth first.
 
@@ -326,87 +288,76 @@ def _layer_expansion(rules, keys, budget, spent):
     return words, ok
 
 
-def _word_sum(sr, forms, layer, b, solved) -> Value:
-    """Sum of expanded words, plugs read from b and the solved layers."""
-    return add_all(
-        sr, (mul_all(sr, (_plug_value(s, layer, b, solved) for s in form)) for form in forms)
-    )
-
-
-def _word_rows(sr: Semiring, words_per_variable) -> tuple:
-    """Payload rows summing expanded words, as `EquationSystem.compiled` holds them.
-
-    One row per variable, from its list of finished coded words: a
-    variable index is a variable, a 1-tuple holds a coefficient payload.
-    Each distinct word is its own monomial, so equal products add up;
-    adjacent coefficients are multiplied, a unit coefficient is None,
-    and a word whose product holds a zero is dropped.
-    """
-    mul, zero, one = sr._mul, sr._zero(), sr._one()
-    rows = []
-    for words in words_per_variable:
-        row = []
-        for word in words:
-            coefficients, factors, slot = [], [], None
-            for s in word:
-                if s.__class__ is tuple:
-                    slot = s[0] if slot is None else mul(slot, s[0])
-                else:
-                    coefficients.append(None if slot == one else slot)
-                    factors.append(s)
-                    slot = None
-            coefficients.append(None if slot == one else slot)
-            if zero not in coefficients:
-                row.append((coefficients[0], tuple(zip(factors, coefficients[1:]))))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def evaluate_grammar(
     lg: LinearCfg, b: Mapping[str, Value], budget: int | None = None
 ) -> SolveOutcome:
     """Value vector of a ladder grammar at an argument vector.
 
     Layers are solved bottom up; each layer sees the ones below as
-    finished constants.  Idempotent instances solve each layer as a
-    linear system, others sum the layer's distinct expansions so that
-    repeated words are not double counted: the layer's nonterminals are
-    coded ~k for `_layer_expansion`, every other symbol is a plug.
+    finished constants.  A layer's words are coded once: its own
+    nonterminal k as a variable, every other symbol as a plug (its
+    payload, from b or the solved layers, then the symbol itself, so
+    that distinct symbols of equal value stay distinct words).  An
+    idempotent layer is a linear system, written as payload rows
+    (`_word_rows`) and iterated (`_iterate`).  Other instances sum the
+    layer's distinct expansions so that repeated words are not double
+    counted: k is coded ~k for `_layer_expansion`, and the finished
+    words are summed by `_word_rows`.  b and the layers stay payloads,
+    and the result is wrapped once.
     """
     if lg.level is None:
         raise InvariantError("can only evaluate complete ladders")
     if not set(lg.variables) <= set(b):
         raise InvariantError("argument vector must cover every variable")
-    layers = sorted({nt.index for nt in lg.rules})
-    solved: dict[NonTerm, Value] = {}
+    sr = lg.semiring
+    at = {x: _payload(sr, b[x]) for x in lg.variables}
+    solved: dict[NonTerm, object] = {}
+
+    def plug(s: LSym, layer: int) -> tuple:
+        if isinstance(s, Terminal):
+            return _payload(sr, s.value), s
+        if isinstance(s, VarTerminal):
+            return at[s.var], s
+        if s.index >= layer:
+            raise InvariantError(f"{render_lsym(s)} is not below layer {layer}")
+        return solved[s], s
+
     steps = 0
     status = STABILIZED
     spent = [0]
-    for layer in layers:
+    for layer in sorted({nt.index for nt in lg.rules}):
         keys = [nt for nt in lg.rules if nt.index == layer]
-        if lg.semiring.is_idempotent:
-            values, used, ok = _layer_linear(lg, layer, keys, b, solved, budget)
+        code = {nt: k if sr.is_idempotent else ~k for k, nt in enumerate(keys)}
+        words = [
+            [tuple(code[s] if s in code else plug(s, layer) for s in word) for word in lg.rules[nt]]
+            for nt in keys
+        ]
+        if sr.is_idempotent:
+            rows, constants = _word_rows(sr, words)
+            for nt, row in zip(keys, rows):
+                for _, factors in row:
+                    if len(factors) > 1:
+                        raise InvariantError(
+                            f"a rule for {render_lsym(nt)} has {len(factors)} nonterminals of its layer"
+                        )
+            values, layer_status, used = _iterate(sr, rows, constants, budget)
+            ok = layer_status == STABILIZED
             steps += used
         else:
-            code = {nt: ~k for k, nt in enumerate(keys)}
-            rules = [[tuple(code.get(s, s) for s in word) for word in lg.rules[nt]] for nt in keys]
             words, ok = _layer_expansion(
-                rules,
+                words,
                 range(len(keys)),
                 DEFAULT_EXPANSION_BUDGET if budget is None else budget,
                 spent,
             )
-            values = {
-                nt: _word_sum(lg.semiring, forms, layer, b, solved)
-                for nt, forms in zip(keys, words)
-            }
+            values = _word_rows(sr, words)[1]
             steps = spent[0]
-        solved.update(values)
+        solved.update(zip(keys, values))
         if not ok:
             status = BUDGET_EXHAUSTED
     top = 2**lg.level
     return SolveOutcome(
-        {v: solved[NonTerm(v, top)] for v in lg.variables}, status, steps
+        {v: Value(sr, solved[NonTerm(v, top)]) for v in lg.variables}, status, steps
     )
 
 
@@ -493,8 +444,7 @@ def munchausen_sequence(
         while ok and top < n and spent[0] << (top + 1) <= budget:
             top += 1
     if top >= 0:  # otherwise the chain takes no step
-        sums = _word_rows(sr, words)
-        step = partial(_apply, sr, sums, [sr._zero()] * len(sums))
+        step = partial(_apply, sr, *_word_rows(sr, words))
     return sample_chain(sys, step, b, n, lambda k: 1 << k, top)
 
 

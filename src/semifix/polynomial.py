@@ -9,9 +9,11 @@ constant part.
 
 The work runs on payload rows.  A system is its compiled rows
 (`EquationSystem.compiled`): the parser builds them directly, and a
-system built from `Polynomial`s compiles them once.  `_apply` evaluates
-rows on payload lists in variable order, and `_linearize` turns rows
-into the rows of the completion system at a payload point.  `Value`,
+system built from `Polynomial`s compiles them once.  `_word_rows`
+writes rows and constants from coded words, for the counting chain's
+word sums and the two oracles' layers.  `_apply` evaluates rows on
+payload lists in variable order, and `_linearize` turns rows into the
+rows of the completion system at a payload point.  `Value`,
 `Monomial` and `Polynomial` are the boundary: a system decodes its
 `f` and `a` from the rows only when they are read (`_decode`, the
 inverse of `_compile`), and `eval_rhs`, `differential` and
@@ -412,6 +414,41 @@ def _apply(sr: Semiring, rows: Sequence, constants: Sequence, u: Sequence) -> li
             total = add_p(total, p)
         out.append(total)
     return out
+
+
+def _word_rows(sr: Semiring, words_per_variable: Iterable) -> tuple[tuple, list]:
+    """Payload rows and constants summing coded words, as `_compile` writes them.
+
+    One row and one constant per variable, from its list of coded
+    words: an int is a variable index, a tuple holds a coefficient
+    payload as its first item.  Each distinct word with a variable is
+    its own monomial, so equal products add up; adjacent coefficients
+    are multiplied, a unit coefficient is None, and a word whose product
+    holds a zero is dropped.  A word without a variable adds its
+    product, one when it has no coefficient either, to the constant.
+    """
+    add_p, mul_p, zero, one = sr._add, sr._mul, sr._zero(), sr._one()
+    rows, constants = [], []
+    for words in words_per_variable:
+        row, total = [], zero
+        for word in words:
+            coefficients, factors, slot = [], [], None
+            for s in word:
+                if s.__class__ is tuple:
+                    slot = s[0] if slot is None else mul_p(slot, s[0])
+                else:
+                    coefficients.append(None if slot == one else slot)
+                    factors.append(s)
+                    slot = None
+            if not factors:
+                total = add_p(total, one if slot is None else slot)
+                continue
+            coefficients.append(None if slot == one else slot)
+            if zero not in coefficients:
+                row.append((coefficients[0], tuple(zip(factors, coefficients[1:]))))
+        rows.append(tuple(row))
+        constants.append(total)
+    return tuple(rows), constants
 
 
 def eval_rhs(sys: EquationSystem, v: Mapping[str, Value]) -> dict[str, Value]:
