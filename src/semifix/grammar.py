@@ -268,7 +268,12 @@ def _tree_sums(
     payload lists, None below layer 0, where every sum is zero.  Each
     layer's terms are written as coded words, L and Y values as 1-tuples
     around the layer's own variables, and solved by `_iterate` on the
-    rows `_word_rows` writes.
+    rows `_word_rows` writes.  After a layer k >= 1, when every solve so
+    far stabilized, the sums are final in two cases, and the later
+    layers are not solved: Y_k is zero, since every deeper tree holds a
+    subtree of dimension exactly k, rooted at a nonterminal, whose
+    weight is a factor of its own; or, for complete trees over an
+    idempotent instance, L_k == L_k-1, two equal Newton iterates.
     """
     if not complete_only:
         if at is None:
@@ -317,6 +322,10 @@ def _tree_sums(
         stabilized = stabilized and status == STABILIZED
         sums = layer if below is None else [sr._add(p, q) for p, q in zip(below, layer)]
         y, below, lower = layer, sums, below
+        if k and stabilized and (
+            y.count(zero) == len(y) or complete_only and sr.is_idempotent and below == lower
+        ):
+            break
     if below is None:
         below = [zero] * len(g.nonterminals)
     return dict(zip(g.nonterminals, (Value(sr, p) for p in below))), stabilized

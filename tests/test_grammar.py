@@ -1,5 +1,6 @@
 """Derivation trees: structure, dimension, enumeration, aggregated sums."""
 
+import importlib
 import random
 
 import pytest
@@ -33,8 +34,15 @@ from semifix.polynomial import (
     poly_of_var,
     polynomial,
 )
-from semifix.semiring import BOOLEAN, COUNTING, MIN_PLUS, add_all, relation_semiring
-from semifix.solver import newton_solve
+from semifix.semiring import (
+    BOOLEAN,
+    COUNTING,
+    MIN_PLUS,
+    InstanceMismatchError,
+    add_all,
+    relation_semiring,
+)
+from semifix.solver import kleene_solve, newton_solve
 
 REL2 = relation_semiring(2)
 
@@ -269,6 +277,39 @@ def test_tree_sum_requires_point_for_open_trees():
     # {z} is not a proper subset of {x}, yet it has no value for x
     with pytest.raises(InvariantError, match="cover"):
         tree_sum(g, "x", 1, complete_only=False, at={"z": BOOLEAN.one()})
+
+
+def test_tree_sum_stops_after_a_zero_layer(monkeypatch):
+    # every tree of x = y*y + 1; y = 2; has dimension at most 1, so layer 2 is zero
+    grammar = importlib.import_module("semifix.grammar")
+    solved = []
+    iterate = grammar._iterate
+
+    def counted(*args):
+        solved.append(args)
+        return iterate(*args)
+
+    monkeypatch.setattr(grammar, "_iterate", counted)
+    sys = parse("semiring counting;\nvars x y;\nx = y*y + 1;\ny = 2;\n")
+    assert tree_sum(grammar_with_constants(sys), "x", 10**6) == (COUNTING.value(5), True)
+    assert kleene_solve(sys).value["x"] == COUNTING.value(5)
+    assert len(solved) == 3  # dimension layers 0, 1 and 2
+
+
+def test_tree_sum_does_not_stop_at_a_zero_layer_0():
+    # x -> 2 3 has one tree, of dimension 1: a literal leaf is a subtree of
+    # dimension 0 that no nonterminal sums, so a zero layer 0 ends nothing
+    for sr, left, right, product in ((COUNTING, 2, 3, 6), (BOOLEAN, True, True, True)):
+        g = Cfg(sr, ("x",), {"x": ((Lit(sr.value(left)), Lit(sr.value(right))),)})
+        assert tree_sum(g, "x", 0) == (sr.zero(), True)
+        assert tree_sum(g, "x", 10**6) == (sr.value(product), True)
+
+
+def test_a_foreign_point_for_open_trees_is_an_instance_mismatch():
+    for sr, foreign in ((BOOLEAN, COUNTING.one()), (COUNTING, BOOLEAN.one())):
+        sys = parse(f"semiring {sr.name};\nvars x y;\nx = y;\ny = 1;\n")
+        with pytest.raises(InstanceMismatchError):
+            tree_sum(grammar_of(sys), "x", 1, complete_only=False, at={"x": sr.one(), "y": foreign})
 
 
 def even_dimension_trees(rng, count):
