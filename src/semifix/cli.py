@@ -547,6 +547,7 @@ def _run_grammar(args, sys: EquationSystem) -> int:
         indexed_to_json,
         lincfg_to_json,
         munchausen_grammar,
+        render_lsym,
     )
 
     if args.indexed:
@@ -554,7 +555,7 @@ def _run_grammar(args, sys: EquationSystem) -> int:
 
         def spell(s):
             if isinstance(s, Terminal):
-                return s.value.semiring.render(s.value)
+                return render_lsym(s)
             return f"{s.var}[1.s]" if isinstance(s, NonTerm) else f"{s.var}[s]"
 
         lines = []

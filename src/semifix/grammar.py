@@ -5,8 +5,9 @@ where w(m) spells the monomial out as a word over coefficients and
 variables, units included.  Trees built from these productions carry a
 dimension, a measure of how balanced they are, and their yields multiply
 out to values again.  `tree_sum` sums the yields of the trees of bounded
-dimension exactly, one linear solve per dimension; `enumerate_trees`
-lists small trees one by one, its brute-force reference.
+dimension exactly, one linear solve on payload rows per dimension until
+the sums are final; `enumerate_trees` lists small trees one by one, its
+brute-force reference.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Mapping, Union
 
-from semifix.polynomial import EquationSystem, InvariantError, Monomial, _payload, _word_rows, monomial
+from semifix.polynomial import (
+    EquationSystem,
+    InvariantError,
+    Monomial,
+    _payload,
+    _word_rows,
+    monomial,
+)
 from semifix.semiring import Semiring, Value
 from semifix.solver import DEFAULT_NODE_BUDGET, STABILIZED, _iterate
 
@@ -243,10 +251,11 @@ def tree_sum(
                   Y_{k-1}(s_j) L_{k-1}(s_>j),
 
     where a product over a sequence keeps its order.  Given the layers
-    below it, layer k is a two-sided linear system in Y_k, solved by
-    `solve_linear` within `node_budget` rounds.  The sum is stabilized
-    when every layer's solve stabilized; otherwise it adds up the
-    iterates the exhausted solves reached.
+    below it, layer k is a two-sided linear system in Y_k, iterated on
+    payload rows within `node_budget` rounds; layers past the point
+    where the sums are final are not solved (`_tree_sums`).  The sum is
+    stabilized when every layer's solve stabilized; otherwise it adds up
+    the iterates the exhausted solves reached.
     """
     if root not in g.rules:
         raise InvariantError(f"unknown variable {root!r}")
@@ -263,17 +272,16 @@ def _tree_sums(
 ) -> tuple[dict[str, Value], bool]:
     """`tree_sum` of every nonterminal at once, and whether every layer's solve stabilized.
 
-    The rule words are coded once, a nonterminal as its index and a
-    literal as its payload in a 1-tuple.  Y_k-1, L_k-1 and L_k-2 are
-    payload lists, None below layer 0, where every sum is zero.  Each
-    layer's terms are written as coded words, L and Y values as 1-tuples
-    around the layer's own variables, and solved by `_iterate` on the
-    rows `_word_rows` writes.  After a layer k >= 1, when every solve so
-    far stabilized, the sums are final in two cases, and the later
-    layers are not solved: Y_k is zero, since every deeper tree holds a
-    subtree of dimension exactly k, rooted at a nonterminal, whose
-    weight is a factor of its own; or, for complete trees over an
-    idempotent instance, L_k == L_k-1, two equal Newton iterates.
+    The rule words are coded once: nonterminal i as i, the literals
+    after them.  Y_k-1, L_k-1 and L_k-2 are payload lists over the
+    coded symbols, zero below layer 0; a layer's terms are written as
+    coded words of their payloads around its own variables, and solved
+    by `_iterate` on the rows `_word_rows` writes.  After a layer k >= 1
+    whose solves so far all stabilized, the sums are final, and no later
+    layer is solved, when Y_k is zero (every deeper tree holds a subtree
+    of dimension exactly k, rooted at a nonterminal, and its weight as a
+    factor) or, for complete trees over an idempotent instance, when
+    L_k == L_k-1 (two equal Newton iterates).
     """
     if not complete_only:
         if at is None:
@@ -281,53 +289,46 @@ def _tree_sums(
         if not set(g.nonterminals) <= set(at):
             raise InvariantError("`at` vector must cover every nonterminal")
     sr = g.semiring
-    zero = sr._zero()
+    zero, n = sr._zero(), len(g.nonterminals)
     index = {x: i for i, x in enumerate(g.nonterminals)}
-    rules = [
-        [tuple(index[s.var] if isinstance(s, Ref) else (_payload(sr, s.value),) for s in word)
-         for word in g.rules[x]]
-        for x in g.nonterminals
-    ]
-    leaves = None if complete_only else [(_payload(sr, at[x]),) for x in g.nonterminals]
-    none = (zero,)
+    lits = []  # the payload of each literal occurrence, coded n, n + 1, ...
 
-    def at_most(sums, part):
-        """The product of L over `part` as coded coefficients; None is L_-1."""
-        if sums is None:
-            return [none] if part else []
-        return [(sums[s],) if s.__class__ is int else s for s in part]
+    def code(s: Symbol) -> int:
+        if isinstance(s, Ref):
+            return index[s.var]
+        lits.append(_payload(sr, s.value))
+        return n + len(lits) - 1
 
-    def exactly(layer, s, k):
-        """Y_k(s) as a coded coefficient, `layer` the payloads of Y_k."""
-        if s.__class__ is int:
-            return none if layer is None else (layer[s],)
-        return s if k == 0 else none
+    def plugs(values: list, part: tuple) -> list:
+        return [(values[s],) for s in part]
 
-    y = below = lower = None  # Y_k-1, L_k-1, L_k-2
+    rules = [[tuple(map(code, word)) for word in g.rules[x]] for x in g.nonterminals]
+    leaves = [] if complete_only else [((_payload(sr, at[x]),),) for x in g.nonterminals]
+    none = [zero] * len(lits)
+    y = below = lower = [zero] * (n + len(lits))  # Y_k-1, L_k-1, L_k-2
     stabilized = True
     for k in range(dim_bound + 1):
+        own = none if k else lits  # Y_k of the literals
         words = []
         for x, rule in enumerate(rules):
-            terms = [(leaves[x],)] if leaves and not k else []
+            terms = [leaves[x]] if leaves and not k else []
             for word in rule:
                 for i, s in enumerate(word):
-                    own = s if s.__class__ is int or not k else none
-                    terms.append(at_most(below, word[:i]) + [own] + at_most(below, word[i + 1 :]))
+                    mid = s if s < n else (own[s - n],)
+                    terms.append(plugs(below, word[:i]) + [mid] + plugs(below, word[i + 1 :]))
                     for j in range(i + 1, len(word)):
-                        pair = at_most(lower, word[:i]) + [exactly(y, s, k - 1)]
-                        pair += at_most(lower, word[i + 1 : j]) + [exactly(y, word[j], k - 1)]
-                        terms.append(pair + at_most(below, word[j + 1 :]))
+                        pair = plugs(lower, word[:i]) + [(y[s],)] + plugs(lower, word[i + 1 : j])
+                        terms.append(pair + [(y[word[j]],)] + plugs(below, word[j + 1 :]))
             words.append(terms)
         layer, status, _ = _iterate(sr, *_word_rows(sr, words), node_budget)
         stabilized = stabilized and status == STABILIZED
-        sums = layer if below is None else [sr._add(p, q) for p, q in zip(below, layer)]
-        y, below, lower = layer, sums, below
-        if k and stabilized and (
-            y.count(zero) == len(y) or complete_only and sr.is_idempotent and below == lower
-        ):
+        sums = [sr._add(p, q) for p, q in zip(below, layer)]
+        final = k and stabilized and (
+            layer.count(zero) == n or complete_only and sr.is_idempotent and sums == below[:n]
+        )
+        y, below, lower = layer + own, sums + lits, below
+        if final:
             break
-    if below is None:
-        below = [zero] * len(g.nonterminals)
     return dict(zip(g.nonterminals, (Value(sr, p) for p in below))), stabilized
 
 

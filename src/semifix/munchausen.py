@@ -16,7 +16,8 @@ Without idempotence a layer's value sums its distinct words, which one
 breadth-first kernel lists (`_layer_expansion`) over coded words: a
 negative int ~k is the spine symbol of key k, anything else a plug.
 The counting chain codes the system's payload rows directly, and the
-ladder codes its grammar symbols.
+ladder codes its grammar symbols with their payloads; both write the
+finished words as rows with `polynomial._word_rows`.
 """
 
 from __future__ import annotations
@@ -293,17 +294,13 @@ def evaluate_grammar(
 ) -> SolveOutcome:
     """Value vector of a ladder grammar at an argument vector.
 
-    Layers are solved bottom up; each layer sees the ones below as
-    finished constants.  A layer's words are coded once: its own
-    nonterminal k as a variable, every other symbol as a plug (its
-    payload, from b or the solved layers, then the symbol itself, so
-    that distinct symbols of equal value stay distinct words).  An
-    idempotent layer is a linear system, written as payload rows
-    (`_word_rows`) and iterated (`_iterate`).  Other instances sum the
-    layer's distinct expansions so that repeated words are not double
-    counted: k is coded ~k for `_layer_expansion`, and the finished
-    words are summed by `_word_rows`.  b and the layers stay payloads,
-    and the result is wrapped once.
+    Layers are solved bottom up on payloads; each sees the ones below
+    as finished constants.  A layer's words are coded once: its own
+    nonterminal k as k, every other symbol as a plug (payload, number of
+    the symbol), so that symbols of equal value stay distinct words.  Idempotent
+    instances iterate the layer's rows (`_word_rows`) as a linear
+    system; others sum its distinct expansions, k coded ~k for
+    `_layer_expansion`, so that repeated words are not double counted.
     """
     if lg.level is None:
         raise InvariantError("can only evaluate complete ladders")
@@ -312,15 +309,18 @@ def evaluate_grammar(
     sr = lg.semiring
     at = {x: _payload(sr, b[x]) for x in lg.variables}
     solved: dict[NonTerm, object] = {}
+    ids: dict[LSym, int] = {}
 
     def plug(s: LSym, layer: int) -> tuple:
         if isinstance(s, Terminal):
-            return _payload(sr, s.value), s
-        if isinstance(s, VarTerminal):
-            return at[s.var], s
-        if s.index >= layer:
+            p = _payload(sr, s.value)
+        elif isinstance(s, VarTerminal):
+            p = at[s.var]
+        elif s.index >= layer:
             raise InvariantError(f"{render_lsym(s)} is not below layer {layer}")
-        return solved[s], s
+        else:
+            p = solved[s]
+        return p, ids.setdefault(s, len(ids))
 
     steps = 0
     status = STABILIZED
@@ -334,12 +334,8 @@ def evaluate_grammar(
         ]
         if sr.is_idempotent:
             rows, constants = _word_rows(sr, words)
-            for nt, row in zip(keys, rows):
-                for _, factors in row:
-                    if len(factors) > 1:
-                        raise InvariantError(
-                            f"a rule for {render_lsym(nt)} has {len(factors)} nonterminals of its layer"
-                        )
+            if any(len(factors) > 1 for row in rows for _, factors in row):
+                raise InvariantError(f"a rule of layer {layer} holds two nonterminals of its layer")
             values, layer_status, used = _iterate(sr, rows, constants, budget)
             ok = layer_status == STABILIZED
             steps += used
@@ -553,7 +549,7 @@ def completion_function_table(
 def lincfg_to_json(lg: LinearCfg) -> dict:
     def sym(s: LSym):
         if isinstance(s, Terminal):
-            return {"kind": "value", "value": s.value.semiring.render(s.value)}
+            return {"kind": "value", "value": render_lsym(s)}
         if isinstance(s, VarTerminal):
             return {"kind": "variable", "name": s.var}
         return {"kind": "nonterminal", "var": s.var, "index": s.index}
@@ -575,7 +571,7 @@ def lincfg_to_json(lg: LinearCfg) -> dict:
 def indexed_to_json(ig: IndexedGrammar) -> dict:
     def sym(s: LSym):
         if isinstance(s, Terminal):
-            return {"kind": "value", "value": s.value.semiring.render(s.value)}
+            return {"kind": "value", "value": render_lsym(s)}
         if isinstance(s, VarTerminal):
             return {"kind": "variable", "name": s.var, "stack": "pop"}
         return {"kind": "spine", "name": s.var, "stack": "keep"}

@@ -46,10 +46,12 @@ from semifix.polynomial import (
     poly_of_var,
     polynomial,
 )
+from semifix.grammar import grammar_of, grammar_with_constants, tree_sum
 from semifix.semiring import (
     BOOLEAN,
     COUNTING,
     MIN_PLUS,
+    InstanceMismatchError,
     relation_semiring,
     vector_eq,
 )
@@ -484,6 +486,54 @@ def test_evaluate_rejects_fragments_and_partial_vectors():
     one = BOOLEAN.one()
     with pytest.raises(InvariantError, match="cover"):
         evaluate_grammar(linear_completion_grammar(xy), {"x": one, "z": one})
+
+
+def test_idempotent_ladder_layers_must_be_linear():
+    # x^1 -> x^1 x^1 | x is quadratic in its own layer, which no ladder is
+    x1 = NonTerm("x", 1)
+    lg = LinearCfg(BOOLEAN, ("x",), 0, {x1: ((x1, x1), (VarTerminal("x"),))})
+    with pytest.raises(InvariantError, match="two nonterminals of its layer"):
+        evaluate_grammar(lg, {"x": BOOLEAN.one()})
+
+
+def test_a_foreign_start_value_for_a_ladder_is_an_instance_mismatch():
+    boolean = parse("semiring boolean;\nvars x y;\nx = y;\ny = 1;\n")
+    for sys, foreign in ((boolean, COUNTING.one()), (counting_chain(), BOOLEAN.one())):
+        b = {**sys.a, sys.variables[-1]: foreign}
+        with pytest.raises(InstanceMismatchError):
+            evaluate_grammar(munchausen_grammar(sys, 1), b)
+
+
+def test_counting_ladder_keeps_plugs_of_equal_value_apart():
+    # y and z both read 1, yet 1 y 1 and 1 z 1 are two words of x's layer
+    sys = parse("semiring counting;\nvars x y z;\nx = y + z;\ny = 1;\nz = 1;\n")
+    seq = munchausen_sequence(sys, 1)
+    for k in range(2):
+        got = evaluate_grammar(munchausen_grammar(sys, k), dict(sys.a)).value
+        assert got == seq.iterates[k] and got["x"] == COUNTING.value(2 * k + 2)
+
+
+def test_oracles_make_no_value_level_arithmetic(monkeypatch):
+    boolean = parse("semiring boolean;\nvars x y;\nx = x*y + 1;\ny = x*x;\n")
+    ladders = [(munchausen_grammar(sys, 2), dict(sys.a)) for sys in (boolean, counting_chain())]
+    trees = [
+        (grammar_with_constants(sys), grammar_of(sys), dict(sys.a))
+        for sys in (boolean, counting_chain())
+    ]
+
+    def forbidden(*args):
+        raise AssertionError("Value-level arithmetic in an oracle")
+
+    # the package exports a function named polynomial, which hides the module
+    for module in ("semiring", "polynomial", "grammar"):
+        module = importlib.import_module(f"semifix.{module}")
+        for name in ("add", "mul"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    for lg, b in ladders:
+        assert evaluate_grammar(lg, b).stabilized
+    for complete, open_trees, at in trees:
+        assert tree_sum(complete, "x", 3).stabilized
+        assert tree_sum(open_trees, "x", 3, complete_only=False, at=at).stabilized
 
 
 def test_function_table_matches_pointwise_evaluation():

@@ -15,6 +15,7 @@ from semifix.polynomial import (
     InvariantError,
     _apply,
     _linearize,
+    _word_rows,
     differential_full,
     equation_system,
     eval_poly,
@@ -33,6 +34,7 @@ from semifix.semiring import (
     MIN_PLUS,
     BooleanSemiring,
     InstanceMismatchError,
+    Value,
     add,
     make_function_semiring,
     relation_semiring,
@@ -500,6 +502,34 @@ def test_iterate_equals_full_rounds_on_counting_cycles():
             assert solver._iterate(COUNTING, rows, constants, budget) == full_rounds(
                 COUNTING, rows, constants, budget
             )
+
+
+@pytest.mark.parametrize("sr", ROW_INSTANCES, ids=lambda sr: sr.name)
+def test_word_rows_compile_as_the_equivalent_system(sr):
+    # words without a variable, of units only, with a zero, and with adjacent
+    # coefficients, whose order matters over relation[q]
+    rng = random.Random(229)
+    zero, one = sr._zero(), sr._one()
+    for _ in range(60):
+        names = [f"x{j}" for j in range(rng.randint(1, 4))]
+
+        def symbol():
+            if rng.random() < 0.35:
+                return rng.randrange(len(names))
+            return (rng.choice((zero, one, random_payload(sr, rng), random_payload(sr, rng))),)
+
+        words = [
+            [tuple(symbol() for _ in range(rng.randint(0, 5))) for _ in range(rng.randint(0, 4))]
+            for _ in names
+        ]
+
+        def factors(word):
+            return [names[s] if s.__class__ is int else Value(sr, s[0]) for s in word]
+
+        rhs = {
+            x: polynomial(sr, [monomial(sr, factors(w)) for w in ws]) for x, ws in zip(names, words)
+        }
+        assert _word_rows(sr, words) == equation_system(sr, names, rhs).compiled
 
 
 @pytest.mark.parametrize("sr", ROW_INSTANCES, ids=lambda sr: sr.name)
