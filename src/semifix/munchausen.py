@@ -296,10 +296,10 @@ def evaluate_grammar(
 
     Layers are solved bottom up on payloads; each sees the ones below
     as finished constants.  A layer's words are coded once: its own
-    nonterminal k as k, every other symbol as a plug (payload, number of
-    the symbol), so that symbols of equal value stay distinct words.  Idempotent
-    instances iterate the layer's rows (`_word_rows`) as a linear
-    system; others sum its distinct expansions, k coded ~k for
+    nonterminal k as k, every other symbol as a plug (payload, number
+    of the symbol), so that symbols of equal value stay distinct words.
+    Idempotent instances iterate the layer's rows (`_word_rows`) as a
+    linear system; others sum its distinct expansions, k coded ~k for
     `_layer_expansion`, so that repeated words are not double counted.
     """
     if lg.level is None:
