@@ -239,6 +239,19 @@ RECORDED_TEXTS = {
     ),
     # words that two derivations spell alike count once: x's layer takes 8 expansions
     "counting-duplicate-words": "semiring counting;\nvars x y z;\nx = y*y + y*y;\ny = z + z*1;\nz = 2;\n",
+    # texts that split on ";", "=", "+" and "*" into pieces that are not whole
+    # tokens: a blank str.split skips and the format does not, a name list with
+    # a number or a comma, two "=", an empty statement, text after the last
+    # ";", a "+" inside a bracket, two header numbers; "02" reads as 2
+    "file-separator": "semiring boolean;\x1cvars x;\nx = 1;\n",
+    "vars-number": "semiring boolean;\nvars 1 x;\nx = 1;\n",
+    "vars-comma": "semiring boolean;\nvars x,y;\nx = 1;\ny = 1;\n",
+    "two-equals": "semiring boolean;\nvars x;\nx = 1 = 0;\n",
+    "empty-statement": "semiring boolean;\nvars x;\nx = 1;;\n",
+    "trailing-text": "semiring boolean;\nvars x y;\nx = 1; y",
+    "relation-plus": "semiring relation 2;\nvars x;\nx = [[0,1]+[1,0]]*x;\n",
+    "header-two-numbers": "semiring relation 2 3;\nvars x;\nx = [[0,1],[1,0]]*x;\n",
+    "header-leading-zero": "semiring relation 02;\nvars x;\nx = [[0,1],[1,0]]*x + [[1,0],[0,0]];\n",
 }
 
 
