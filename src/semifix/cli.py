@@ -93,15 +93,16 @@ _TOKEN_PATTERN = r"""
 _ASCII_TOKEN = re.compile(_TOKEN_PATTERN.format(alpha="", digit="", alnum=""), re.VERBOSE)
 _BRACKET = re.compile(r"[\[\]]")
 
-# The common case, scanned without offsets: ASCII text of tokens and
-# blanks, with no comment, no blank inside a bracket and no bracket
-# nested deeper than two levels.  findall skips whatever no token
-# matches, so a text is in this case exactly when what it skipped was
-# blanks only, that is, when the tokens joined are the text without its
-# blanks.  In this case the tokens are the ones `_scan` yields.
-_PLAIN_TOKEN = re.compile(r"[=+*;]|[A-Za-z_][A-Za-z0-9_-]*|[0-9]+|\[(?:[^\[\]]|\[[^\[\]]*\])*\]")
-_DELETE_BLANKS = str.maketrans("", "", " \t\r\n")
 _NOT_LITERAL = frozenset(("=", "+", "*", ";", ""))  # punctuation and the end
+
+# The header and `vars` list of a plain text (`_read_plain`)
+_BLANKS = " \t\r\n"
+_NAME = "[A-Za-z_][A-Za-z0-9_-]*"
+_PLAIN_HEAD = re.compile(
+    rf"[{_BLANKS}]*semiring[{_BLANKS}]+({_NAME})(?:[{_BLANKS}]+([0-9]+))?[{_BLANKS}]*;"
+    rf"[{_BLANKS}]*vars((?:[{_BLANKS}]+{_NAME})+)[{_BLANKS}]*;"
+)
+_FACTOR_KINDS = ("name", "number", "matrix")
 
 
 def _token_pattern(text: str) -> re.Pattern:
@@ -163,20 +164,11 @@ def _scan(text: str, filename: str) -> list[tuple[str, int]]:
 
 
 def _tokenize(text: str, filename: str) -> list[str]:
-    """The tokens of a system as strings, closed by the end token "".
+    """`_scan`'s tokens without their offsets, closed by the end token "".
 
-    A token's kind shows in its first character: one of "=+*;" for
-    punctuation, "[" for a matrix, a digit for a number, a letter or "_"
-    for a name.  The common case (see _PLAIN_TOKEN) takes one findall;
-    any other text goes through `_scan`, which raises where the text
-    holds no token.  Offsets are left to `_scan` as well: it yields the
-    same tokens, so token i of this list is token i of the scan.
+    A token's kind shows in its first character: "=+*;" for punctuation,
+    "[" for a matrix, a digit for a number, a letter or "_" for a name.
     """
-    if text.isascii():
-        tokens = _PLAIN_TOKEN.findall(text)
-        if "".join(tokens) == text.translate(_DELETE_BLANKS):
-            tokens.append("")
-            return tokens
     return [token for token, _ in _scan(text, filename)]
 
 
@@ -185,22 +177,113 @@ def _is_name(token: str) -> bool:
     return first.isalpha() or first == "_"
 
 
+def _rows(sr, equations: list, index: dict, literals: dict, read) -> tuple[tuple, list]:
+    """The payload rows and constants of equations, per variable the words of each product.
+
+    A word is a variable of `index` or a literal, whose payload `literals`
+    holds or `read` gives.  Adjacent coefficients are multiplied with
+    `_mul`; a monomial is the row entry (c0, ((variable index, c1), ...))
+    of `EquationSystem.compiled`, a unit coefficient None, and is dropped
+    if a coefficient is zero; constant products are summed in order.
+    """
+    mul, add, zero, one = sr._mul, sr._add, sr._zero(), sr._one()
+    rows, constants = [], []
+    for products in equations:
+        monomials, constant = [], zero
+        for words in products:
+            c0 = slot = last = None  # slot: the coefficient read since `last`, a variable index
+            pairs = []
+            live = True  # no coefficient is zero
+            for word in words:
+                j = index.get(word)
+                if j is None:
+                    p = literals.get(word)
+                    if p is None:
+                        p = literals[word] = read(word)
+                    slot = p if slot is None else mul(slot, p)
+                    continue
+                if slot is not None:
+                    if slot == one:
+                        slot = None
+                    elif slot == zero:
+                        live = False
+                if last is None:
+                    c0 = slot
+                else:
+                    pairs.append((last, slot))
+                last, slot = j, None
+            if last is None:
+                if slot != zero:
+                    constant = add(constant, slot)
+            elif live and slot != zero:
+                pairs.append((last, None if slot == one else slot))
+                monomials.append((c0, tuple(pairs)))
+        rows.append(tuple(monomials))
+        constants.append(constant)
+    return tuple(rows), constants
+
+
+def _read_plain(text: str, literals: dict) -> EquationSystem | None:
+    """The system of a plain text, split on ";", "=", "+" and "*", or None if it is not plain.
+
+    Plain is ASCII with no "#": a header that `_PLAIN_HEAD` matches and
+    `instance_by_name` takes, distinct variables, then one `VARIABLE =
+    PRODUCT + ...;` per variable, a product `FACTOR*FACTOR...` of
+    variables and single name, number or matrix tokens (`_ASCII_TOKEN`)
+    that `Semiring._parse` reads.  Pieces are stripped of the format's
+    blanks, " \t\r\n": any other blank stays and fails these tests.
+    `literals` keeps the literals read, for the token loop too.
+    """
+    if "#" in text or not text.isascii() or (head := _PLAIN_HEAD.match(text)) is None:
+        return None
+    name, digits, names = head.groups()
+    variables = names.split()
+    n = len(variables)
+    index = {x: j for j, x in enumerate(variables)}
+    statements = text.split(";")[2:]
+    if len(index) != n or len(statements) != n + 1 or statements.pop().strip(_BLANKS):
+        return None
+    try:
+        sr = instance_by_name(name, None if digits is None else int(digits))
+    except ValueError:
+        return None
+    equations = [None] * n
+    for statement in statements:
+        lhs, equals, rhs = statement.partition("=")
+        j = index.get(lhs.strip(_BLANKS))
+        if j is None or not equals or equations[j] is not None:
+            return None
+        equations[j] = [[w.strip(_BLANKS) for w in term.split("*")] for term in rhs.split("+")]
+
+    def read(word):
+        token = _ASCII_TOKEN.fullmatch(word)
+        if token is None or token.lastgroup not in _FACTOR_KINDS:
+            raise ValueError(f"{word!r} is not one token")
+        return sr._parse(word)
+
+    try:
+        rows, constants = _rows(sr, equations, index, literals, read)
+    except ValueError:
+        return None
+    return EquationSystem._of_rows(sr, tuple(variables), rows, constants)
+
+
 def parse(text: str, filename: str = "<input>") -> EquationSystem:
     """Read a system from its textual form, in one pass from text to payload rows.
 
-    `_tokenize` splits the text into token strings.  The parser then
-    reads each distinct literal once per call (`Semiring._parse` gives a
-    checked payload), multiplies adjacent coefficients with the
-    instance's `_mul`, drops a monomial whose payload product holds a
-    zero, and writes each monomial as the row entry (c0, ((variable
-    index, c1), ...)) that `EquationSystem.compiled` holds, a unit
-    coefficient as None.  Constant monomials are summed into the constant
-    payload in order.  The system is built from those rows
+    A plain text, as `render` writes it, is split (`_read_plain`); the
+    token loop below reads any other text from `_tokenize`'s strings.
+    Both give each product's words to `_rows`, which reads each literal
+    once per call, and build the system from its payload rows
     (`EquationSystem._of_rows`), so no `Value`, `Monomial` or `Polynomial`
     is made until a caller reads `f` or `a`.  An `EquationSyntaxError` is
     pinned to the line and column of the offending token, whose offset
     `_scan` gives only when one is raised.
     """
+    literals: dict[str, object] = {}  # literal text -> payload, for this call only
+    system = _read_plain(text, literals)
+    if system is not None:
+        return system
     tokens = _tokenize(text, filename)
 
     def fail(message: str, i: int):
@@ -245,69 +328,45 @@ def parse(text: str, filename: str = "<input>") -> EquationSystem:
     i += 1
 
     index = {x: j for j, x in enumerate(variables)}
-    mul, add, zero, one = sr._mul, sr._add, sr._zero(), sr._one()
-    literals: dict[str, object] = {}  # literal text -> payload, for this call only
-    rows: dict[str, tuple] = {}
-    constants: dict[str, object] = {}
+    equations: dict[str, list] = {}  # variable -> the words of each product
     lhs = tokens[i]
     while lhs:
         if lhs not in index:
             if not _is_name(lhs):
                 expected("a variable", i)
             fail(f"undeclared variable {lhs}", i)
-        if lhs in rows:
+        if lhs in equations:
             fail(f"second equation for {lhs}", i)
         if tokens[i + 1] != "=":
             expected("'='", i + 1)
         i += 2
-        monomials = []
-        constant = zero
-        while True:  # one monomial per pass
-            coefficients = []  # payloads, None for a unit
-            factors = []  # variable indices
-            slot = None
-            while True:  # one factor per pass
-                word = tokens[i]
-                j = index.get(word)
-                if j is not None:
-                    coefficients.append(None if slot == one else slot)
-                    factors.append(j)
-                    slot = None
-                elif word not in _NOT_LITERAL:
-                    p = literals.get(word)
-                    if p is None:
-                        try:
-                            p = literals[word] = sr._parse(word)
-                        except ValueError as exc:
-                            fail(f"not a variable or {sr.name} literal: {exc}", i)
-                    slot = p if slot is None else mul(slot, p)
-                else:
-                    fail("expected a variable or literal", i)
-                i += 1
-                if tokens[i] != "*":
-                    break
-                i += 1
-            if factors:
-                coefficients.append(None if slot == one else slot)
-                if zero not in coefficients:
-                    monomials.append((coefficients[0], tuple(zip(factors, coefficients[1:]))))
-            elif slot != zero:
-                constant = add(constant, slot)
-            if tokens[i] != "+":
+        products = [[]]
+        while True:  # one factor per pass
+            word = tokens[i]
+            if word in _NOT_LITERAL:
+                fail("expected a variable or literal", i)
+            if word not in index and word not in literals:
+                try:
+                    literals[word] = sr._parse(word)
+                except ValueError as exc:
+                    fail(f"not a variable or {sr.name} literal: {exc}", i)
+            products[-1].append(word)
+            i += 1
+            if tokens[i] == "+":
+                products.append([])
+            elif tokens[i] != "*":
                 break
             i += 1
         if tokens[i] != ";":
             expected("';'", i)
         i += 1
-        rows[lhs] = tuple(monomials)
-        constants[lhs] = constant
+        equations[lhs] = products
         lhs = tokens[i]
-    missing = [v for v in variables if v not in rows]
+    missing = [v for v in variables if v not in equations]
     if missing:
         fail(f"no equation for {', '.join(missing)}", i)
-    return EquationSystem._of_rows(
-        sr, tuple(variables), tuple(rows[x] for x in variables), [constants[x] for x in variables]
-    )
+    rows, constants = _rows(sr, [equations[x] for x in variables], index, literals, sr._parse)
+    return EquationSystem._of_rows(sr, tuple(variables), rows, constants)
 
 
 def render(sys: EquationSystem) -> str:

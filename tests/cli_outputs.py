@@ -96,8 +96,8 @@ def invocations(corpus, systems: dict[str, int], directory: Path, commutative) -
 
 # Invocations of the recording that the corpus commands do not reach:
 # the argument shapes that stop before a file is read, small files that
-# the tokenizer and the parser reject or read on a special path, and
-# budgets just below and at the round where an iteration stops.
+# the parser rejects or that its plain reader leaves to the token loop,
+# and budgets just below and at the round where an iteration stops.
 RECORDED_FILE = "kleene-scalar/0000.sfx"
 RECORDED_ARGV = (
     [],

@@ -350,6 +350,17 @@ FIXED_CASES = [
     "semiring 2; vars x; x = 1;",
     "semiring boolean; vars semiring; semiring = semiring*semiring + 1;",
     "semiring min-plus; vars inf; inf = inf + 1;",
+    # one text per way the plain reader declines, and blanks around "*", which it reads
+    "semiring boolean;\x1cvars x; x = 1;",
+    "semiring boolean; vars 1 x; x = 1;",
+    "semiring boolean; vars x,y; x = 1; y = 1;",
+    "semiring boolean; vars x; x = 1 = 0;",
+    "semiring boolean; vars x; x = 1;;",
+    "semiring boolean; vars x y; x = 1; y",
+    "semiring relation 2; vars x; x = [[0,1]+[1,0]]*x;",
+    "semiring relation 2 3; vars x; x = [[0,1],[1,0]]*x;",
+    "semiring relation 02; vars x; x = [[0,1],[1,0]]*x + [[1,0],[0,0]];",
+    "semiring boolean; vars x y; x = y * y + 1; y = 1;",
 ]
 
 
@@ -387,16 +398,12 @@ def _scanned(text, filename):
     return [token for token, _ in _scan(text, filename)]
 
 
-def test_string_tokens_are_the_scanned_tokens(monkeypatch):
-    # The parser reads cli._tokenize's strings and takes an error's offset
-    # from token i of cli._scan, so the two must agree token for token, and fail alike.
-    scanned = []
-
-    def counted_scan(text, filename):
-        scanned.append(text)
-        return _scan(text, filename)
-
-    monkeypatch.setattr(cli, "_scan", counted_scan)
+def test_the_plain_reader_declines_or_reads_as_the_token_loop(monkeypatch):
+    # The token loop reads cli._tokenize's strings and takes an error's offset
+    # from token i of cli._scan, so the two must agree token for token, and fail
+    # alike.  The plain reader must decline a text or build the token loop's rows.
+    read_plain = cli._read_plain
+    monkeypatch.setattr(cli, "_read_plain", lambda text, literals: None)
     rng = random.Random(41)
     texts = seeded_texts(43, 6) + FIXED_CASES + ["  ", "x  # c\n  ", "x;\n\n", "#"]
     for text in list(texts):
@@ -404,10 +411,29 @@ def test_string_tokens_are_the_scanned_tokens(monkeypatch):
             k = rng.randrange(len(text) + 1)
             texts.append(text[:k] + rng.choice(MUTANT_ALPHABET) + text[k:])
     kinds = set()
+    read = set()
     for text in texts:
         got = _token_outcome(cli._tokenize, text)
         assert got == _token_outcome(_scanned, text), text
         kinds.add(got[0] if isinstance(got, tuple) else "ok")
+        plain = read_plain(text, {})
+        if plain is not None:
+            assert plain == parse(text) and plain.compiled == parse(text).compiled, text
+        read.add(plain is not None)
     assert kinds == {"ok", "syntax"}
-    # both the one-findall case and the scan's own case were compared
-    assert 0 < len(set(scanned)) < len(set(texts))
+    # both texts the reader reads and texts it leaves to the token loop were compared
+    assert read == {True, False}
+
+
+def test_rendered_texts_never_reach_the_token_loop(monkeypatch):
+    def token_loop(text, filename):
+        raise AssertionError(f"the token loop read {text!r}")
+
+    monkeypatch.setattr(cli, "_tokenize", token_loop)
+    rng = random.Random(47)
+    texts = ["semiring counting;\nvars x y z;\nx = y*y;\ny = z;\nz = 2;\n"]  # the README chain
+    for sr in (BOOLEAN, MIN_PLUS, COUNTING, *map(relation_semiring, (1, 2, 3, 4, 8, 9, 16))):
+        for _ in range(15):
+            texts.append(render(random_system(sr, rng, rng.randint(1, 6))))
+    for text in texts:
+        assert render(parse(text)) == text
