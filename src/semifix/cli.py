@@ -95,7 +95,7 @@ _BRACKET = re.compile(r"[\[\]]")
 
 _NOT_LITERAL = frozenset(("=", "+", "*", ";", ""))  # punctuation and the end
 
-# The header and `vars` list of a plain text (`_read_plain`)
+# What `_read_plain` takes: blanks, header and `vars` list, and factor token kinds
 _BLANKS = " \t\r\n"
 _NAME = "[A-Za-z_][A-Za-z0-9_-]*"
 _PLAIN_HEAD = re.compile(

@@ -417,8 +417,8 @@ def test_the_plain_reader_declines_or_reads_as_the_token_loop(monkeypatch):
         assert got == _token_outcome(_scanned, text), text
         kinds.add(got[0] if isinstance(got, tuple) else "ok")
         plain = read_plain(text, {})
-        if plain is not None:
-            assert plain == parse(text) and plain.compiled == parse(text).compiled, text
+        if plain is not None:  # equal systems have equal instances, variables and rows
+            assert plain == parse(text), text
         read.add(plain is not None)
     assert kinds == {"ok", "syntax"}
     # both texts the reader reads and texts it leaves to the token loop were compared
