@@ -252,6 +252,8 @@ RECORDED_TEXTS = {
     "relation-plus": "semiring relation 2;\nvars x;\nx = [[0,1]+[1,0]]*x;\n",
     "header-two-numbers": "semiring relation 2 3;\nvars x;\nx = [[0,1],[1,0]]*x;\n",
     "header-leading-zero": "semiring relation 02;\nvars x;\nx = [[0,1],[1,0]]*x + [[1,0],[0,0]];\n",
+    # a header parameter longer than the 4,300 digits int() reads from a string
+    "header-long-parameter": "semiring relation " + "9" * 5000 + ";\nvars x;\nx = x;\n",
 }
 
 
