@@ -41,6 +41,7 @@ from functools import lru_cache
 from semifix.polynomial import (
     EquationSystem,
     InvariantError,
+    _word_rows,
     render_polynomial,
     rhs_poly,
 )
@@ -177,52 +178,6 @@ def _is_name(token: str) -> bool:
     return first.isalpha() or first == "_"
 
 
-def _rows(sr, equations: list, index: dict, literals: dict, read) -> tuple[tuple, list]:
-    """The payload rows and constants of equations, per variable the words of each product.
-
-    A word is a variable of `index` or a literal, whose payload `literals`
-    holds or `read` gives.  Adjacent coefficients are multiplied with
-    `_mul`; a monomial is the row entry (c0, ((variable index, c1), ...))
-    of `EquationSystem.compiled`, a unit coefficient None, and is dropped
-    if a coefficient is zero; constant products are summed in order.
-    """
-    mul, add, zero, one = sr._mul, sr._add, sr._zero(), sr._one()
-    rows, constants = [], []
-    for products in equations:
-        monomials, constant = [], zero
-        for words in products:
-            c0 = slot = last = None  # slot: the coefficient read since `last`, a variable index
-            pairs = []
-            live = True  # no coefficient is zero
-            for word in words:
-                j = index.get(word)
-                if j is None:
-                    p = literals.get(word)
-                    if p is None:
-                        p = literals[word] = read(word)
-                    slot = p if slot is None else mul(slot, p)
-                    continue
-                if slot is not None:
-                    if slot == one:
-                        slot = None
-                    elif slot == zero:
-                        live = False
-                if last is None:
-                    c0 = slot
-                else:
-                    pairs.append((last, slot))
-                last, slot = j, None
-            if last is None:
-                if slot != zero:
-                    constant = add(constant, slot)
-            elif live and slot != zero:
-                pairs.append((last, None if slot == one else slot))
-                monomials.append((c0, tuple(pairs)))
-        rows.append(tuple(monomials))
-        constants.append(constant)
-    return tuple(rows), constants
-
-
 def _read_plain(text: str, literals: dict) -> EquationSystem | None:
     """The system of a plain text, split on ";", "=", "+" and "*", or None if it is not plain.
 
@@ -232,7 +187,7 @@ def _read_plain(text: str, literals: dict) -> EquationSystem | None:
     variables and single name, number or matrix tokens (`_ASCII_TOKEN`)
     that `Semiring._parse` reads.  Pieces are stripped of the format's
     blanks, " \t\r\n": any other blank stays and fails these tests.
-    `literals` keeps the literals read, for the token loop too.
+    `literals` keeps the literals read, coded, for the token loop too.
     """
     if "#" in text or not text.isascii() or (head := _PLAIN_HEAD.match(text)) is None:
         return None
@@ -247,25 +202,32 @@ def _read_plain(text: str, literals: dict) -> EquationSystem | None:
         sr = instance_by_name(name, None if digits is None else int(digits))
     except ValueError:
         return None
-    equations = [None] * n
-    for statement in statements:
-        lhs, equals, rhs = statement.partition("=")
-        j = index.get(lhs.strip(_BLANKS))
-        if j is None or not equals or equations[j] is not None:
-            return None
-        equations[j] = [[w.strip(_BLANKS) for w in term.split("*")] for term in rhs.split("+")]
+    codes = dict(index)  # word -> its code: a variable's index, a literal's 1-tuple
 
-    def read(word):
+    def code(word):
         token = _ASCII_TOKEN.fullmatch(word)
         if token is None or token.lastgroup not in _FACTOR_KINDS:
             raise ValueError(f"{word!r} is not one token")
-        return sr._parse(word)
+        coded = codes[word] = literals[word] = (sr._parse(word),)
+        return coded
 
+    equations = [None] * n
     try:
-        rows, constants = _rows(sr, equations, index, literals, read)
+        for statement in statements:
+            lhs, equals, rhs = statement.partition("=")
+            j = index.get(lhs.strip(_BLANKS))
+            if j is None or not equals or equations[j] is not None:
+                return None
+            equations[j] = words = []
+            for term in rhs.split("+"):  # loops, not comprehensions: no call per product
+                word = []
+                for w in term.split("*"):
+                    w = w.strip(_BLANKS)
+                    word.append(codes[w] if w in codes else code(w))
+                words.append(word)
     except ValueError:
         return None
-    return EquationSystem._of_rows(sr, tuple(variables), rows, constants)
+    return EquationSystem._of_rows(sr, tuple(variables), *_word_rows(sr, equations))
 
 
 def parse(text: str, filename: str = "<input>") -> EquationSystem:
@@ -273,14 +235,16 @@ def parse(text: str, filename: str = "<input>") -> EquationSystem:
 
     A plain text, as `render` writes it, is split (`_read_plain`); the
     token loop below reads any other text from `_tokenize`'s strings.
-    Both give each product's words to `_rows`, which reads each literal
-    once per call, and build the system from its payload rows
-    (`EquationSystem._of_rows`), so no `Value`, `Monomial` or `Polynomial`
-    is made until a caller reads `f` or `a`.  An `EquationSyntaxError` is
-    pinned to the line and column of the offending token, whose offset
-    `_scan` gives only when one is raised.
+    Both code each word as they read it, a variable as its index and a
+    literal, read once per call, as the 1-tuple of its payload, and
+    build the system from the payload rows `polynomial._word_rows`
+    writes from the coded words (`EquationSystem._of_rows`), so no
+    `Value`, `Monomial` or `Polynomial` is made until a caller reads `f`
+    or `a`.  An `EquationSyntaxError` is pinned to the line and column
+    of the offending token, whose offset `_scan` gives only when one is
+    raised.
     """
-    literals: dict[str, object] = {}  # literal text -> payload, for this call only
+    literals: dict[str, tuple] = {}  # literal text -> (payload,), for this call only
     system = _read_plain(text, literals)
     if system is not None:
         return system
@@ -303,7 +267,10 @@ def parse(text: str, filename: str = "<input>") -> EquationSystem:
     number = word[:1].isdigit()
     if number and not word.isdecimal():  # str.isdigit also admits '²'
         fail(f"semiring parameter {word!r} is not a decimal number", 2)
-    param = int(word) if number else None
+    try:
+        param = int(word) if number else None
+    except ValueError:  # more digits than int() reads from a string
+        fail(f"semiring parameter of {len(word)} digits is too long", 2)
     i = 3 if number else 2
     try:
         sr = instance_by_name(name, param)
@@ -328,7 +295,7 @@ def parse(text: str, filename: str = "<input>") -> EquationSystem:
     i += 1
 
     index = {x: j for j, x in enumerate(variables)}
-    equations: dict[str, list] = {}  # variable -> the words of each product
+    equations: dict[str, list] = {}  # variable -> the coded words of its products
     lhs = tokens[i]
     while lhs:
         if lhs not in index:
@@ -345,12 +312,15 @@ def parse(text: str, filename: str = "<input>") -> EquationSystem:
             word = tokens[i]
             if word in _NOT_LITERAL:
                 fail("expected a variable or literal", i)
-            if word not in index and word not in literals:
-                try:
-                    literals[word] = sr._parse(word)
-                except ValueError as exc:
-                    fail(f"not a variable or {sr.name} literal: {exc}", i)
-            products[-1].append(word)
+            coded = index.get(word)
+            if coded is None:
+                coded = literals.get(word)
+                if coded is None:
+                    try:
+                        coded = literals[word] = (sr._parse(word),)
+                    except ValueError as exc:
+                        fail(f"not a variable or {sr.name} literal: {exc}", i)
+            products[-1].append(coded)
             i += 1
             if tokens[i] == "+":
                 products.append([])
@@ -365,7 +335,7 @@ def parse(text: str, filename: str = "<input>") -> EquationSystem:
     missing = [v for v in variables if v not in equations]
     if missing:
         fail(f"no equation for {', '.join(missing)}", i)
-    rows, constants = _rows(sr, [equations[x] for x in variables], index, literals, sr._parse)
+    rows, constants = _word_rows(sr, [equations[x] for x in variables])
     return EquationSystem._of_rows(sr, tuple(variables), rows, constants)
 
 

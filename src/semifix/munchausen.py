@@ -36,8 +36,6 @@ from semifix.polynomial import (
     _payload,
     _word_rows,
     mono_of_value,
-    monomial,
-    polynomial,
     substitute_occurrence,
 )
 from semifix.semiring import Semiring, Value, make_function_semiring, vector_leq
@@ -513,7 +511,8 @@ def completion_function_table(
     """The completion as explicit tables over a finite instance.
 
     One completion step over the pointwise table instance, taken at the
-    projections, so the result maps every argument vector at once.  A
+    projections, so the result maps every argument vector at once; its
+    rows are the system's, each payload p as the constant table of p.  A
     table has |carrier|^|variables| points; when that count, taken
     before anything is built, exceeds `max_points` (default
     DEFAULT_TABLE_POINTS) the budget is exhausted.
@@ -530,15 +529,20 @@ def completion_function_table(
                     f"variables has more than {limit} points"
                 )
     fs = make_function_semiring(sr, sys.variables)
+    width = len(fs.points)
 
-    def lift(m):
-        return monomial(fs, [f if isinstance(f, str) else fs.constant(f) for f in m.factors()])
+    def table(p):
+        return None if p is None else (p,) * width
 
-    tables = EquationSystem(
+    rows, constants = sys.compiled
+    tables = EquationSystem._of_rows(
         fs,
         sys.variables,
-        {y: polynomial(fs, map(lift, sys.f[y].monomials)) for y in sys.variables},
-        {y: fs.constant(sys.a[y]) for y in sys.variables},
+        tuple(
+            tuple((table(c0), tuple((j, table(c)) for j, c in factors)) for c0, factors in row)
+            for row in rows
+        ),
+        [table(p) for p in constants],
     )
     out = newton_step(tables, {y: fs.projection(y) for y in sys.variables})
     if not out.stabilized:

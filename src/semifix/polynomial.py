@@ -9,9 +9,10 @@ constant part.
 
 The work runs on payload rows.  A system is its compiled rows
 (`EquationSystem.compiled`): the parser builds them directly, and a
-system built from `Polynomial`s compiles them once.  `_word_rows`
-writes rows and constants from coded words, for the counting chain's
-word sums and the two oracles' layers.  `_apply` evaluates rows on
+system built from `Polynomial`s compiles them once.  `_word_rows` is
+the one writer of rows and constants, from coded words: for the
+parser, for `_compile`, for the counting chain's word sums and for the
+two oracles' layers.  `_apply` evaluates rows on
 payload lists in variable order, and `_linearize` turns rows into the
 rows of the completion system at a payload point.  `Value`,
 `Monomial` and `Polynomial` are the boundary: a system decodes its
@@ -357,26 +358,18 @@ def _payload(sr: Semiring, val: Value) -> Any:
 def _compile(sr: Semiring, polys: Iterable[Polynomial], index: Mapping[str, int]) -> tuple:
     """Payload rows of polynomials, variables numbered by `index`.
 
-    Each polynomial becomes a row of monomials (c0, ((index of x1, c1),
-    ..., (index of xl, cl))) over payloads, a unit coefficient as None so
-    that evaluation skips it.
+    Each monomial c0 x1 c1 ... xl cl is coded as the word (c0,) i1 (c1,)
+    ... il (cl,), ik the index of xk, for `_word_rows` to write; the
+    constant a monomial without a variable would add to is not returned.
     """
-    one = sr._one()
 
-    def coefficient(c):
-        p = _payload(sr, c)
-        return None if p == one else p
+    def word(m):
+        coded = [(_payload(sr, m.coefficients[0]),)]
+        for y, c in zip(m.variables, m.coefficients[1:]):
+            coded += (index[y], (_payload(sr, c),))
+        return coded
 
-    return tuple(
-        tuple(
-            (
-                coefficient(m.coefficients[0]),
-                tuple((index[y], coefficient(c)) for y, c in zip(m.variables, m.coefficients[1:])),
-            )
-            for m in p.monomials
-        )
-        for p in polys
-    )
+    return _word_rows(sr, ([word(m) for m in p.monomials] for p in polys))[0]
 
 
 def _decode(sr: Semiring, rows: Sequence, names: Sequence[str]) -> list[Polynomial]:
@@ -417,35 +410,44 @@ def _apply(sr: Semiring, rows: Sequence, constants: Sequence, u: Sequence) -> li
 
 
 def _word_rows(sr: Semiring, words_per_variable: Iterable) -> tuple[tuple, list]:
-    """Payload rows and constants summing coded words, as `_compile` writes them.
+    """Payload rows and constants summing coded words: the one writer of row entries.
 
     One row and one constant per variable, from its list of coded
     words: an int is a variable index, a tuple holds a coefficient
-    payload as its first item.  Each distinct word with a variable is
-    its own monomial, so equal products add up; adjacent coefficients
-    are multiplied, a unit coefficient is None, and a word whose product
-    holds a zero is dropped.  A word without a variable adds its
-    product, one when it has no coefficient either, to the constant.
+    payload as its first item.  Each word with a variable is its own
+    row entry (c0, ((variable index, c1), ...)), so equal products add
+    up; adjacent coefficients are multiplied with `_mul`, a unit
+    coefficient is None, and a word whose product holds a zero is
+    dropped.  A word without a variable adds its product, one when it
+    has no coefficient either, to the constant.
     """
     add_p, mul_p, zero, one = sr._add, sr._mul, sr._zero(), sr._one()
     rows, constants = [], []
     for words in words_per_variable:
         row, total = [], zero
         for word in words:
-            coefficients, factors, slot = [], [], None
+            c0 = slot = last = None  # slot: the coefficient read since `last`, a variable index
+            pairs = []
+            live = True  # no coefficient is zero
             for s in word:
                 if s.__class__ is tuple:
                     slot = s[0] if slot is None else mul_p(slot, s[0])
+                    continue
+                if slot is not None:
+                    if slot == one:
+                        slot = None
+                    elif slot == zero:
+                        live = False
+                if last is None:
+                    c0 = slot
                 else:
-                    coefficients.append(None if slot == one else slot)
-                    factors.append(s)
-                    slot = None
-            if not factors:
+                    pairs.append((last, slot))
+                last, slot = s, None
+            if last is None:
                 total = add_p(total, one if slot is None else slot)
-                continue
-            coefficients.append(None if slot == one else slot)
-            if zero not in coefficients:
-                row.append((coefficients[0], tuple(zip(factors, coefficients[1:]))))
+            elif live and slot != zero:
+                pairs.append((last, None if slot == one else slot))
+                row.append((c0, tuple(pairs)))
         rows.append(tuple(row))
         constants.append(total)
     return tuple(rows), constants

@@ -479,6 +479,15 @@ def test_relation_dimension_above_the_limit_is_a_syntax_error(tmp_path, capsys):
     assert captured.err.startswith(f"{path}:1:10: relation dimension 65 is above the limit")
 
 
+def test_a_header_parameter_longer_than_int_reads_is_a_syntax_error(tmp_path, capsys):
+    # int() reads at most 4,300 digits from a string
+    path = write(tmp_path, "semiring relation " + "9" * 5000 + ";\nvars x;\nx = x;\n")
+    assert main(["solve", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}:1:19: semiring parameter of 5000 digits is too long\n"
+
+
 def test_a_file_that_is_not_utf8_is_malformed_input(tmp_path, capsys):
     path = tmp_path / "latin.sfx"
     path.write_bytes(b"semiring boolean;\nvars x;\nx = 1;\n\xff\n")

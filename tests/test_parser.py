@@ -2,8 +2,9 @@
 
 The oracle below is that parser: a per-character tokenizer that builds a
 token object per token, and a recursive descent that builds every
-monomial through `monomial()` and `polynomial()`.  `parse` must give an
-equal system, or the same error with the same message and position, on
+monomial through `monomial()` and `polynomial()`.  `parse` must give a
+system whose `f` and `a` equal the oracle's, or the same error with the
+same message and position, on
 seeded random systems, on single-character mutants of them, and on fixed
 cases that exercise tabs, comments, multi-line and deeply nested
 relation literals, and characters where `str.isdigit` and `str.isalnum`
@@ -204,10 +205,18 @@ def oracle_parse(text: str, filename: str = "<input>") -> EquationSystem:
     return equation_system(sr, tuple(variables), rhs)
 
 
+def values(sys: EquationSystem) -> tuple:
+    """A system's `Value`-level view: the oracle's own, and what `parse`'s rows decode to.
+
+    Compared in place of the rows, which `_word_rows` writes for both.
+    """
+    return sys.semiring, sys.variables, sys.f, sys.a
+
+
 def outcome(read, text):
-    """The system read, or the error raised, in comparable form."""
+    """The system read, as `values`, or the error raised, in comparable form."""
     try:
-        return read(text, "m.sfx")
+        return values(read(text, "m.sfx"))
     except EquationSyntaxError as exc:
         return ("syntax", str(exc), exc.line, exc.col)
 
@@ -231,7 +240,8 @@ def test_parsed_systems_decode_to_the_systems_they_render():
             assert parsed.f == built.f and parsed.a == built.a
 
 
-def test_parse_and_solve_build_no_monomial_and_compile_nothing(monkeypatch):
+def count_builds(monkeypatch) -> list:
+    """The list each `Monomial`, `Polynomial` and `Value` built and each `_compile` call name."""
     # the package exports a function named polynomial, which hides the module
     poly_module = importlib.import_module("semifix.polynomial")
     made = []
@@ -250,6 +260,11 @@ def test_parse_and_solve_build_no_monomial_and_compile_nothing(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counted_init)
     monkeypatch.setattr(poly_module, "_compile", counted_compile)
+    return made
+
+
+def test_parse_and_solve_build_no_monomial_and_compile_nothing(monkeypatch):
+    made = count_builds(monkeypatch)
     n = 16
     text = "semiring min-plus;\nvars " + " ".join(f"x{i}" for i in range(n)) + ";\n"
     for i in range(n):
@@ -262,11 +277,27 @@ def test_parse_and_solve_build_no_monomial_and_compile_nothing(monkeypatch):
     assert made == ["Value"] * (3 * n)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "semiring boolean;\nvars x y;\nx = x*y + 1;\ny = 0*x + x*1*x;\n",
+        "semiring relation 2;\nvars x;\nx = [[0,1],[0,0]]*x*[[1,1],[0,1]]*x + [[1,0],[0,0]];\n",
+    ],
+    ids=["boolean", "relation"],
+)
+def test_a_completion_table_builds_no_monomial_and_compiles_nothing(text, tmp_path, monkeypatch):
+    path = tmp_path / "table.sfx"
+    path.write_text(text)
+    made = count_builds(monkeypatch)
+    assert cli.main(["completion", str(path), "--table"]) == 0
+    assert not {"Monomial", "Polynomial", "compile"} & set(made)
+
+
 def test_random_systems_parse_as_the_oracle_reads_them():
     for text in seeded_texts(23, 25):
         got = parse(text)
         assert isinstance(got, EquationSystem)
-        assert got == oracle_parse(text)
+        assert values(got) == values(oracle_parse(text))
 
 
 # ASCII structure, blanks the format does and does not skip, and
@@ -290,7 +321,7 @@ def test_single_character_mutants_fail_or_parse_as_the_oracle_does():
                 mutant = text[:k] + text[k + 1 :]
             want = outcome(oracle_parse, mutant)
             assert outcome(parse, mutant) == want, mutant
-            seen.add(want[0] if isinstance(want, tuple) else "ok")
+            seen.add("syntax" if want[0] == "syntax" else "ok")
     # both accepted and rejected mutants were compared
     assert {"ok", "syntax"} <= seen
 

@@ -506,8 +506,9 @@ def test_iterate_equals_full_rounds_on_counting_cycles():
 
 @pytest.mark.parametrize("sr", ROW_INSTANCES, ids=lambda sr: sr.name)
 def test_word_rows_compile_as_the_equivalent_system(sr):
-    # words without a variable, of units only, with a zero, and with adjacent
-    # coefficients, whose order matters over relation[q]
+    # the Value-level system of monomial() and equation_system, never compiled,
+    # against the rows decoded: random words, with a zero, of units only and
+    # without a variable, and the parser's shapes among them
     rng = random.Random(229)
     zero, one = sr._zero(), sr._one()
     for _ in range(60):
@@ -518,10 +519,22 @@ def test_word_rows_compile_as_the_equivalent_system(sr):
                 return rng.randrange(len(names))
             return (rng.choice((zero, one, random_payload(sr, rng), random_payload(sr, rng))),)
 
-        words = [
-            [tuple(symbol() for _ in range(rng.randint(0, 5))) for _ in range(rng.randint(0, 4))]
-            for _ in names
-        ]
+        def parser_shapes():
+            j = rng.randrange(len(names))
+            p, q = random_payload(sr, rng), random_payload(sr, rng)
+            return [
+                ((p,), (q,), j, (q,), (p,)),  # adjacent literals, whose order matters over relation[q]
+                ((p,), j, (zero,), j),  # a zero literal inside a product
+                ((one,), j, (one,), j),  # unit literals
+                ((p,), (q,)),  # a product with no variable
+            ]
+
+        words = []
+        for _ in names:
+            ws = [tuple(symbol() for _ in range(rng.randint(0, 5))) for _ in range(rng.randint(0, 4))]
+            ws += parser_shapes()
+            rng.shuffle(ws)
+            words.append(ws)
 
         def factors(word):
             return [names[s] if s.__class__ is int else Value(sr, s[0]) for s in word]
@@ -529,7 +542,9 @@ def test_word_rows_compile_as_the_equivalent_system(sr):
         rhs = {
             x: polynomial(sr, [monomial(sr, factors(w)) for w in ws]) for x, ws in zip(names, words)
         }
-        assert _word_rows(sr, words) == equation_system(sr, names, rhs).compiled
+        want = equation_system(sr, names, rhs)
+        got = EquationSystem._of_rows(sr, tuple(names), *_word_rows(sr, words))
+        assert (got.f, got.a) == (want.f, want.a)
 
 
 @pytest.mark.parametrize("sr", ROW_INSTANCES, ids=lambda sr: sr.name)
