@@ -4,11 +4,10 @@ The oracle below is that parser: a per-character tokenizer that builds a
 token object per token, and a recursive descent that builds every
 monomial through `monomial()` and `polynomial()`.  `parse` must give a
 system whose `f` and `a` equal the oracle's, or the same error with the
-same message and position, on
-seeded random systems, on single-character mutants of them, and on fixed
-cases that exercise tabs, comments, multi-line and deeply nested
-relation literals, and characters where `str.isdigit` and `str.isalnum`
-differ from their ASCII counterparts.
+same message and position, on seeded random systems, on single-character
+mutants of them, and on fixed cases that exercise tabs, comments,
+multi-line and deeply nested relation literals, and characters where
+`str.isdigit` and `str.isalnum` differ from their ASCII counterparts.
 """
 
 import importlib
@@ -241,7 +240,7 @@ def test_parsed_systems_decode_to_the_systems_they_render():
 
 
 def count_builds(monkeypatch) -> list:
-    """The list each `Monomial`, `Polynomial` and `Value` built and each `_compile` call name."""
+    """A list that names each `Monomial`, `Polynomial` and `Value` built and each `_compile` call."""
     # the package exports a function named polynomial, which hides the module
     poly_module = importlib.import_module("semifix.polynomial")
     made = []
