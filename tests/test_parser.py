@@ -240,7 +240,7 @@ def test_parsed_systems_decode_to_the_systems_they_render():
 
 
 def count_builds(monkeypatch) -> list:
-    """A list that names each `Monomial`, `Polynomial` and `Value` built and each `_compile` call."""
+    """A list naming each `Monomial`, `Polynomial` and `Value` built and each `_compile` call."""
     # the package exports a function named polynomial, which hides the module
     poly_module = importlib.import_module("semifix.polynomial")
     made = []

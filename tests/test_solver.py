@@ -523,7 +523,7 @@ def test_word_rows_compile_as_the_equivalent_system(sr):
             j = rng.randrange(len(names))
             p, q = random_payload(sr, rng), random_payload(sr, rng)
             return [
-                ((p,), (q,), j, (q,), (p,)),  # adjacent literals, whose order matters over relation[q]
+                ((p,), (q,), j, (q,), (p,)),  # adjacent literals: order matters over relation[q]
                 ((p,), j, (zero,), j),  # a zero literal inside a product
                 ((one,), j, (one,), j),  # unit literals
                 ((p,), (q,)),  # a product with no variable
@@ -531,8 +531,9 @@ def test_word_rows_compile_as_the_equivalent_system(sr):
 
         words = []
         for _ in names:
-            ws = [tuple(symbol() for _ in range(rng.randint(0, 5))) for _ in range(rng.randint(0, 4))]
-            ws += parser_shapes()
+            ws = parser_shapes()
+            for _ in range(rng.randint(0, 4)):
+                ws.append(tuple(symbol() for _ in range(rng.randint(0, 5))))
             rng.shuffle(ws)
             words.append(ws)
 
