@@ -24,7 +24,6 @@ _EXPORTS = {
         "grammar_with_constants",
         "regraft",
         "tree_sum",
-        "yield_value",
         "yield_word",
     ),
     "munchausen": (
@@ -46,14 +45,11 @@ _EXPORTS = {
         "InvariantError",
         "Monomial",
         "Polynomial",
-        "differential",
-        "differential_full",
         "enumerate_linear_monomial_substitutions",
         "enumerate_linear_polynomial_substitutions",
         "equation_system",
         "eval_monomial",
         "eval_poly",
-        "eval_rhs",
         "monomial",
         "polynomial",
         "render_monomial",
@@ -73,7 +69,6 @@ _EXPORTS = {
         "instance_by_name",
         "make_function_semiring",
         "mul",
-        "mul_all",
         "nat_leq",
         "relation_semiring",
         "star",

@@ -125,6 +125,8 @@ def _position(text: str, at: int) -> tuple[int, int]:
 def _scan(text: str, filename: str) -> list[tuple[str, int]]:
     """The (text, offset) tokens of a system, closed by the end token ("", offset).
 
+    A token's kind shows in its first character: "=+*;" for punctuation,
+    "[" for a matrix, a digit for a number, a letter or "_" for a name.
     A comment that runs to the end of the text places the end token at
     its "#".  Raises on a character no token starts with and on
     unbalanced brackets.
@@ -162,15 +164,6 @@ def _scan(text: str, filename: str) -> list[tuple[str, int]]:
             raise EquationSyntaxError("unbalanced brackets", filename, *_position(text, at))
         pos = bracket.end()
         tokens.append((text[at:pos], at))
-
-
-def _tokenize(text: str, filename: str) -> list[str]:
-    """`_scan`'s tokens without their offsets, closed by the end token "".
-
-    A token's kind shows in its first character: "=+*;" for punctuation,
-    "[" for a matrix, a digit for a number, a letter or "_" for a name.
-    """
-    return [token for token, _ in _scan(text, filename)]
 
 
 def _is_name(token: str) -> bool:
@@ -234,25 +227,24 @@ def parse(text: str, filename: str = "<input>") -> EquationSystem:
     """Read a system from its textual form, in one pass from text to payload rows.
 
     A plain text, as `render` writes it, is split (`_read_plain`); the
-    token loop below reads any other text from `_tokenize`'s strings.
+    token loop below reads any other text from `_scan`'s tokens.
     Both code each word as they read it, a variable as its index and a
     literal, read once per call, as the 1-tuple of its payload, and
     build the system from the payload rows `polynomial._word_rows`
     writes from the coded words (`EquationSystem._of_rows`), so no
     `Value`, `Monomial` or `Polynomial` is made until a caller reads `f`
     or `a`.  An `EquationSyntaxError` is pinned to the line and column
-    of the offending token, whose offset `_scan` gives only when one is
-    raised.
+    of the offending token, from the offset `_scan` gave it.
     """
     literals: dict[str, tuple] = {}  # literal text -> (payload,), for this call only
     system = _read_plain(text, literals)
     if system is not None:
         return system
-    tokens = _tokenize(text, filename)
+    scanned = _scan(text, filename)
+    tokens = [token for token, _ in scanned]
 
     def fail(message: str, i: int):
-        at = _scan(text, filename)[i][1]
-        raise EquationSyntaxError(message, filename, *_position(text, at))
+        raise EquationSyntaxError(message, filename, *_position(text, scanned[i][1]))
 
     def expected(what: str, i: int):
         found = tokens[i]

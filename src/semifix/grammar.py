@@ -22,7 +22,6 @@ from semifix.polynomial import (
     Monomial,
     _payload,
     _word_rows,
-    monomial,
 )
 from semifix.semiring import Semiring, Value
 from semifix.solver import DEFAULT_NODE_BUDGET, STABILIZED, _iterate
@@ -102,10 +101,6 @@ def node(var: str, rule_index: int, children: tuple[DerivationTree, ...]) -> Der
     return DerivationTree(Ref(var), children, rule_index)
 
 
-def tree_nodes(t: DerivationTree) -> int:
-    return 1 + sum(tree_nodes(c) for c in t.children)
-
-
 def dimension(t: DerivationTree) -> int:
     """Balance measure: leaves weigh nothing, ties among children bump it.
 
@@ -128,25 +123,6 @@ def yield_word(t: DerivationTree) -> tuple[Symbol, ...]:
     for c in t.children:
         out += yield_word(c)
     return out
-
-
-def yield_value(t: DerivationTree, sr: Semiring, complete: bool = True) -> Monomial:
-    """The yield multiplied back into a monomial.
-
-    With `complete` set, a nonterminal leaf is an error; otherwise it
-    stays as a variable in the result.
-    """
-    factors = []
-    for sym in yield_word(t):
-        if isinstance(sym, Lit):
-            factors.append(sym.value)
-        else:
-            if complete:
-                raise InvariantError(
-                    f"tree is not complete: nonterminal leaf {sym.var!r}"
-                )
-            factors.append(sym.var)
-    return monomial(sr, factors)
 
 
 def enumerate_trees(

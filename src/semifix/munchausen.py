@@ -459,10 +459,6 @@ class IndexedGrammar:
     variables: tuple[str, ...]
     recursion: dict[str, tuple[tuple[LSym, ...], ...]]
 
-    @property
-    def rule_count(self) -> int:
-        return sum(len(words) for words in self.recursion.values()) + len(self.variables)
-
 
 def indexed_grammar_of(sys: EquationSystem) -> IndexedGrammar:
     """Fold the whole ladder into stack-indexed rules.

@@ -17,8 +17,7 @@ payload lists in variable order, and `_linearize` turns rows into the
 rows of the completion system at a payload point.  `Value`,
 `Monomial` and `Polynomial` are the boundary: a system decodes its
 `f` and `a` from the rows only when they are read (`_decode`, the
-inverse of `_compile`), and `eval_rhs`, `differential` and
-`differential_full` convert at their entry and wrap their result once.
+inverse of `_compile`).
 """
 
 from __future__ import annotations
@@ -118,14 +117,14 @@ def mono_of_var(sr: Semiring, x: str) -> Monomial:
     return monomial(sr, [x])
 
 
-def render_monomial(m: Monomial, suppress_units: bool = True) -> str:
-    """Human-readable product; unit coefficients hidden unless asked for."""
+def render_monomial(m: Monomial) -> str:
+    """Human-readable product; unit coefficients hidden."""
     one = m.semiring.one()
     parts: list[str] = []
     for f in m.factors():
         if isinstance(f, str):
             parts.append(f)
-        elif not suppress_units or f != one:
+        elif f != one:
             parts.append(m.semiring.render(f))
     if not parts:
         return m.semiring.render(one)
@@ -170,16 +169,10 @@ def poly_of_var(sr: Semiring, x: str) -> Polynomial:
     return polynomial(sr, [mono_of_var(sr, x)])
 
 
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    if p.semiring is not q.semiring:
-        raise InvariantError("polynomial sum mixes semiring instances")
-    return Polynomial(p.semiring, p.monomials + q.monomials)
-
-
-def render_polynomial(p: Polynomial, suppress_units: bool = True) -> str:
+def render_polynomial(p: Polynomial) -> str:
     if p.is_zero:
         return p.semiring.render(p.semiring.zero())
-    return " + ".join(render_monomial(m, suppress_units) for m in p.monomials)
+    return " + ".join(render_monomial(m) for m in p.monomials)
 
 
 def eval_monomial(m: Monomial, v: Mapping[str, Value]) -> Value:
@@ -342,9 +335,10 @@ def equation_system(
 
 def rhs_poly(sys: EquationSystem, x: str) -> Polynomial:
     """Full right-hand side f_x + a_x with the constant written last."""
-    if sys.a[x] == sys.semiring.zero():
+    sr = sys.semiring
+    if sys.a[x] == sr.zero():
         return sys.f[x]
-    return poly_add(sys.f[x], poly_of_value(sys.semiring, sys.a[x]))
+    return Polynomial(sr, sys.f[x].monomials + poly_of_value(sr, sys.a[x]).monomials)
 
 
 def _payload(sr: Semiring, val: Value) -> Any:
@@ -451,11 +445,6 @@ def _word_rows(sr: Semiring, words_per_variable: Iterable) -> tuple[tuple, list]
         rows.append(tuple(row))
         constants.append(total)
     return tuple(rows), constants
-
-
-def eval_rhs(sys: EquationSystem, v: Mapping[str, Value]) -> dict[str, Value]:
-    """One application of the system's right-hand sides at a point."""
-    return sys.vector(_apply(sys.semiring, *sys.compiled, sys.payloads(v)))
 
 
 @dataclass(frozen=True)
@@ -604,38 +593,3 @@ def _linearize(sr: Semiring, rows: Sequence, at: Sequence) -> tuple:
         terms.sort(key=itemgetter(0))
         out.append(tuple((left, ((j, right),)) for j, left, right in terms))
     return tuple(out)
-
-
-def differential(p: Polynomial, x: str, v: Mapping[str, Value]) -> Polynomial:
-    """Linearization of p in the direction of x around the point v.
-
-    Sums pass through unchanged; for each occurrence of x inside a
-    monomial the surrounding factors are evaluated at v and x itself
-    stays symbolic.  Monomials without x contribute nothing.  The result
-    mentions x at most once per monomial.
-    """
-    full = differential_full({x: p}, v)[x]
-    return Polynomial(p.semiring, tuple(m for m in full.monomials if m.variables[0] == x))
-
-
-def differential_full(
-    pvec: Mapping[str, Polynomial], v: Mapping[str, Value]
-) -> dict[str, Polynomial]:
-    """Componentwise differential, summed over all variable directions.
-
-    Each monomial is scanned once (`_linearize`); the terms of each
-    component are concatenated direction by direction in the key order
-    of v, so the result equals the sum of `differential(p, x, v)` over x.
-    A variable of pvec without a value in v is an `InvariantError`.
-    """
-    first = next(iter(pvec.values()), None)
-    if first is None:
-        return {}
-    sr = first.semiring
-    index = {x: i for i, x in enumerate(v)}
-    at = [_payload(sr, val) for val in v.values()]
-    try:
-        rows = _compile(sr, pvec.values(), index)
-    except KeyError as exc:
-        raise InvariantError(f"point has no value for {exc.args[0]!r}") from None
-    return dict(zip(pvec, _decode(sr, _linearize(sr, rows, at), list(v))))

@@ -92,10 +92,6 @@ class Semiring:
         """Number of elements of a finite carrier, counted without listing them."""
         raise NotFiniteError(f"{self.name} carrier is not finite")
 
-    def parse_literal(self, text: str) -> Value:
-        """Read one element from its textual form."""
-        return Value(self, self._parse(text.strip()))
-
     def render(self, v: Value) -> str:
         return self._render(v.payload)
 
@@ -169,14 +165,6 @@ def add_all(sr: Semiring, values: Iterable[Value]) -> Value:
     total = sr.zero()
     for v in values:
         total = add(total, v)
-    return total
-
-
-def mul_all(sr: Semiring, values: Iterable[Value]) -> Value:
-    """Product of a finite sequence in order, one when empty."""
-    total = sr.one()
-    for v in values:
-        total = mul(total, v)
     return total
 
 
@@ -536,7 +524,6 @@ class FunctionSemiring(Semiring):
         self.variables = variables
         base_payloads = [v.payload for v in base.elements()]
         self.points = tuple(itertools.product(base_payloads, repeat=len(variables)))
-        self._point_index = {p: i for i, p in enumerate(self.points)}
         self.name = f"function[{base.name}; {' '.join(variables) if variables else '()'}]"
         self.is_idempotent = base.is_idempotent
         self.is_commutative = base.is_commutative
@@ -581,21 +568,10 @@ class FunctionSemiring(Semiring):
             entries.append(f"({args})->{self.base._render(out)}")
         return "{" + ", ".join(entries) + "}"
 
-    def constant(self, v: Value) -> Value:
-        """Table returning the same base value everywhere."""
-        if v.semiring is not self.base:
-            raise InstanceMismatchError("constant table needs a base value")
-        return Value(self, tuple(v.payload for _ in self.points))
-
     def projection(self, var: str) -> Value:
         """Table returning the argument supplied for one variable."""
         i = self.variables.index(var)
         return Value(self, tuple(point[i] for point in self.points))
-
-    def apply(self, table: Value, args: Mapping[str, Value]) -> Value:
-        """Look one argument vector up in a table."""
-        point = tuple(args[x].payload for x in self.variables)
-        return Value(self.base, table.payload[self._point_index[point]])
 
 
 BOOLEAN = BooleanSemiring()

@@ -1,14 +1,24 @@
-"""Seeded random generators shared across the test suite."""
+"""Seeded random generators and small oracles shared across the test suite."""
 
 import random
 
 from semifix.polynomial import (
     EquationSystem,
+    _linearize,
     equation_system,
+    eval_poly,
     monomial,
     polynomial,
 )
-from semifix.semiring import BOOLEAN, COUNTING, MIN_PLUS, Semiring, relation_semiring
+from semifix.semiring import (
+    BOOLEAN,
+    COUNTING,
+    MIN_PLUS,
+    Semiring,
+    Value,
+    add,
+    relation_semiring,
+)
 
 VAR_NAMES = ("x", "y", "z", "w", "u", "v")
 
@@ -107,3 +117,26 @@ def random_eq1(sr, rng, n_vars, max_terms=3) -> EquationSystem:
         for x in variables
     }
     return EquationSystem(sr, variables, f, constants)
+
+
+def apply_rhs(sys: EquationSystem, v) -> dict:
+    """f(v) + a by `Value` arithmetic, independent of the payload rows."""
+    return {x: add(sys.a[x], eval_poly(sys.f[x], v)) for x in sys.variables}
+
+
+def linear_system(sys: EquationSystem, v, constants) -> EquationSystem:
+    """u = constants + D_v(u): `_linearize` on the compiled rows of sys around v."""
+    rows = _linearize(sys.semiring, sys.compiled[0], sys.payloads(v))
+    return EquationSystem._of_rows(sys.semiring, sys.variables, rows, sys.payloads(constants))
+
+
+def differential(sys: EquationSystem, v) -> dict:
+    """D_v of each variable part as a `Polynomial`, decoded from `_linearize`'s rows."""
+    return linear_system(sys, v, v).f
+
+
+def table_at(table: Value, args) -> Value:
+    """The base value a function table holds at the argument vector args."""
+    fs = table.semiring
+    point = tuple(args[x].payload for x in fs.variables)
+    return Value(fs.base, table.payload[fs.points.index(point)])

@@ -7,7 +7,7 @@ import semifix
 
 # Reached from outside the package only: oracles the tests compare
 # against, and the text writer that tests and the benchmark corpus use.
-OUTSIDE_ONLY = {"as_equation_system", "check_linear", "tree_nodes", "render"}
+OUTSIDE_ONLY = {"as_equation_system", "check_linear", "render"}
 
 
 def test_every_export_resolves():

@@ -20,9 +20,7 @@ from semifix.grammar import (
     leaf,
     node,
     regraft,
-    tree_nodes,
     tree_sum,
-    yield_value,
     yield_word,
 )
 from semifix.polynomial import (
@@ -49,6 +47,15 @@ REL2 = relation_semiring(2)
 
 def ct(n):
     return COUNTING.value(n)
+
+
+def _nodes(t):
+    return 1 + sum(_nodes(c) for c in t.children)
+
+
+def _yield_monomial(t, sr):
+    """The yield multiplied back into a monomial; a nonterminal leaf stays a variable."""
+    return monomial(sr, [s.value if isinstance(s, Lit) else s.var for s in yield_word(t)])
 
 
 def counting_system_xyz():
@@ -115,16 +122,15 @@ def test_unit_carriers_make_chains_count():
     y_tree = node("y", 0, (leaf(Lit(ct(1))), z_tree, leaf(Lit(ct(1)))))
     assert dimension(z_tree) == 0
     assert dimension(y_tree) == 1
-    assert tree_nodes(y_tree) == 5
+    assert _nodes(y_tree) == 5
     assert yield_word(y_tree) == (Lit(ct(1)), Lit(ct(2)), Lit(ct(1)))
-    assert yield_value(y_tree, COUNTING) == monomial(COUNTING, [ct(2)])
+    assert _yield_monomial(y_tree, COUNTING) == monomial(COUNTING, [ct(2)])
 
 
 def test_yield_value_on_open_trees():
     t = node("y", 0, (leaf(Lit(ct(1))), leaf(Ref("z")), leaf(Lit(ct(1)))))
-    assert yield_value(t, COUNTING, complete=False) == monomial(COUNTING, ["z"])
-    with pytest.raises(InvariantError):
-        yield_value(t, COUNTING, complete=True)
+    assert yield_word(t) == (Lit(ct(1)), Ref("z"), Lit(ct(1)))
+    assert _yield_monomial(t, COUNTING) == monomial(COUNTING, ["z"])
 
 
 def test_enumerate_single_node_is_the_unexpanded_root():
@@ -140,14 +146,14 @@ def test_enumerate_complete_trees_of_chain_system():
     g = grammar_with_constants(sys)
     z_trees = enumerate_trees(g, "z", max_nodes=10, complete_only=True)
     assert len(z_trees) == 1
-    assert tree_nodes(z_trees[0]) == 2
+    assert _nodes(z_trees[0]) == 2
     y_trees = enumerate_trees(g, "y", max_nodes=10, complete_only=True)
-    assert [tree_nodes(t) for t in y_trees] == [2, 5]
+    assert [_nodes(t) for t in y_trees] == [2, 5]
     assert [dimension(t) for t in y_trees] == [0, 1]
     x_trees = enumerate_trees(g, "x", max_nodes=20, complete_only=True)
     # two y slots, each a constant leaf rule or the chain through z
     assert len(x_trees) == 1 + 4
-    assert sorted(tree_nodes(t) for t in x_trees) == [2, 8, 11, 11, 14]
+    assert sorted(_nodes(t) for t in x_trees) == [2, 8, 11, 11, 14]
     # only the doubly grown tree ties its two tall children
     assert sorted(dimension(t) for t in x_trees) == [0, 1, 1, 1, 2]
 
@@ -169,7 +175,7 @@ def test_enumerate_is_deterministic():
     a = enumerate_trees(g, "x", max_nodes=15)
     b = enumerate_trees(g, "x", max_nodes=15)
     assert a == b
-    sizes = [tree_nodes(t) for t in a]
+    sizes = [_nodes(t) for t in a]
     assert sizes == sorted(sizes)
 
 
@@ -179,7 +185,7 @@ def enumeration_sum(g, root, dim_bound, max_nodes, sr, at=None):
     trees = enumerate_trees(g, root, max_nodes, max_dim=dim_bound, complete_only=complete)
     values = []
     for t in trees:
-        m = yield_value(t, sr, complete=complete)
+        m = _yield_monomial(t, sr)
         values.append(eval_monomial(m, at or {}))
     return add_all(sr, values)
 

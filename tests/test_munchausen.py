@@ -9,10 +9,12 @@ from itertools import product
 import pytest
 
 from gen import (
+    apply_rhs,
     instances_for_order_tests,
     random_point,
     random_system,
     random_triangular_system,
+    table_at,
 )
 from semifix import solver
 from semifix.cli import parse, render
@@ -40,7 +42,6 @@ from semifix.munchausen import (
 from semifix.polynomial import (
     InvariantError,
     equation_system,
-    eval_rhs,
     monomial,
     poly_of_value,
     poly_of_var,
@@ -280,7 +281,7 @@ def test_newton_stops_at_fixed_point_and_pads(monkeypatch):
     for sr in instances_for_order_tests():
         for _ in range(10):
             sys = random_system(sr, rng, rng.randint(1, 3))
-            by_hand = [eval_rhs(sys, {x: sr.zero() for x in sys.variables})]
+            by_hand = [apply_rhs(sys, {x: sr.zero() for x in sys.variables})]
             for _ in range(8):
                 out = newton_step(sys, by_hand[-1])
                 assert out.stabilized
@@ -448,7 +449,6 @@ def test_left_linear_rejects_noncommutative():
 def test_indexed_grammar_counts():
     ig = indexed_grammar_of(counting_chain())
     assert [len(ig.recursion[v]) for v in ("x", "y", "z")] == [2, 1, 0]
-    assert ig.rule_count == 6
 
 
 def test_expand_indexed_matches_doubling():
@@ -548,7 +548,7 @@ def test_function_table_matches_pointwise_evaluation():
                 v = dict(zip(sys.variables, pt))
                 want = evaluate_grammar(lg, v).value
                 for x in sys.variables:
-                    assert fs.apply(table[x], v) == want[x]
+                    assert table_at(table[x], v) == want[x]
 
 
 def test_json_exports():

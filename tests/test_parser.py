@@ -18,7 +18,7 @@ import pytest
 
 from gen import instances_for_order_tests, random_system
 from semifix import cli
-from semifix.cli import EquationSyntaxError, _scan, parse, render
+from semifix.cli import EquationSyntaxError, parse, render
 from semifix.polynomial import (
     EquationSystem,
     Monomial,
@@ -138,7 +138,7 @@ def _parse_factor(p: _Parser, sr: Semiring, variables: set[str]):
     if t.kind in ("name", "number", "matrix"):
         p.take()
         try:
-            return sr.parse_literal(t.text)
+            return Value(sr, sr._parse(t.text))
         except ValueError as exc:
             p.fail(f"not a variable or {sr.name} literal: {exc}", t)
     p.fail("expected a variable or literal")
@@ -416,22 +416,8 @@ def test_each_literal_text_is_read_once_per_call(monkeypatch):
     assert calls == ["[[0,1],[1,0]]"] * 2
 
 
-def _token_outcome(tokenize, text):
-    """The token strings, or the error raised, in comparable form."""
-    try:
-        return tokenize(text, "m.sfx")
-    except EquationSyntaxError as exc:
-        return ("syntax", str(exc))
-
-
-def _scanned(text, filename):
-    return [token for token, _ in _scan(text, filename)]
-
-
 def test_the_plain_reader_declines_or_reads_as_the_token_loop(monkeypatch):
-    # The token loop reads cli._tokenize's strings and takes an error's offset
-    # from token i of cli._scan, so the two must agree token for token, and fail
-    # alike.  The plain reader must decline a text or build the token loop's rows.
+    # The plain reader must decline a text or build the token loop's rows.
     read_plain = cli._read_plain
     monkeypatch.setattr(cli, "_read_plain", lambda text, literals: None)
     rng = random.Random(41)
@@ -440,17 +426,12 @@ def test_the_plain_reader_declines_or_reads_as_the_token_loop(monkeypatch):
         for _ in range(30):
             k = rng.randrange(len(text) + 1)
             texts.append(text[:k] + rng.choice(MUTANT_ALPHABET) + text[k:])
-    kinds = set()
     read = set()
     for text in texts:
-        got = _token_outcome(cli._tokenize, text)
-        assert got == _token_outcome(_scanned, text), text
-        kinds.add(got[0] if isinstance(got, tuple) else "ok")
         plain = read_plain(text, {})
         if plain is not None:  # equal systems have equal instances, variables and rows
             assert plain == parse(text), text
         read.add(plain is not None)
-    assert kinds == {"ok", "syntax"}
     # both texts the reader reads and texts it leaves to the token loop were compared
     assert read == {True, False}
 
@@ -459,7 +440,7 @@ def test_rendered_texts_never_reach_the_token_loop(monkeypatch):
     def token_loop(text, filename):
         raise AssertionError(f"the token loop read {text!r}")
 
-    monkeypatch.setattr(cli, "_tokenize", token_loop)
+    monkeypatch.setattr(cli, "_scan", token_loop)
     rng = random.Random(47)
     texts = ["semiring counting;\nvars x y z;\nx = y*y;\ny = z;\nz = 2;\n"]  # the README chain
     for sr in (BOOLEAN, MIN_PLUS, COUNTING, *map(relation_semiring, (1, 2, 3, 4, 8, 9, 16))):

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import semifix
-from semifix.semiring import relation_semiring
+from semifix.semiring import Value, relation_semiring
 from semifix.tensor import relation_admissible
 
 
@@ -97,7 +97,7 @@ def _check_one(q, x):
     v = sr.value(x)
     assert sr._star(v.payload) == sr.value(n_star(x)).payload
     assert sr.render(v) == n_render(x)
-    assert sr.parse_literal(n_render(x)) == v
+    assert Value(sr, sr._parse(n_render(x))) == v
 
 
 def _check_admissible(q, x, y):

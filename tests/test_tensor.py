@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gen import random_eq1, random_system
+from gen import differential, linear_system, random_eq1, random_system
 from semifix.munchausen import (
     evaluate_grammar,
     linear_completion_grammar,
@@ -14,7 +14,6 @@ from semifix.munchausen import (
 from semifix.polynomial import (
     EquationSystem,
     InvariantError,
-    differential_full,
     equation_system,
     monomial,
     poly_of_var,
@@ -137,7 +136,7 @@ def test_completion_terms_golden():
         },
     )
     v = {"x": ct(0), "y": ct(3), "z": ct(5)}
-    lin = differential_full(sys.f, v)
+    lin = differential(sys, v)
     assert [(m.variables, m.coefficients) for m in lin["x"].monomials] == [
         (("y",), (ct(1), ct(3))),
         (("y",), (ct(3), ct(1))),
@@ -153,7 +152,7 @@ def test_completion_drops_frozen_zero_terms():
     sys = equation_system(
         sr, ("x", "y"), {"x": poly_of_var(sr, "y"), "y": poly_of_var(sr, "x")}
     )
-    lin = differential_full(sys.f, dict(sys.a))
+    lin = differential(sys, sys.a)
     assert [(m.variables, m.coefficients) for m in lin["x"].monomials] == [
         (("y",), (sr.one(), sr.one()))
     ]
@@ -181,7 +180,7 @@ def test_pipeline_matches_accelerated_sequence():
 
 def _value_level_cycle(sys, ops, v):
     """One completion step through `regularize`, `solve_left_linear` and the readout."""
-    lin = EquationSystem(sys.semiring, sys.variables, differential_full(sys.f, v), v)
+    lin = linear_system(sys, v, v)
     y = solve_left_linear(regularize(lin, ops))
     return {x: ops.readout(y[x]) for x in sys.variables}
 
