@@ -22,7 +22,6 @@ inverse of `_compile`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Any, Iterable, Mapping, Sequence, Union
@@ -31,6 +30,7 @@ from semifix.semiring import (
     InstanceMismatchError,
     Semiring,
     Value,
+    _frozen,
     add_all,
     mul,
 )
@@ -43,19 +43,36 @@ class InvariantError(AssertionError):
 Factor = Union[Value, str]
 
 
-@dataclass(frozen=True)
 class Monomial:
     """One product c0 x1 c1 ... xl cl in canonical interleaved form.
 
     `coefficients` always has one more entry than `variables`.  The zero
     monomial is the canonical constant with payload zero; a nonzero
     monomial never stores a zero coefficient because zero absorbs the
-    whole product.
+    whole product.  Monomials are frozen and equal when their instance,
+    coefficients and variables are.
     """
 
-    semiring: Semiring
-    coefficients: tuple[Value, ...]
-    variables: tuple[str, ...]
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(
+        self, semiring: Semiring, coefficients: tuple[Value, ...], variables: tuple[str, ...]
+    ):
+        object.__setattr__(self, "semiring", semiring)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "variables", variables)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.semiring, self.coefficients, self.variables) == (
+            other.semiring,
+            other.coefficients,
+            other.variables,
+        )
+
+    def __hash__(self):
+        return hash((self.semiring, self.coefficients, self.variables))
 
     @property
     def degree(self) -> int:
@@ -131,16 +148,28 @@ def render_monomial(m: Monomial) -> str:
     return "*".join(parts)
 
 
-@dataclass(frozen=True)
 class Polynomial:
     """A finite sum of nonzero monomials over one instance.
 
     The monomial order is kept as given; duplicates are legal and add up,
     which matters for instances where addition is not idempotent.
+    Polynomials are frozen and equal when their instance and monomials
+    are.
     """
 
-    semiring: Semiring
-    monomials: tuple[Monomial, ...]
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, semiring: Semiring, monomials: tuple[Monomial, ...]):
+        object.__setattr__(self, "semiring", semiring)
+        object.__setattr__(self, "monomials", monomials)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.semiring, self.monomials) == (other.semiring, other.monomials)
+
+    def __hash__(self):
+        return hash((self.semiring, self.monomials))
 
     @property
     def is_zero(self) -> bool:
@@ -194,7 +223,6 @@ def substitute_occurrence(m: Monomial, occ: int, g: Monomial) -> Monomial:
     return monomial(m.semiring, fs[:pos] + g.factors() + fs[pos + 1 :])
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class EquationSystem:
     """Simultaneous equations x = f_x + a_x, one per variable.
 
@@ -208,12 +236,11 @@ class EquationSystem:
     mentions declared variables only, and compiles it on first use;
     `_of_rows` takes the rows and decodes `f` and `a` only when one is
     read.  Systems are equal when their instance, variables and rows
-    are.  No attribute can be rebound, so the cached forms stay the
-    system's.
+    are, and are not hashable.  No attribute can be rebound, so the
+    cached forms stay the system's.
     """
 
-    semiring: Semiring
-    variables: tuple[str, ...]
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, semiring: Semiring, variables: tuple[str, ...], f: dict, a: dict):
         vars(self).update(semiring=semiring, variables=variables, f=f, a=a)
@@ -290,6 +317,9 @@ class EquationSystem:
             other.variables,
             other.compiled,
         )
+
+    def __repr__(self) -> str:
+        return f"EquationSystem(semiring={self.semiring!r}, variables={self.variables!r})"
 
     def payloads(self, v: Mapping[str, Value]) -> list:
         """The payloads of a vector in variable order.
@@ -447,19 +477,39 @@ def _word_rows(sr: Semiring, words_per_variable: Iterable) -> tuple[tuple, list]
     return tuple(rows), constants
 
 
-@dataclass(frozen=True)
 class SubstitutionStep:
     """One elementary replacement inside a substitution chain.
 
     The variable at the current position is replaced by the monomial
     with this index in its defining equation, and the occurrence index
     picks the variable position inside that monomial where the chain
-    continues.
+    continues.  Steps are frozen and equal when their fields are.
     """
 
-    variable: str
-    monomial_index: int
-    occurrence_index: int
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, variable: str, monomial_index: int, occurrence_index: int):
+        object.__setattr__(self, "variable", variable)
+        object.__setattr__(self, "monomial_index", monomial_index)
+        object.__setattr__(self, "occurrence_index", occurrence_index)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.variable, self.monomial_index, self.occurrence_index) == (
+            other.variable,
+            other.monomial_index,
+            other.occurrence_index,
+        )
+
+    def __hash__(self):
+        return hash((self.variable, self.monomial_index, self.occurrence_index))
+
+    def __repr__(self) -> str:
+        return (
+            f"SubstitutionStep(variable={self.variable!r}, monomial_index="
+            f"{self.monomial_index!r}, occurrence_index={self.occurrence_index!r})"
+        )
 
 
 IDENTITY_STEP = "identity"

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import or_
 from typing import Any, Iterable, Mapping, Sequence
@@ -44,17 +43,33 @@ class NotFiniteError(ValueError):
     """Element enumeration was requested for an infinite carrier."""
 
 
-@dataclass(frozen=True)
+# The `__setattr__` and `__delattr__` of a frozen record: no attribute is rebound.
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 class Value:
     """One element of a concrete semiring instance.
 
     The payload layout is instance specific: bools, numbers, matrices as
     tuples of row bitmasks, or output tables.  Payloads are always
-    hashable, so values can be set members and dict keys.
+    hashable, so values can be set members and dict keys.  Values are
+    frozen and equal when their instance and payload are.
     """
 
-    semiring: "Semiring"
-    payload: Any
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, semiring: Semiring, payload: Any):
+        object.__setattr__(self, "semiring", semiring)
+        object.__setattr__(self, "payload", payload)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.semiring, self.payload) == (other.semiring, other.payload)
+
+    def __hash__(self):
+        return hash((self.semiring, self.payload))
 
     def __repr__(self) -> str:
         return f"<{self.semiring.name} {self.semiring.render(self)}>"

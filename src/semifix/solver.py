@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from semifix.polynomial import EquationSystem, InvariantError, _apply, _linearize
@@ -41,18 +40,34 @@ class BudgetExhaustedError(RuntimeError):
     """An iteration budget ran out where a caller required stabilization."""
 
 
-@dataclass
 class SolveOutcome:
     """Result vector plus how it was reached.
 
     `steps_used` counts right-hand side applications, the rounds of
     `_iterate`, each of which may re-apply only some rows; a stabilized
-    outcome needed exactly that many to stop changing.
+    outcome needed exactly that many to stop changing.  Outcomes are
+    equal when their fields are, and are not hashable.
     """
 
-    value: dict[str, Value]
-    status: str
-    steps_used: int
+    def __init__(self, value: dict[str, Value], status: str, steps_used: int):
+        self.value = value
+        self.status = status
+        self.steps_used = steps_used
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.status, self.steps_used) == (
+            other.value,
+            other.status,
+            other.steps_used,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"SolveOutcome(value={self.value!r}, status={self.status!r}, "
+            f"steps_used={self.steps_used!r})"
+        )
 
     @property
     def stabilized(self) -> bool:
@@ -98,17 +113,26 @@ class ChainSamples(Sequence):
         return repr(list(self))
 
 
-@dataclass
 class SequenceOutcome:
     """A sequence of iterates plus the status of the run that produced them.
 
     When the status reports budget exhaustion the sequence holds the
     iterates finished before the budget ran out.  The iterates are a
     `ChainSamples` view, which wraps an iterate only when it is read.
+    Outcomes are equal when their fields are, and are not hashable.
     """
 
-    iterates: Sequence[dict[str, Value]]
-    status: str
+    def __init__(self, iterates: Sequence[dict[str, Value]], status: str):
+        self.iterates = iterates
+        self.status = status
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.iterates, self.status) == (other.iterates, other.status)
+
+    def __repr__(self) -> str:
+        return f"SequenceOutcome(iterates={self.iterates!r}, status={self.status!r})"
 
     @property
     def stabilized(self) -> bool:

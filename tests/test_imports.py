@@ -37,15 +37,22 @@ import contextlib, io, json, sys
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("semifix."))
 
-steps = {}
+def added():
+    return sorted(set(sys.modules) - before)
+
+steps, added_by = {}, {}
+before = set(sys.modules)
 import semifix
 steps["import semifix"] = loaded()
 import semifix.cli
 steps["import semifix.cli"] = loaded()
+added_by["import semifix.cli"] = added()
 for command in ("solve", "completion"):
     with contextlib.redirect_stdout(io.StringIO()):
         assert semifix.cli.main([command, sys.argv[1], "--json"]) == 0
     steps[command] = loaded()
+    added_by[command] = added()
+steps["added"] = added_by
 steps["parsers built"] = semifix.cli.build_parser.cache_info().misses
 print(json.dumps(steps))
 """
@@ -60,6 +67,9 @@ def test_a_kleene_solve_and_a_completion_load_no_grammar_ladder_or_tensor(tmp_pa
         assert ON_DEMAND.isdisjoint(steps[step]), step
     assert "semifix.solver" in steps["import semifix.cli"]
     assert steps["parsers built"] == 0
+    # the always-loaded record classes are written without `dataclasses`
+    for step, modules in steps["added"].items():
+        assert {"dataclasses", "inspect"}.isdisjoint(modules), step
 
 
 STAR_IMPORT = """

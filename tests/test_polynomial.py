@@ -1,6 +1,5 @@
 """Canonical monomials, evaluation, substitution chains, differentials."""
 
-import dataclasses
 import random
 
 import pytest
@@ -199,7 +198,7 @@ def test_a_system_built_from_rows_cannot_be_rebound():
     sys = EquationSystem._of_rows(BOOLEAN, ("x",), (((None, ((0, None),)),),), [True])
     assert sys.a == {"x": BOOLEAN.one()} and sys.f == {"x": poly_of_var(BOOLEAN, "x")}
     for field in ("semiring", "variables", "f", "a", "compiled"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(sys, field, getattr(sys, field))
 
 

@@ -1,6 +1,5 @@
 """Kleene iteration, linear least solutions, and Newton steps."""
 
-import dataclasses
 import importlib
 import itertools
 import random
@@ -394,7 +393,7 @@ def test_equation_system_fields_cannot_be_rebound():
     sys = boolean_system_xyz()
     kleene_solve(sys)
     for field in ("semiring", "variables", "f", "a"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(sys, field, getattr(sys, field))
 
 
