@@ -40,19 +40,18 @@ def loaded():
 def added():
     return sorted(set(sys.modules) - before)
 
-steps, added_by = {}, {}
+steps = {"added": {}}
 before = set(sys.modules)
 import semifix
 steps["import semifix"] = loaded()
 import semifix.cli
 steps["import semifix.cli"] = loaded()
-added_by["import semifix.cli"] = added()
+steps["added"]["import semifix.cli"] = added()
 for command in ("solve", "completion"):
     with contextlib.redirect_stdout(io.StringIO()):
         assert semifix.cli.main([command, sys.argv[1], "--json"]) == 0
     steps[command] = loaded()
-    added_by[command] = added()
-steps["added"] = added_by
+    steps["added"][command] = added()
 steps["parsers built"] = semifix.cli.build_parser.cache_info().misses
 print(json.dumps(steps))
 """
