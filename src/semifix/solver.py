@@ -11,8 +11,10 @@ the first application from zero is the constants, and each later round
 re-applies only the rows that read a component the previous round
 changed, which gives every iterate of a full application.  Over an
 idempotent instance a completion step's second round is one
-application of the system's own rows, so a point the step leaves
-unchanged is confirmed without linearizing.
+application of the system's own rows (`_second_round`), so a point
+the step leaves unchanged is confirmed without linearizing; a tensor
+cycle confirms it the same way and solves its companion only when the
+point changes.
 `sample_chain` is the one chain loop: Newton, the accelerated iterates
 (over counting, a step applies compiled word sums) and the tensor
 cycles all step there.
@@ -20,7 +22,7 @@ cycles all step there.
 vectors once on entry and wrap each result once, and `sample_chain`
 wraps a sample when it is read.  A missing budget becomes
 `DEFAULT_KLEENE_BUDGET`, read at call time, in `_iterate`, in
-`_completion_step` and, for Newton's steps, in `newton_solve`.
+`_second_round` and, for Newton's steps, in `newton_solve`.
 """
 
 from __future__ import annotations
@@ -255,31 +257,44 @@ def solve_linear(sys: EquationSystem, max_iters: int | None = None) -> SolveOutc
     return _solve(sys, max_iters)
 
 
+def _second_round(sr: Semiring, rows: Sequence, at: list, budget: int | None) -> list | None:
+    """The completion step's second iterate at `at`, when plain iteration reaches it.
+
+    The step iterates `rows` linearized at `at` from zero, with `at` as
+    the constants.  Over an idempotent instance its second iterate,
+    at + D_at(at), is at + f(at): each term of the differential
+    evaluates at `at` to its whole monomial, and its copies add up to
+    one.  One application of the rows (`_apply`) computes it, when the
+    plain iteration would reach it: `at` has a nonzero component (the
+    all-zero point is stable after no round) and the budget
+    (`DEFAULT_KLEENE_BUDGET`, read at call time, when None) allows a
+    second round.  Otherwise None.  If it equals `at`, the step is
+    stable after one round, with C(at) = at.
+    """
+    if budget is None:
+        budget = DEFAULT_KLEENE_BUDGET
+    if sr.is_idempotent and budget >= 2 and at.count(sr._zero()) < len(at):
+        return _apply(sr, rows, at, at)
+    return None
+
+
 def _completion_step(
     sys: EquationSystem, at: list, max_linear_iters: int | None
 ) -> tuple[list, str, int]:
     """The completion step at the payload list `at`, as `_iterate` returns it.
 
     The system's compiled rows, linearized at `at`, iterated from zero
-    with `at` as the constants.  Over an idempotent instance the second
-    iterate, at + D_at(at), is at + f(at): each term of the differential
-    evaluates at `at` to its whole monomial, and its copies add up to
-    one.  One application of the rows (`_apply`) computes it, when the
-    plain iteration would reach it: `at` has a nonzero component (the
-    all-zero point is stable after no round) and the budget allows a
-    second round.  If it equals `at`, the step is stable after one
-    round and nothing is linearized; otherwise the linear rounds resume
-    from it.  Either way the payloads, status and count are those of
-    the plain iteration.
+    with `at` as the constants.  When `_second_round` gives the second
+    iterate and it equals `at`, the step is stable after one round and
+    nothing is linearized; otherwise the linear rounds resume from it,
+    or start from zero without it.  Either way the payloads, status and
+    count are those of the plain iteration.
     """
-    sr = sys.semiring
-    rows, start = sys.compiled[0], None
-    budget = DEFAULT_KLEENE_BUDGET if max_linear_iters is None else max_linear_iters
-    if sr.is_idempotent and budget >= 2 and at.count(sr._zero()) < len(at):
-        start = _apply(sr, rows, at, at)
-        if start == at:
-            return at, STABILIZED, 1
-    return _iterate(sr, _linearize(sr, rows, at), at, budget, start)
+    sr, rows = sys.semiring, sys.compiled[0]
+    start = _second_round(sr, rows, at, max_linear_iters)
+    if start == at:
+        return at, STABILIZED, 1
+    return _iterate(sr, _linearize(sr, rows, at), at, max_linear_iters, start)
 
 
 def newton_step(
@@ -293,7 +308,9 @@ def newton_step(
     one application of f confirms C(v) == v without linearizing), and
     the result is wrapped once.  Newton iteration, the idempotent
     accelerated iterates, the differential star and the function table
-    apply it; a tensor cycle maps its linearized rows to the companion.
+    apply it; a tensor cycle confirms C(v) == v through the same
+    `_second_round` and otherwise maps its linearized rows to the
+    companion.
     It depends on v alone, so once C(v) == v every further application
     repeats it.
     """

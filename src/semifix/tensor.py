@@ -6,7 +6,10 @@ differential.  Pairing each monomial's coefficients into transpose(a)
 tensor b gives an equivalent system over a companion instance with
 coefficients on one side only, and a readout projects its solution
 back down.  `regularize` and `solve_left_linear` do this on `Value`s,
-`tensor_pipeline` on the payload rows of Newton's completion step.
+`tensor_pipeline` on the payload rows of Newton's completion step.  A
+pipeline cycle confirms a fixed point C(v) = v through the completion
+step's own guard, one application of f (`solver._second_round`), and
+solves the companion only when the point changes.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from semifix.solver import (
     STABILIZED,
     BudgetExhaustedError,
     _iterate,
+    _second_round,
     sample_chain,
     solve_linear,
 )
@@ -224,12 +228,15 @@ def tensor_pipeline(sys: EquationSystem, n: int) -> dict[str, Value]:
     """Accelerated iterate n computed by repeated tensor solves.
 
     A cycle is Newton's completion step C on payload rows with the
-    companion in between: the compiled rows, linearized at the current
-    payload list, become x_j (transpose(a) tensor b) for each term
-    a x_j b and transpose(1) tensor c for each constant c, are iterated
-    over the companion, and each component is read back out.  Iterate n
-    is C^(2^n)(a), a the constant vector, read off the chain of cycles
-    by `solver.sample_chain`.  A companion of more than
+    companion in between.  At a point v that `solver._second_round`
+    confirms, v + f(v) = v, the cycle returns v, since C(v) = v; it
+    cannot resume from that round otherwise, because the companion's
+    second iterate is a different payload.  At any other point the
+    compiled rows, linearized at v, become x_j (transpose(a) tensor b)
+    for each term a x_j b and transpose(1) tensor c for each constant c,
+    are iterated over the companion, and each component is read back
+    out.  Iterate n is C^(2^n)(a), a the constant vector, read off the
+    chain of cycles by `solver.sample_chain`.  A companion of more than
     `MAX_COMPANION_STATES` states, or a companion solve that does not
     stabilize, raises `BudgetExhaustedError`.
     """
@@ -246,6 +253,8 @@ def tensor_pipeline(sys: EquationSystem, n: int) -> dict[str, Value]:
     one = sr._one()  # transpose(1) == 1; a linearized side of None is a unit
 
     def cycle(at):
+        if _second_round(sr, sys.compiled[0], at, None) == at:
+            return at
         rows = tuple(
             tuple((None, ((j, kronecker(transpose(a or one), b or one)),)) for a, ((j, b),) in row)
             for row in _linearize(sr, sys.compiled[0], at)

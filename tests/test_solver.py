@@ -694,7 +694,7 @@ def test_chains_from_constants_that_solve_the_system_never_linearize(monkeypatch
     assert calls == []
 
 
-def test_tensor_cycles_solve_through_the_companion_at_a_fixed_point(monkeypatch):
+def count_companion_solves(monkeypatch):
     tensor_module = importlib.import_module("semifix.tensor")
     iterate, companions = tensor_module._iterate, []
 
@@ -703,10 +703,39 @@ def test_tensor_cycles_solve_through_the_companion_at_a_fixed_point(monkeypatch)
         return iterate(*args)
 
     monkeypatch.setattr(tensor_module, "_iterate", counted)
+    return tensor_module.tensor_pipeline, companions
+
+
+def test_tensor_cycles_solve_through_the_companion_at_a_fixed_point(monkeypatch):
+    tensor_pipeline, companions = count_companion_solves(monkeypatch)
     sys = parse(FIXED_RELATION)
-    assert tensor_module.tensor_pipeline(sys, 2) == sys.a
-    # the first cycle finds the fixed point, through the companion over relation[4]
-    assert [sr.q for sr in companions] == [4]
+    assert tensor_pipeline(sys, 2) == sys.a
+    # one application of f confirms the fixed point, with no companion solve
+    assert [sr.q for sr in companions] == []
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_tensor_cycles_solve_the_companion_once_per_changing_cycle(q, monkeypatch):
+    from semifix.munchausen import munchausen_sequence
+
+    tensor_pipeline, companions = count_companion_solves(monkeypatch)
+    rng = random.Random(31 + q)
+    for _ in range(15):
+        sys = random_system(relation_semiring(q), rng, rng.randint(1, 3))
+        zero = all(c == sys.semiring.zero() for c in sys.a.values())
+        for level in range(4):
+            companions.clear()
+            got = tensor_pipeline(sys, level)
+            # every point of the chain of cycles, C^k(a) for k = 0..2^level
+            chain = newton_solve(sys, 1 << level).iterates
+            seq = munchausen_sequence(sys, level)
+            assert seq.iterates == [chain[1 << k] for k in range(level + 1)]
+            assert got == seq.iterates[level]
+            changing = sum(chain[k] != chain[k - 1] for k in range(1, len(chain)))
+            # the all-zero point is stable after no round, so no second round confirms
+            # it, and its one companion solve returns at once
+            assert len(companions) == changing + zero
+            assert {sr.q for sr in companions} <= {q * q}
 
 
 def test_lazy_samples_equal_eager_newton_steps():
