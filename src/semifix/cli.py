@@ -26,10 +26,10 @@ A run loads only the modules its command runs: this one, `polynomial`,
 --method munchausen`, `completion --grammar`, `--left-linear` and
 `--table`, `grammar` and `tensor`; `grammar` for `oracle`; `tensor` for
 `tensor`.  Each runner imports them in the branch that needs them, so a
-one-shot `solve` or `completion` does not pay for their import.  The
-always-loaded modules import no `dataclasses`: their record classes are
-plain classes, which spares every command the import of `dataclasses`
-and `inspect`.
+one-shot `solve` or `completion` does not pay for their import.  No
+module imports `dataclasses` or `typing`: every record class is built on
+one plain base (`semiring._Record`), which spares every command the
+import of `dataclasses`, `inspect` and `typing`.
 """
 
 from __future__ import annotations

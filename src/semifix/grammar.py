@@ -13,8 +13,7 @@ brute-force reference.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, replace
-from typing import Mapping, Union
+from collections.abc import Mapping
 
 from semifix.polynomial import (
     EquationSystem,
@@ -23,46 +22,48 @@ from semifix.polynomial import (
     _payload,
     _word_rows,
 )
-from semifix.semiring import Semiring, Value
+from semifix.semiring import Semiring, Value, _Frozen, _Record
 from semifix.solver import DEFAULT_NODE_BUDGET, STABILIZED, _iterate
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(_Frozen):
     """A terminal symbol holding one semiring value."""
 
-    value: Value
+    def __init__(self, value: Value):
+        vars(self).update(value=value)
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(_Frozen):
     """A nonterminal symbol naming a system variable."""
 
-    var: str
+    def __init__(self, var: str):
+        vars(self).update(var=var)
 
 
-Symbol = Union[Lit, Ref]
+Symbol = Lit | Ref
 
 
-@dataclass
-class Cfg:
+class Cfg(_Record):
     """Productions per variable, kept in declaration order."""
 
-    semiring: Semiring
-    nonterminals: tuple[str, ...]
-    rules: dict[str, tuple[tuple[Symbol, ...], ...]]
+    def __init__(
+        self,
+        semiring: Semiring,
+        nonterminals: tuple[str, ...],
+        rules: dict[str, tuple[tuple[Symbol, ...], ...]],
+    ):
+        self.semiring = semiring
+        self.nonterminals = nonterminals
+        self.rules = rules
 
 
-def _word_of(sr: Semiring, m: Monomial) -> tuple[Symbol, ...]:
+def _word_of(m: Monomial) -> tuple[Symbol, ...]:
     return tuple(Lit(f) if isinstance(f, Value) else Ref(f) for f in m.factors())
 
 
 def grammar_of(sys: EquationSystem) -> Cfg:
     """Productions from the variable parts only."""
-    rules = {
-        x: tuple(_word_of(sys.semiring, m) for m in sys.f[x].monomials)
-        for x in sys.variables
-    }
+    rules = {x: tuple(_word_of(m) for m in sys.f[x].monomials) for x in sys.variables}
     return Cfg(sys.semiring, sys.variables, rules)
 
 
@@ -75,8 +76,7 @@ def grammar_with_constants(sys: EquationSystem) -> Cfg:
     return Cfg(sys.semiring, sys.variables, rules)
 
 
-@dataclass(frozen=True)
-class DerivationTree:
+class DerivationTree(_Frozen):
     """A node labelled by a symbol.
 
     Leaves have no children.  An inner node is a nonterminal expanded by
@@ -84,9 +84,13 @@ class DerivationTree:
     children spell that rule's right-hand side.
     """
 
-    symbol: Symbol
-    children: tuple["DerivationTree", ...] = ()
-    rule_index: int | None = None
+    def __init__(
+        self,
+        symbol: Symbol,
+        children: tuple[DerivationTree, ...] = (),
+        rule_index: int | None = None,
+    ):
+        vars(self).update(symbol=symbol, children=children, rule_index=rule_index)
 
     @property
     def is_leaf(self) -> bool:
@@ -107,12 +111,29 @@ def dimension(t: DerivationTree) -> int:
     A node takes the largest child dimension, plus one when at least two
     children reach that largest value together.
     """
-    if t.is_leaf:
-        return 0
-    dims = sorted((dimension(c) for c in t.children), reverse=True)
-    if len(dims) >= 2 and dims[0] == dims[1]:
-        return dims[0] + 1
-    return dims[0]
+    return _dimensions(t)[id(t)]
+
+
+def _dimensions(t: DerivationTree) -> dict[int, int]:
+    """The dimension of every subtree of t, keyed by its `id`, bottom up.
+
+    Children fold into a node's dimension as `enumerate_trees` folds
+    them (`_fold_dim`); a subtree shared by several parents is measured
+    once.
+    """
+    dims: dict[int, int] = {}
+
+    def measure(s: DerivationTree) -> int:
+        key = id(s)
+        if key not in dims:
+            dmax = cnt = 0
+            for c in s.children:
+                dmax, cnt = _fold_dim(dmax, cnt, measure(c))
+            dims[key] = dmax + 1 if cnt >= 2 else dmax
+        return dims[key]
+
+    measure(t)
+    return dims
 
 
 def yield_word(t: DerivationTree) -> tuple[Symbol, ...]:
@@ -316,29 +337,17 @@ def decompose(t: DerivationTree, m: int) -> tuple[DerivationTree, list[Derivatio
     part then have dimension at most m, and grafting the parts back onto
     the outer tree's leaves left to right restores the input.
     """
-    dims: dict[int, int] = {}
-
-    def dim_of(s: DerivationTree) -> int:
-        key = id(s)
-        if key not in dims:
-            if s.is_leaf:
-                dims[key] = 0
-            else:
-                child_dims = sorted((dim_of(c) for c in s.children), reverse=True)
-                bump = len(child_dims) >= 2 and child_dims[0] == child_dims[1]
-                dims[key] = child_dims[0] + 1 if bump else child_dims[0]
-        return dims[key]
-
-    if dim_of(t) != 2 * m:
-        raise InvariantError(f"tree has dimension {dim_of(t)}, expected {2 * m}")
+    dims = _dimensions(t)
+    if dims[id(t)] != 2 * m:
+        raise InvariantError(f"tree has dimension {dims[id(t)]}, expected {2 * m}")
 
     parts: list[DerivationTree] = []
 
     def cut(s: DerivationTree) -> DerivationTree:
-        if dim_of(s) <= m:
+        if dims[id(s)] <= m:
             parts.append(s)
             return leaf(s.symbol)
-        return replace(s, children=tuple(cut(c) for c in s.children))
+        return DerivationTree(s.symbol, tuple(cut(c) for c in s.children), s.rule_index)
 
     return cut(t), parts
 
@@ -355,7 +364,7 @@ def regraft(outer: DerivationTree, parts: list[DerivationTree]) -> DerivationTre
             if part.symbol != s.symbol:
                 raise InvariantError("part root does not match leaf symbol")
             return part
-        return replace(s, children=tuple(fill(c) for c in s.children))
+        return DerivationTree(s.symbol, tuple(fill(c) for c in s.children), s.rule_index)
 
     out = fill(outer)
     if remaining:

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Mapping
 from functools import partial
-from typing import Mapping, Union
 
 from semifix.polynomial import (
     EquationSystem,
@@ -38,7 +37,14 @@ from semifix.polynomial import (
     mono_of_value,
     substitute_occurrence,
 )
-from semifix.semiring import Semiring, Value, make_function_semiring, vector_leq
+from semifix.semiring import (
+    Semiring,
+    Value,
+    _Frozen,
+    _Record,
+    make_function_semiring,
+    vector_leq,
+)
 from semifix.solver import (
     BUDGET_EXHAUSTED,
     STABILIZED,
@@ -61,29 +67,28 @@ DEFAULT_EXPANSION_BUDGET = 100_000
 DEFAULT_TABLE_POINTS = 1 << 16
 
 
-@dataclass(frozen=True)
-class Terminal:
+class Terminal(_Frozen):
     """A fixed semiring value inside a grammar word."""
 
-    value: Value
+    def __init__(self, value: Value):
+        vars(self).update(value=value)
 
 
-@dataclass(frozen=True)
-class VarTerminal:
+class VarTerminal(_Frozen):
     """A system variable read as a terminal, valued by the argument vector."""
 
-    var: str
+    def __init__(self, var: str):
+        vars(self).update(var=var)
 
 
-@dataclass(frozen=True)
-class NonTerm:
+class NonTerm(_Frozen):
     """An indexed nonterminal; the index names its layer in the ladder."""
 
-    var: str
-    index: int
+    def __init__(self, var: str, index: int):
+        vars(self).update(var=var, index=index)
 
 
-LSym = Union[Terminal, VarTerminal, NonTerm]
+LSym = Terminal | VarTerminal | NonTerm
 
 
 def render_lsym(sym: LSym) -> str:
@@ -94,8 +99,7 @@ def render_lsym(sym: LSym) -> str:
     return f"{sym.var}^{sym.index}"
 
 
-@dataclass
-class LinearCfg:
+class LinearCfg(_Record):
     """Rules per indexed nonterminal, linear along each layer.
 
     Within one right-hand side at most one nonterminal carries the same
@@ -104,10 +108,17 @@ class LinearCfg:
     indices run through [1, 2^level], and is None for shifted fragments.
     """
 
-    semiring: Semiring
-    variables: tuple[str, ...]
-    level: int | None
-    rules: dict[NonTerm, tuple[tuple[LSym, ...], ...]]
+    def __init__(
+        self,
+        semiring: Semiring,
+        variables: tuple[str, ...],
+        level: int | None,
+        rules: dict[NonTerm, tuple[tuple[LSym, ...], ...]],
+    ):
+        self.semiring = semiring
+        self.variables = variables
+        self.level = level
+        self.rules = rules
 
     def start(self, var: str) -> NonTerm:
         if self.level is None:
@@ -442,8 +453,7 @@ def munchausen_sequence(
     return sample_chain(sys, step, b, n, lambda k: 1 << k, top)
 
 
-@dataclass
-class IndexedGrammar:
+class IndexedGrammar(_Record):
     """One rule set driving every layer through a unary stack.
 
     The recursion words are the completion grammar's, without its
@@ -455,9 +465,15 @@ class IndexedGrammar:
     expanded.
     """
 
-    semiring: Semiring
-    variables: tuple[str, ...]
-    recursion: dict[str, tuple[tuple[LSym, ...], ...]]
+    def __init__(
+        self,
+        semiring: Semiring,
+        variables: tuple[str, ...],
+        recursion: dict[str, tuple[tuple[LSym, ...], ...]],
+    ):
+        self.semiring = semiring
+        self.variables = variables
+        self.recursion = recursion
 
 
 def indexed_grammar_of(sys: EquationSystem) -> IndexedGrammar:

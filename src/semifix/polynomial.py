@@ -22,14 +22,15 @@ inverse of `_compile`).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 from operator import itemgetter
-from typing import Any, Iterable, Mapping, Sequence, Union
 
 from semifix.semiring import (
     InstanceMismatchError,
     Semiring,
     Value,
+    _Frozen,
     _frozen,
     add_all,
     mul,
@@ -40,10 +41,10 @@ class InvariantError(AssertionError):
     """A structural invariant of the workbench was violated."""
 
 
-Factor = Union[Value, str]
+Factor = Value | str
 
 
-class Monomial:
+class Monomial(_Frozen):
     """One product c0 x1 c1 ... xl cl in canonical interleaved form.
 
     `coefficients` always has one more entry than `variables`.  The zero
@@ -53,26 +54,10 @@ class Monomial:
     coefficients and variables are.
     """
 
-    __setattr__ = __delattr__ = _frozen
-
     def __init__(
         self, semiring: Semiring, coefficients: tuple[Value, ...], variables: tuple[str, ...]
     ):
-        object.__setattr__(self, "semiring", semiring)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "variables", variables)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.semiring, self.coefficients, self.variables) == (
-            other.semiring,
-            other.coefficients,
-            other.variables,
-        )
-
-    def __hash__(self):
-        return hash((self.semiring, self.coefficients, self.variables))
+        vars(self).update(semiring=semiring, coefficients=coefficients, variables=variables)
 
     @property
     def degree(self) -> int:
@@ -148,7 +133,7 @@ def render_monomial(m: Monomial) -> str:
     return "*".join(parts)
 
 
-class Polynomial:
+class Polynomial(_Frozen):
     """A finite sum of nonzero monomials over one instance.
 
     The monomial order is kept as given; duplicates are legal and add up,
@@ -157,19 +142,8 @@ class Polynomial:
     are.
     """
 
-    __setattr__ = __delattr__ = _frozen
-
     def __init__(self, semiring: Semiring, monomials: tuple[Monomial, ...]):
-        object.__setattr__(self, "semiring", semiring)
-        object.__setattr__(self, "monomials", monomials)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.semiring, self.monomials) == (other.semiring, other.monomials)
-
-    def __hash__(self):
-        return hash((self.semiring, self.monomials))
+        vars(self).update(semiring=semiring, monomials=monomials)
 
     @property
     def is_zero(self) -> bool:
@@ -371,7 +345,7 @@ def rhs_poly(sys: EquationSystem, x: str) -> Polynomial:
     return Polynomial(sr, sys.f[x].monomials + poly_of_value(sr, sys.a[x]).monomials)
 
 
-def _payload(sr: Semiring, val: Value) -> Any:
+def _payload(sr: Semiring, val: Value) -> object:
     if val.semiring is not sr:
         raise InstanceMismatchError(
             f"cannot combine {sr.name} system with {val.semiring.name} value"
@@ -477,7 +451,7 @@ def _word_rows(sr: Semiring, words_per_variable: Iterable) -> tuple[tuple, list]
     return tuple(rows), constants
 
 
-class SubstitutionStep:
+class SubstitutionStep(_Frozen):
     """One elementary replacement inside a substitution chain.
 
     The variable at the current position is replaced by the monomial
@@ -486,29 +460,9 @@ class SubstitutionStep:
     continues.  Steps are frozen and equal when their fields are.
     """
 
-    __setattr__ = __delattr__ = _frozen
-
     def __init__(self, variable: str, monomial_index: int, occurrence_index: int):
-        object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "monomial_index", monomial_index)
-        object.__setattr__(self, "occurrence_index", occurrence_index)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.variable, self.monomial_index, self.occurrence_index) == (
-            other.variable,
-            other.monomial_index,
-            other.occurrence_index,
-        )
-
-    def __hash__(self):
-        return hash((self.variable, self.monomial_index, self.occurrence_index))
-
-    def __repr__(self) -> str:
-        return (
-            f"SubstitutionStep(variable={self.variable!r}, monomial_index="
-            f"{self.monomial_index!r}, occurrence_index={self.occurrence_index!r})"
+        vars(self).update(
+            variable=variable, monomial_index=monomial_index, occurrence_index=occurrence_index
         )
 
 

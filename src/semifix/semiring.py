@@ -11,6 +11,11 @@ Each instance computes on raw payloads through its `_add`, `_mul`,
 tuples of row bitmasks (bit j of row i is cell (i, j)), or tables.  The
 solver's fixed-point loop calls these hooks directly and wraps only its
 result in `Value`s.
+
+Every record class of the package, `Value` among them, is built on one
+plain base defined here: `_Record`, equal when its class and fields are
+and printed as `Name(field=value, ...)`, or its frozen and hashable
+subclass `_Frozen`.  No module imports `dataclasses`.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from operator import or_
-from typing import Any, Iterable, Mapping, Sequence
 
 INF = math.inf
 
@@ -48,7 +53,37 @@ def _frozen(self, name, *value):
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
-class Value:
+class _Record:
+    """A record: its fields are its `vars()`, set by its class's `__init__`.
+
+    A record holds only its fields in `vars()`, in the order its
+    `__init__` sets them, and no other attribute.  Records are equal when
+    their class and fields are, print as `Name(field=value, ...)` and are
+    not hashable.
+    """
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record whose fields are never rebound; it hashes as the tuple of its fields."""
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+
+class Value(_Frozen):
     """One element of a concrete semiring instance.
 
     The payload layout is instance specific: bools, numbers, matrices as
@@ -57,19 +92,8 @@ class Value:
     frozen and equal when their instance and payload are.
     """
 
-    __setattr__ = __delattr__ = _frozen
-
-    def __init__(self, semiring: Semiring, payload: Any):
-        object.__setattr__(self, "semiring", semiring)
-        object.__setattr__(self, "payload", payload)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.semiring, self.payload) == (other.semiring, other.payload)
-
-    def __hash__(self):
-        return hash((self.semiring, self.payload))
+    def __init__(self, semiring: Semiring, payload: object):
+        vars(self).update(semiring=semiring, payload=payload)
 
     def __repr__(self) -> str:
         return f"<{self.semiring.name} {self.semiring.render(self)}>"
@@ -89,7 +113,7 @@ class Semiring:
     is_commutative = True
     is_finite = False
 
-    def value(self, payload: Any) -> Value:
+    def value(self, payload: object) -> Value:
         return Value(self, self._check(payload))
 
     def zero(self) -> Value:
@@ -111,31 +135,31 @@ class Semiring:
         return self._render(v.payload)
 
     # payload-level hooks
-    def _check(self, payload: Any) -> Any:
+    def _check(self, payload: object) -> object:
         return payload
 
-    def _zero(self) -> Any:
+    def _zero(self) -> object:
         raise NotImplementedError
 
-    def _one(self) -> Any:
+    def _one(self) -> object:
         raise NotImplementedError
 
-    def _add(self, x: Any, y: Any) -> Any:
+    def _add(self, x: object, y: object) -> object:
         raise NotImplementedError
 
-    def _mul(self, x: Any, y: Any) -> Any:
+    def _mul(self, x: object, y: object) -> object:
         raise NotImplementedError
 
-    def _star(self, x: Any) -> Any:
+    def _star(self, x: object) -> object:
         raise NotImplementedError
 
-    def _leq(self, x: Any, y: Any) -> bool:
+    def _leq(self, x: object, y: object) -> bool:
         raise NotImplementedError
 
-    def _elements(self) -> Iterable[Any]:
+    def _elements(self) -> Iterable[object]:
         raise NotImplementedError
 
-    def _parse(self, text: str) -> Any:
+    def _parse(self, text: str) -> object:
         """The payload a literal spells, checked as `_check` would check it.
 
         Raises ValueError for text that spells no element, so callers wrap
@@ -143,7 +167,7 @@ class Semiring:
         """
         raise NotImplementedError
 
-    def _render(self, payload: Any) -> str:
+    def _render(self, payload: object) -> str:
         return str(payload)
 
 

@@ -28,11 +28,10 @@ wraps a sample when it is read.  A missing budget becomes
 from __future__ import annotations
 
 import warnings
-from collections.abc import Sequence
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 
 from semifix.polynomial import EquationSystem, InvariantError, _apply, _linearize
-from semifix.semiring import Semiring, Value
+from semifix.semiring import Semiring, Value, _Record
 
 STABILIZED = "stabilized"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -42,7 +41,7 @@ class BudgetExhaustedError(RuntimeError):
     """An iteration budget ran out where a caller required stabilization."""
 
 
-class SolveOutcome:
+class SolveOutcome(_Record):
     """Result vector plus how it was reached.
 
     `steps_used` counts right-hand side applications, the rounds of
@@ -55,21 +54,6 @@ class SolveOutcome:
         self.value = value
         self.status = status
         self.steps_used = steps_used
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.value, self.status, self.steps_used) == (
-            other.value,
-            other.status,
-            other.steps_used,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"SolveOutcome(value={self.value!r}, status={self.status!r}, "
-            f"steps_used={self.steps_used!r})"
-        )
 
     @property
     def stabilized(self) -> bool:
@@ -115,7 +99,7 @@ class ChainSamples(Sequence):
         return repr(list(self))
 
 
-class SequenceOutcome:
+class SequenceOutcome(_Record):
     """A sequence of iterates plus the status of the run that produced them.
 
     When the status reports budget exhaustion the sequence holds the
@@ -127,14 +111,6 @@ class SequenceOutcome:
     def __init__(self, iterates: Sequence[dict[str, Value]], status: str):
         self.iterates = iterates
         self.status = status
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.iterates, self.status) == (other.iterates, other.status)
-
-    def __repr__(self) -> str:
-        return f"SequenceOutcome(iterates={self.iterates!r}, status={self.status!r})"
 
     @property
     def stabilized(self) -> bool:

@@ -14,10 +14,8 @@ solves the companion only when the point changes.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable
 
 from semifix.polynomial import (
     EquationSystem,
@@ -26,7 +24,7 @@ from semifix.polynomial import (
     monomial,
     polynomial,
 )
-from semifix.semiring import Semiring, Value, add, mul, relation_semiring
+from semifix.semiring import Semiring, Value, _Record, add, mul, relation_semiring
 from semifix.solver import (
     STABILIZED,
     BudgetExhaustedError,
@@ -44,15 +42,22 @@ LAW_SAMPLE_SEED = 0
 MAX_COMPANION_STATES = 256
 
 
-@dataclass
-class AdmissibleOps:
+class AdmissibleOps(_Record):
     """Transpose, tensor product, and readout tying a base to its companion."""
 
-    base: Semiring
-    tensor: Semiring
-    transpose: Callable[[Value], Value]
-    tensor_prod: Callable[[Value, Value], Value]
-    readout: Callable[[Value], Value]
+    def __init__(
+        self,
+        base: Semiring,
+        tensor: Semiring,
+        transpose: Callable[[Value], Value],
+        tensor_prod: Callable[[Value, Value], Value],
+        readout: Callable[[Value], Value],
+    ):
+        self.base = base
+        self.tensor = tensor
+        self.transpose = transpose
+        self.tensor_prod = tensor_prod
+        self.readout = readout
 
 
 @lru_cache(maxsize=None)
@@ -108,6 +113,8 @@ def check_admissible(ops: AdmissibleOps, quadruple_samples: int = 200):
     every triple, and the four-place tensor product law over a random
     sample drawn with `LAW_SAMPLE_SEED`.  Raises on the first violated law.
     """
+    import random  # only the law check draws a sample; the `tensor` command never does
+
     sr = ops.base
     if not sr.is_finite:
         raise InvariantError("law check needs a finite base instance")

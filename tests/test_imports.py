@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import semifix
 
 SRC = Path(semifix.__file__).resolve().parent.parent
@@ -18,10 +20,10 @@ SRC = Path(semifix.__file__).resolve().parent.parent
 ON_DEMAND = {"semifix.grammar", "semifix.munchausen", "semifix.tensor"}
 
 
-def run(code: str, *args: str) -> str:
+def run(code: str, *args: str, flags: tuple[str, ...] = ()) -> str:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -69,6 +71,52 @@ def test_a_kleene_solve_and_a_completion_load_no_grammar_ladder_or_tensor(tmp_pa
     # the always-loaded record classes are written without `dataclasses`
     for step, modules in steps["added"].items():
         assert {"dataclasses", "inspect"}.isdisjoint(modules), step
+
+
+ADDED_BY_A_COMMAND = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import semifix.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert semifix.cli.main([sys.argv[2], sys.argv[1], *sys.argv[3:], "--json"]) == 0
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+# Each command kind that loads a module of ON_DEMAND, with its options.
+LAZY_COMMANDS = (
+    ("compare",),
+    ("tensor",),
+    ("oracle",),
+    ("grammar",),
+    ("completion", "--table"),
+    ("solve", "--method", "munchausen"),
+)
+
+
+@pytest.mark.parametrize("command", LAZY_COMMANDS, ids=" ".join)
+def test_a_lazily_loading_command_imports_no_dataclasses_or_inspect(tmp_path, command):
+    path = tmp_path / "r.sfx"
+    path.write_text(
+        "semiring relation 2;\nvars x y;\nx = x*y + [[0,1],[0,0]];\ny = x*x + [[1,0],[0,0]];\n",
+        encoding="utf-8",
+    )
+    added = set(json.loads(run(ADDED_BY_A_COMMAND, str(path), *command)))
+    assert ON_DEMAND & added
+    # every record class, the lazily loaded ones too, is built on one plain base
+    assert {"dataclasses", "inspect"}.isdisjoint(added)
+
+
+ALL_MODULES = """
+import json, sys
+import semifix.cli, semifix.grammar, semifix.munchausen, semifix.tensor
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_no_module_imports_typing():
+    # this host's `site` imports `typing` itself, so the check runs without `site`
+    loaded = json.loads(run(ALL_MODULES, flags=("-S",)))
+    assert "semifix.solver" in loaded and "typing" not in loaded
 
 
 STAR_IMPORT = """
