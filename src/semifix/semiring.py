@@ -54,12 +54,12 @@ def _frozen(self, name, *value):
 
 
 class _Record:
-    """A record: its fields are its `vars()`, set by its class's `__init__`.
+    """A record whose fields are its `vars()`.
 
-    A record holds only its fields in `vars()`, in the order its
-    `__init__` sets them, and no other attribute.  Records are equal when
-    their class and fields are, print as `Name(field=value, ...)` and are
-    not hashable.
+    A record must hold only its fields in `vars()`, in the order its
+    class's `__init__` sets them: equality, hashing and the repr read
+    them there.  Records are equal when their class and fields are,
+    print as `Name(field=value, ...)` and are not hashable.
     """
 
     __hash__ = None

@@ -114,7 +114,7 @@ print(json.dumps(sorted(sys.modules)))
 
 
 def test_no_module_imports_typing():
-    # this host's `site` imports `typing` itself, so the check runs without `site`
+    # a `site` that imports `typing` itself would hide it, so the check runs without `site`
     loaded = json.loads(run(ALL_MODULES, flags=("-S",)))
     assert "semifix.solver" in loaded and "typing" not in loaded
 

@@ -4,10 +4,8 @@ import copy
 
 import pytest
 
-from semifix.grammar import Cfg, DerivationTree, Lit, Ref, grammar_with_constants
+from semifix.grammar import DerivationTree, Lit, Ref, grammar_with_constants
 from semifix.munchausen import (
-    IndexedGrammar,
-    LinearCfg,
     NonTerm,
     Terminal,
     VarTerminal,
