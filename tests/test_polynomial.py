@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gen import apply_rhs, differential, random_point, random_system
+from gen import apply_rhs, differential, random_eq1, random_point, random_system
 from semifix.polynomial import (
     IDENTITY_STEP,
     EquationSystem,
@@ -27,8 +27,17 @@ from semifix.polynomial import (
     rhs_poly,
     substitute_occurrence,
 )
-from semifix.semiring import BOOLEAN, COUNTING, MIN_PLUS, Value, add, mul, relation_semiring
-from semifix.solver import newton_step, solve_linear
+from semifix.semiring import (
+    BOOLEAN,
+    COUNTING,
+    MIN_PLUS,
+    InstanceMismatchError,
+    Value,
+    add,
+    mul,
+    relation_semiring,
+)
+from semifix.solver import kleene_solve, newton_step, solve_linear
 
 REL2 = relation_semiring(2)
 
@@ -200,6 +209,76 @@ def test_a_system_built_from_rows_cannot_be_rebound():
     for field in ("semiring", "variables", "f", "a", "compiled"):
         with pytest.raises(AttributeError):
             setattr(sys, field, getattr(sys, field))
+
+
+def both_constructors(sr, variables, f, a):
+    """The system x = f[x] + a[x] built by `EquationSystem` and by `equation_system`."""
+    rhs = {x: polynomial(sr, f[x].monomials + (monomial(sr, [a[x]]),)) for x in variables}
+    return EquationSystem(sr, variables, f, a), equation_system(sr, variables, rhs)
+
+
+@pytest.mark.parametrize("sr", [BOOLEAN, MIN_PLUS, COUNTING, REL2], ids=lambda sr: sr.name)
+def test_a_system_rebuilt_from_its_parts_is_equal_through_either_constructor(sr):
+    rng = random.Random(91)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        for sys in (random_system(sr, rng, n), random_eq1(sr, rng, n)):
+            f, a = sys.f, sys.a
+            for rebuilt in both_constructors(sr, sys.variables, f, a):
+                assert rebuilt == sys and sys == rebuilt
+                assert rebuilt.f == f and rebuilt.a == a
+
+
+X_ONLY = {"x": poly_of_var(BOOLEAN, "x")}
+Y_ONLY = {"x": poly_of_var(BOOLEAN, "y")}
+ONE = {"x": BOOLEAN.one()}
+COVER = "equations must cover exactly the declared variables"
+UNDECLARED = "undeclared variable 'y' in equation for 'x'"
+
+
+@pytest.mark.parametrize(
+    "variables,f,a,message",
+    [
+        (("x", "y"), X_ONLY, ONE, COVER),
+        (("x", "x"), X_ONLY, ONE, "duplicate variable names"),
+        (("x",), X_ONLY, {"x": MIN_PLUS.one()}, "constant part from a different instance"),
+        (("x",), {"x": poly_of_value(BOOLEAN, BOOLEAN.one())}, ONE, "variable part contains"),
+        (("x",), Y_ONLY, ONE, UNDECLARED),
+    ],
+    ids=["cover", "duplicate", "foreign constant", "constant monomial", "undeclared"],
+)
+def test_the_constructor_pins_its_error_texts(variables, f, a, message):
+    with pytest.raises(InvariantError, match=f"^{message}"):
+        EquationSystem(BOOLEAN, variables, f, a)
+
+
+@pytest.mark.parametrize(
+    "variables,rhs,message",
+    [
+        (("x", "y"), X_ONLY, COVER),
+        (("x",), {**X_ONLY, "y": X_ONLY["x"]}, COVER),
+        (("x", "x"), X_ONLY, "duplicate variable names"),
+        (("x",), Y_ONLY, UNDECLARED),
+    ],
+    ids=["missing", "extra", "duplicate", "undeclared"],
+)
+def test_equation_system_pins_its_error_texts(variables, rhs, message):
+    with pytest.raises(InvariantError, match=f"^{message}"):
+        equation_system(BOOLEAN, variables, rhs)
+
+
+def test_a_foreign_coefficient_is_an_instance_mismatch_by_the_first_solve():
+    one, foreign = BOOLEAN.one(), MIN_PLUS.one()
+    odd = Monomial(BOOLEAN, (one, foreign), ("x",))
+    odd_constant = Monomial(BOOLEAN, (foreign,), ())
+    builds = [
+        lambda: EquationSystem(BOOLEAN, ("x",), {"x": Polynomial(BOOLEAN, (odd,))}, ONE),
+        lambda: equation_system(BOOLEAN, ("x",), {"x": Polynomial(BOOLEAN, (odd,))}),
+        lambda: equation_system(BOOLEAN, ("x",), {"x": Polynomial(BOOLEAN, (odd_constant,))}),
+    ]
+    for build in builds:
+        with pytest.raises(InstanceMismatchError):
+            kleene_solve(build())
 
 
 def monomial_key(m: Monomial):
