@@ -7,17 +7,17 @@ Equation systems pair each variable with a right-hand side split into a
 variable part (monomials that contain at least one variable) and a
 constant part.
 
-The work runs on payload rows.  A system is its compiled rows
-(`EquationSystem.compiled`): the parser builds them directly, and a
-system built from `Polynomial`s compiles them once.  `_word_rows` is
-the one writer of rows and constants, from coded words: for the
-parser, for `_compile`, for the counting chain's word sums and for the
-two oracles' layers.  `_apply` evaluates rows on
-payload lists in variable order, and `_linearize` turns rows into the
-rows of the completion system at a payload point.  `Value`,
-`Monomial` and `Polynomial` are the boundary: a system decodes its
-`f` and `a` from the rows only when they are read (`_decode`, the
-inverse of `_compile`).
+The work runs on payload rows.  A system stores nothing but its
+compiled rows (`EquationSystem.compiled`): the parser writes them
+directly, and a system built from `Polynomial`s codes them when it is
+built (`_compile`).  `_word_rows` is the one writer of rows and
+constants, from coded words: for the parser, for `_compile`, for the
+counting chain's word sums and for the two oracles' layers.  `_apply`
+evaluates rows on payload lists in variable order, and `_linearize`
+turns rows into the rows of the completion system at a payload point.
+`Value`, `Monomial` and `Polynomial` are the boundary: every system
+decodes its `f` and `a` from the rows only when they are read
+(`_decode`, the inverse of `_compile`).
 """
 
 from __future__ import annotations
@@ -205,46 +205,44 @@ class EquationSystem:
     coefficient), ...)) over payloads, a unit coefficient as None, and
     the payload of its constant.  `f` (the variable parts as
     `Polynomial`s, every monomial mentioning at least one variable) and
-    `a` (the constants as `Value`s) are its `Value`-level view.  The
-    constructor takes that view, checks that every right-hand side
-    mentions declared variables only, and compiles it on first use;
-    `_of_rows` takes the rows and decodes `f` and `a` only when one is
-    read.  Systems are equal when their instance, variables and rows
-    are, and are not hashable.  No attribute can be rebound, so the
+    `a` (the constants as `Value`s) are its `Value`-level view, decoded
+    from the rows when one is read.  The constructor takes that view,
+    checks it and codes it with `_compile`; `_of_rows` takes rows
+    already written.  Both hold the rows through one row check
+    (`_hold`).  Systems are equal when their instance, variables and
+    rows are, and are not hashable.  No attribute can be rebound, so the
     cached forms stay the system's.
     """
 
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, semiring: Semiring, variables: tuple[str, ...], f: dict, a: dict):
-        vars(self).update(semiring=semiring, variables=variables, f=f, a=a)
-        self.__post_init__()
-
-    def __post_init__(self):
-        declared = set(self.variables)
-        if len(declared) != len(self.variables):
-            raise InvariantError("duplicate variable names")
-        if set(self.f) != declared or set(self.a) != declared:
+        declared = set(variables)
+        if set(f) != declared or set(a) != declared:
             raise InvariantError("equations must cover exactly the declared variables")
-        for x in self.variables:
-            if self.a[x].semiring is not self.semiring:
+        for x in variables:
+            if a[x].semiring is not semiring:
                 raise InvariantError("constant part from a different instance")
-            for m in self.f[x].monomials:
-                if m.is_constant:
-                    raise InvariantError("variable part contains a constant monomial")
-                for y in m.variables:
-                    if y not in declared:
-                        raise InvariantError(f"undeclared variable {y!r} in equation for {x!r}")
+            if any(m.is_constant for m in f[x].monomials):
+                raise InvariantError("variable part contains a constant monomial")
+        rhs = (f[x].monomials + (a[x],) for x in variables)
+        self._hold(semiring, variables, *_compile(semiring, variables, rhs))
 
     @classmethod
     def _of_rows(
         cls, semiring: Semiring, variables: tuple[str, ...], rows: tuple, constants: list
     ) -> EquationSystem:
-        """The system whose compiled form is (rows, constants), checked here.
+        """The system whose compiled form is (rows, constants)."""
+        self = cls.__new__(cls)
+        self._hold(semiring, variables, rows, constants)
+        return self
+
+    def _hold(self, semiring: Semiring, variables: tuple[str, ...], rows: tuple, constants: list):
+        """Check the rows and constants, then hold them as `compiled`.
 
         One row and one constant per variable, every variable index in
         range and every monomial with at least one variable; payloads
-        are taken as checked by whoever read them.
+        are taken as checked by whoever wrote them.
         """
         n = len(variables)
         if len(set(variables)) != n:
@@ -260,20 +258,7 @@ class EquationSystem:
                         raise InvariantError(
                             f"variable index {j} out of range in equation for {x!r}"
                         )
-        self = cls.__new__(cls)
         vars(self).update(semiring=semiring, variables=variables, compiled=(rows, constants))
-        return self
-
-    @cached_property
-    def compiled(self) -> tuple[tuple, list]:
-        """The right-hand sides as payload rows and constants, built once.
-
-        Compiled from `f` and `a` (`_compile`) unless the system was
-        built from its rows.
-        """
-        index = {x: i for i, x in enumerate(self.variables)}
-        rows = _compile(self.semiring, (self.f[x] for x in self.variables), index)
-        return rows, [self.a[x].payload for x in self.variables]
 
     @cached_property
     def f(self) -> dict[str, Polynomial]:
@@ -323,18 +308,12 @@ class EquationSystem:
 def equation_system(
     sr: Semiring, variables: Sequence[str], rhs: Mapping[str, Polynomial]
 ) -> EquationSystem:
-    """Split full right-hand sides into variable parts and constants."""
+    """The system x = rhs[x], each constant monomial added to x's constant."""
     if set(rhs) != set(variables):
         raise InvariantError("equations must cover exactly the declared variables")
-    f: dict[str, Polynomial] = {}
-    a: dict[str, Value] = {}
-    for x in variables:
-        p = rhs[x]
-        with_vars = [m for m in p.monomials if not m.is_constant]
-        consts = [m.coefficients[0] for m in p.monomials if m.is_constant]
-        f[x] = Polynomial(sr, tuple(with_vars))
-        a[x] = add_all(sr, consts)
-    return EquationSystem(sr, tuple(variables), f, a)
+    variables = tuple(variables)
+    rows = _compile(sr, variables, (rhs[x].monomials for x in variables))
+    return EquationSystem._of_rows(sr, variables, *rows)
 
 
 def rhs_poly(sys: EquationSystem, x: str) -> Polynomial:
@@ -353,21 +332,28 @@ def _payload(sr: Semiring, val: Value) -> object:
     return val.payload
 
 
-def _compile(sr: Semiring, polys: Iterable[Polynomial], index: Mapping[str, int]) -> tuple:
-    """Payload rows of polynomials, variables numbered by `index`.
+def _compile(sr: Semiring, variables: Sequence[str], rhs: Iterable[Iterable]) -> tuple:
+    """Payload rows and constants of full right-hand sides, in variable order.
 
-    Each monomial c0 x1 c1 ... xl cl is coded as the word (c0,) i1 (c1,)
-    ... il (cl,), ik the index of xk, for `_word_rows` to write; the
-    constant a monomial without a variable would add to is not returned.
+    Each right-hand side holds `Monomial`s and `Value`s.  A monomial
+    c0 x1 c1 ... xl cl is coded as the word (c0,) i1 (c1,) ... il (cl,),
+    ik the index of xk in `variables`, and a value c as the word (c,),
+    for `_word_rows` to write: words without a variable add to the
+    constant, in order from zero.
     """
+    index = {x: i for i, x in enumerate(variables)}
 
-    def word(m):
+    def word(x, m):
+        if isinstance(m, Value):
+            return [(_payload(sr, m),)]
         coded = [(_payload(sr, m.coefficients[0]),)]
         for y, c in zip(m.variables, m.coefficients[1:]):
+            if y not in index:
+                raise InvariantError(f"undeclared variable {y!r} in equation for {x!r}")
             coded += (index[y], (_payload(sr, c),))
         return coded
 
-    return _word_rows(sr, ([word(m) for m in p.monomials] for p in polys))[0]
+    return _word_rows(sr, ([word(x, m) for m in ms] for x, ms in zip(variables, rhs)))
 
 
 def _decode(sr: Semiring, rows: Sequence, names: Sequence[str]) -> list[Polynomial]:

@@ -600,12 +600,13 @@ def test_counting_chain_compiles_its_word_sums_once(monkeypatch):
         return compile_rows(*args)
 
     monkeypatch.setattr(poly_module, "_compile", counted_compile)
-    seq = munchausen_sequence(counting_chain(), 3)
+    chain = counting_chain()
+    seq = munchausen_sequence(chain, 3)
     assert seq.stabilized and seq.iterates[2]["x"].payload == 104
     # the system built from polynomials compiles once; the word sums are written as rows
     assert len(compiles) == 1
     compiles.clear()
-    assert munchausen_sequence(parse(render(counting_chain())), 3) == seq
+    assert munchausen_sequence(parse(render(chain)), 3) == seq
     assert compiles == []
     # a spine cycle exhausts the budget before any word sum is built
     cyclic = parse("semiring counting;\nvars x y z;\nx = 1;\ny = 2*x*y;\nz = 3*x + x;\n")

@@ -281,6 +281,21 @@ def test_a_foreign_coefficient_is_an_instance_mismatch_by_the_first_solve():
             kleene_solve(build())
 
 
+def test_every_constructor_holds_only_the_instance_variables_and_rows():
+    from semifix.cli import parse
+
+    plain = "semiring boolean;\nvars x;\nx = x + 1;\n"
+    systems = [
+        EquationSystem(BOOLEAN, ("x",), X_ONLY, ONE),
+        equation_system(BOOLEAN, ("x",), {"x": poly_of_value(BOOLEAN, BOOLEAN.one())}),
+        EquationSystem._of_rows(BOOLEAN, ("x",), (ROW_X,), [True]),
+        parse(plain),
+        parse("# through the token loop\n" + plain),
+    ]
+    for sys in systems:
+        assert set(vars(sys)) == {"semiring", "variables", "compiled"}
+
+
 def monomial_key(m: Monomial):
     return (m.coefficients, m.variables)
 

@@ -314,9 +314,8 @@ def test_foreign_start_vector_is_an_instance_mismatch():
             munchausen_sequence(sys, 2, foreign)
     # a hand-built monomial with a coefficient from another instance
     odd = Monomial(BOOLEAN, (BOOLEAN.one(), MIN_PLUS.one()), ("x",))
-    sys = EquationSystem(BOOLEAN, ("x",), {"x": Polynomial(BOOLEAN, (odd,))}, {"x": BOOLEAN.one()})
     with pytest.raises(InstanceMismatchError):
-        kleene_solve(sys)
+        EquationSystem(BOOLEAN, ("x",), {"x": Polynomial(BOOLEAN, (odd,))}, {"x": BOOLEAN.one()})
 
 
 def test_samples_after_the_fixed_point_take_no_memory():
