@@ -235,14 +235,14 @@ def tensor_pipeline(sys: EquationSystem, n: int) -> dict[str, Value]:
     """Accelerated iterate n computed by repeated tensor solves.
 
     A cycle is Newton's completion step C on payload rows with the
-    companion in between.  At a point v that `solver._second_round`
-    confirms, v + f(v) = v, the cycle returns v, since C(v) = v; it
-    cannot resume from that round otherwise, because the companion's
-    second iterate is a different payload.  At any other point the
-    compiled rows, linearized at v, become x_j (transpose(a) tensor b)
-    for each term a x_j b and transpose(1) tensor c for each constant c,
-    are iterated over the companion, and each component is read back
-    out.  Iterate n is C^(2^n)(a), a the constant vector, read off the
+    companion in between.  At the all-zero point, and at a point v that
+    `solver._second_round` confirms, v + f(v) = v, the cycle returns v,
+    since C(v) = v; it cannot resume from that round otherwise, because
+    the companion's second iterate is a different payload.  At any
+    other point the compiled rows, linearized at v, become x_j
+    (transpose(a) tensor b) for each term a x_j b and transpose(1)
+    tensor c for each constant c, are iterated over the companion, and
+    each component is read back out.  Iterate n is C^(2^n)(a), a the constant vector, read off the
     chain of cycles by `solver.sample_chain`.  A companion of more than
     `MAX_COMPANION_STATES` states, or a companion solve that does not
     stabilize, raises `BudgetExhaustedError`.
@@ -257,10 +257,10 @@ def tensor_pipeline(sys: EquationSystem, n: int) -> dict[str, Value]:
         )
     sr, ts = sys.semiring, relation_semiring(q * q)
     transpose, kronecker, readout = _relation_kernels(q)
-    one = sr._one()  # transpose(1) == 1; a linearized side of None is a unit
+    zero, one = sr._zero(), sr._one()  # transpose(1) == 1; a linearized side of None is a unit
 
     def cycle(at):
-        if _second_round(sr, sys.compiled[0], at, None) == at:
+        if at.count(zero) == len(at) or _second_round(sr, sys.compiled[0], at, None) == at:
             return at
         rows = tuple(
             tuple((None, ((j, kronecker(transpose(a or one), b or one)),)) for a, ((j, b),) in row)
