@@ -634,23 +634,24 @@ def make_function_semiring(base: Semiring, variables: Sequence[str]) -> Function
     return FunctionSemiring(base, tuple(variables))
 
 
+_PARAMETERLESS = {
+    "boolean": BOOLEAN,
+    "min-plus": MIN_PLUS,
+    "minplus": MIN_PLUS,
+    "counting": COUNTING,
+}
+
+
 def instance_by_name(name: str, param: int | None = None) -> Semiring:
     """Look a concrete instance up by its file-format name.
 
     A relation dimension above `MAX_FILE_RELATION_DIM` is a `ValueError`.
     """
-    if name == "boolean":
+    sr = _PARAMETERLESS.get(name)
+    if sr is not None:
         if param is not None:
-            raise ValueError("boolean takes no parameter")
-        return BOOLEAN
-    if name in ("min-plus", "minplus"):
-        if param is not None:
-            raise ValueError("min-plus takes no parameter")
-        return MIN_PLUS
-    if name == "counting":
-        if param is not None:
-            raise ValueError("counting takes no parameter")
-        return COUNTING
+            raise ValueError(f"{sr.name} takes no parameter")
+        return sr
     if name == "relation":
         if param is not None and param > MAX_FILE_RELATION_DIM:
             raise ValueError(
