@@ -13,8 +13,8 @@ from ``--src`` and every warning shown, on
 - ``solve --method newton --steps 4`` and ``solve --method munchausen
   --steps 3``, with and without ``--json``, on every kleene-scalar and
   counting-words file;
-- the commands that read a system's polynomials and constants, which a
-  parsed system decodes from its payload rows on demand:
+- the commands that read a system's polynomials and constants, which
+  every system decodes from its payload rows on demand:
   ``completion --grammar``, ``grammar --level 1``, ``grammar
   --indexed`` and ``oracle --dim 1 --node-budget 200``, and
   ``completion --left-linear`` where the instance is commutative, with
