@@ -46,6 +46,7 @@ from semifix.polynomial import (
     poly_of_value,
     poly_of_var,
     polynomial,
+    substitute_occurrence,
 )
 from semifix.grammar import grammar_of, grammar_with_constants, tree_sum
 from semifix.semiring import (
@@ -89,6 +90,46 @@ def test_completion_grammar_words_golden():
     assert lg.level == 0
     assert lg.start("x") == NonTerm("x", 1)
     check_linear(lg)
+
+
+def monomial_symbols(m, spine):
+    """The symbols of m's factors, its occurrence number `spine` as the layer-1 nonterminal."""
+    out, occ = [], 0
+    for f in m.factors():
+        if isinstance(f, str):
+            out.append(NonTerm(f, 1) if occ == spine else VarTerminal(f))
+            occ += 1
+        else:
+            out.append(Terminal(f))
+    return tuple(out)
+
+
+def completion_rules_of_monomials(sys, left=False):
+    """The completion grammar's rules spelled from the system's decoded monomials."""
+    one = monomial(sys.semiring, [sys.semiring.one()])
+    rules = {}
+    for y in sys.variables:
+        words = []
+        for m in sys.f[y].monomials:
+            for occ in range(m.degree):
+                if left:
+                    rest = substitute_occurrence(m, occ, one)
+                    words.append((NonTerm(m.variables[occ], 1), *monomial_symbols(rest, -1)))
+                else:
+                    words.append(monomial_symbols(m, occ))
+        rules[NonTerm(y, 1)] = (*words, (VarTerminal(y),))
+    return rules
+
+
+def test_completion_grammars_spell_the_decoded_monomials():
+    rng = random.Random(47)
+    for sr in (BOOLEAN, MIN_PLUS, COUNTING, *map(relation_semiring, (1, 2, 3))):
+        for _ in range(20):
+            sys = random_system(sr, rng, rng.randint(1, 3))
+            assert linear_completion_grammar(sys).rules == completion_rules_of_monomials(sys)
+            if sr.is_commutative:
+                left = left_linear_completion_grammar(sys).rules
+                assert left == completion_rules_of_monomials(sys, left=True)
 
 
 def test_closing_rule_comes_last():
