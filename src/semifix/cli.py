@@ -527,6 +527,7 @@ def _run_completion(args, sys: EquationSystem) -> int:
         raise BadUsage(f"--left-linear needs a commutative instance, got {sys.semiring.name}")
     if args.grammar or args.left_linear:
         from semifix.munchausen import (
+            _lincfg_lines,
             left_linear_completion_grammar,
             lincfg_to_json,
             linear_completion_grammar,
@@ -534,7 +535,7 @@ def _run_completion(args, sys: EquationSystem) -> int:
 
         build = linear_completion_grammar if args.grammar else left_linear_completion_grammar
         lg = build(sys)
-        _emit(args, {"grammar": lincfg_to_json(lg)}, _grammar_lines(lg))
+        _emit(args, {"grammar": lincfg_to_json(lg)}, _lincfg_lines(lg))
         return 0
     if args.table:
         from semifix.munchausen import completion_function_table
@@ -550,46 +551,22 @@ def _run_completion(args, sys: EquationSystem) -> int:
     return 0
 
 
-def _grammar_lines(lg) -> list[str]:
-    from semifix.munchausen import render_lsym
-
-    lines = []
-    for lhs, words in lg.rules.items():
-        alts = " | ".join(" ".join(render_lsym(s) for s in w) for w in words)
-        lines.append(f"{render_lsym(lhs)} -> {alts}")
-    return lines
-
-
 DEFAULT_GRAMMAR_RULES = 1 << 16  # `grammar --level` rules allowed without SEMIFIX_BUDGET
 
 
 def _run_grammar(args, sys: EquationSystem) -> int:
     from semifix.munchausen import (
-        NonTerm,
-        Terminal,
+        _indexed_lines,
+        _lincfg_lines,
         indexed_grammar_of,
         indexed_to_json,
         lincfg_to_json,
         munchausen_grammar,
-        render_lsym,
     )
 
     if args.indexed:
         ig = indexed_grammar_of(sys)
-
-        def spell(s):
-            if isinstance(s, Terminal):
-                return render_lsym(s)
-            return f"{s.var}[1.s]" if isinstance(s, NonTerm) else f"{s.var}[s]"
-
-        lines = []
-        for y, words in ig.recursion.items():
-            for w in words:
-                lines.append(f"{y}[1.s] -> {' '.join(spell(s) for s in w)}")
-        for y in ig.variables:
-            lines.append(f"{y}[1.s] -> {y}[s]")
-            lines.append(f"{y}[0] -> {y}")
-        _emit(args, {"indexed": indexed_to_json(ig)}, lines)
+        _emit(args, {"indexed": indexed_to_json(ig)}, _indexed_lines(ig))
         return 0
     limit = _budget(args)
     limit = DEFAULT_GRAMMAR_RULES if limit is None else limit
@@ -601,7 +578,7 @@ def _run_grammar(args, sys: EquationSystem) -> int:
             f"more than the rule budget of {limit}"
         )
     lg = munchausen_grammar(sys, args.level)
-    _emit(args, {"level": args.level, "grammar": lincfg_to_json(lg)}, _grammar_lines(lg))
+    _emit(args, {"level": args.level, "grammar": lincfg_to_json(lg)}, _lincfg_lines(lg))
     return 0
 
 

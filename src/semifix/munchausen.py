@@ -15,9 +15,10 @@ only behind the `grammar` command and the tests' oracles.
 Without idempotence a layer's value sums its distinct words, which one
 breadth-first kernel lists (`_layer_expansion`) over coded words: a
 negative int ~k is the spine symbol of key k, anything else a plug.
-The counting chain codes the system's payload rows directly, and the
-ladder codes its grammar symbols with their payloads; both write the
-finished words as rows with `polynomial._word_rows`.
+The counting chain expands the words that `_completion_words` codes
+from the payload rows, which the two completion grammars spell as
+symbols; the ladder codes its symbols with their payloads.  Both write
+the finished words as rows with `polynomial._word_rows`.
 """
 
 from __future__ import annotations
@@ -30,12 +31,9 @@ from functools import partial
 from semifix.polynomial import (
     EquationSystem,
     InvariantError,
-    Monomial,
     _apply,
     _payload,
     _word_rows,
-    mono_of_value,
-    substitute_occurrence,
 )
 from semifix.semiring import (
     Semiring,
@@ -159,20 +157,47 @@ def check_linear(lg: LinearCfg):
                 )
 
 
-def _word_symbols(m: Monomial, spine_occ: int) -> tuple[LSym, ...]:
-    """Spell a monomial out, promoting one occurrence to the spine."""
-    out: list[LSym] = []
-    var_pos = 0
-    for f in m.factors():
-        if isinstance(f, str):
-            if var_pos == spine_occ:
-                out.append(NonTerm(f, 1))
-            else:
-                out.append(VarTerminal(f))
-            var_pos += 1
-        else:
-            out.append(Terminal(f))
-    return tuple(out)
+def _completion_words(sr: Semiring, rows, left: bool = False) -> list[list[tuple]]:
+    """The completion grammar's words per variable, coded from payload rows.
+
+    Per monomial c0 x1 c1 ... xl cl and occurrence k, (c0,) j1 (c1,) ...
+    jl (cl,) with jk, the index of xk, spelled ~jk; a unit is (one,), as
+    `_decode` spells it.  With `left` the spine comes first, and the two
+    coefficients beside it are multiplied into one.  The closing word of
+    variable y is (y,).
+    """
+    one, rules = (sr._one(),), []
+    for y, row in enumerate(rows):
+        rule = []
+        for c0, factors in row:
+            spelled = [one if c0 is None else (c0,)]
+            for j, c in factors:
+                spelled += (j, one if c is None else (c,))
+            for pos in range(1, len(spelled), 2):
+                if left:
+                    merged = (sr._mul(spelled[pos - 1][0], spelled[pos + 1][0]),)
+                    rule.append((~spelled[pos], *spelled[: pos - 1], merged, *spelled[pos + 2 :]))
+                    continue
+                spelled[pos] = ~spelled[pos]
+                rule.append(tuple(spelled))
+                spelled[pos] = ~spelled[pos]
+        rule.append((y,))
+        rules.append(rule)
+    return rules
+
+
+def _completion_grammar(sys: EquationSystem, left: bool) -> LinearCfg:
+    """`_completion_words` as `Terminal`, `VarTerminal` and layer-1 `NonTerm` symbols."""
+    sr, names = sys.semiring, sys.variables
+
+    def symbol(s) -> LSym:
+        if s.__class__ is tuple:
+            return Terminal(Value(sr, s[0]))
+        return NonTerm(names[~s], 1) if s < 0 else VarTerminal(names[s])
+
+    words = _completion_words(sr, sys.compiled[0], left)
+    rules = {NonTerm(y, 1): tuple(tuple(map(symbol, w)) for w in ws) for y, ws in zip(names, words)}
+    return LinearCfg(sr, names, 0, rules)
 
 
 def linear_completion_grammar(sys: EquationSystem) -> LinearCfg:
@@ -182,15 +207,7 @@ def linear_completion_grammar(sys: EquationSystem) -> LinearCfg:
     as the growing spine and freezes everything else; a closing identity
     rule per variable mimics stopping the chain.
     """
-    rules: dict[NonTerm, tuple[tuple[LSym, ...], ...]] = {}
-    for y in sys.variables:
-        words = []
-        for m in sys.f[y].monomials:
-            for occ in range(m.degree):
-                words.append(_word_symbols(m, occ))
-        words.append((VarTerminal(y),))
-        rules[NonTerm(y, 1)] = tuple(words)
-    return LinearCfg(sys.semiring, sys.variables, 0, rules)
+    return _completion_grammar(sys, False)
 
 
 def left_linear_completion_grammar(sys: EquationSystem) -> LinearCfg:
@@ -204,19 +221,7 @@ def left_linear_completion_grammar(sys: EquationSystem) -> LinearCfg:
         raise InvariantError(
             f"left linear completion needs a commutative instance, not {sys.semiring.name}"
         )
-    one = mono_of_value(sys.semiring, sys.semiring.one())
-    rules: dict[NonTerm, tuple[tuple[LSym, ...], ...]] = {}
-    for y in sys.variables:
-        words = []
-        for m in sys.f[y].monomials:
-            for occ in range(m.degree):
-                z = m.variables[occ]
-                remainder = substitute_occurrence(m, occ, one)
-                word = (NonTerm(z, 1),) + _word_symbols(remainder, -1)
-                words.append(word)
-        words.append((VarTerminal(y),))
-        rules[NonTerm(y, 1)] = tuple(words)
-    return LinearCfg(sys.semiring, sys.variables, 0, rules)
+    return _completion_grammar(sys, True)
 
 
 def _shift_sym(sym: LSym, k: int) -> LSym:
@@ -257,6 +262,14 @@ def munchausen_grammar(sys: EquationSystem, n: int) -> LinearCfg:
     return g
 
 
+def _spine_cycle(succ) -> bool:
+    """Whether the spine graph k -> succ[k] has a cycle, found by pruning its leaves."""
+    live = set(range(len(succ)))
+    while leaves := {k for k in live if live.isdisjoint(succ[k])}:
+        live -= leaves
+    return bool(live)
+
+
 def _layer_expansion(rules, keys, budget, spent):
     """Distinct fully expanded words of one layer per key, breadth first.
 
@@ -266,8 +279,8 @@ def _layer_expansion(rules, keys, budget, spent):
     distinct sentential form counts once, and expansion always rewrites
     the leftmost spine symbol.  `spent` counts expansions across calls;
     at `budget` the layer stops unfinished, flagged.  Finishes when the
-    spine graph is acyclic.  Returns the finished words per key, in key
-    order.
+    spine graph is acyclic (`_spine_cycle`).  Returns the finished words
+    per key, in key order.
     """
     words = []
     ok = True
@@ -309,7 +322,9 @@ def evaluate_grammar(
     of the symbol), so that symbols of equal value stay distinct words.
     Idempotent instances iterate the layer's rows (`_word_rows`) as a
     linear system; others sum its distinct expansions, k coded ~k for
-    `_layer_expansion`, so that repeated words are not double counted.
+    `_layer_expansion`, so that repeated words are not double counted;
+    a layer whose forms would grow around a spine cycle is refused
+    before it expands, zero and flagged.
     """
     if lg.level is None:
         raise InvariantError("can only evaluate complete ladders")
@@ -349,12 +364,16 @@ def evaluate_grammar(
             ok = layer_status == STABILIZED
             steps += used
         else:
-            words, ok = _layer_expansion(
-                words,
-                range(len(keys)),
-                DEFAULT_EXPANSION_BUDGET if budget is None else budget,
-                spent,
-            )
+            # k -> k' for each ~k' in a longer word of k or of a key that k's bare
+            # words (~j,) reach: a cycle of bare words only revisits forms
+            grow = [{~s for w in ws if len(w) > 1 for s in w if s.__class__ is int} for ws in words]
+            bare = [{~w[0] for w in ws if len(w) == 1 and w[0].__class__ is int} for ws in words]
+            succ = grow
+            while (wider := [g.union(*(succ[j] for j in b)) for g, b in zip(grow, bare)]) != succ:
+                succ = wider
+            limit = DEFAULT_EXPANSION_BUDGET if budget is None else budget
+            limit = 0 if _spine_cycle(succ) else limit  # refused: its forms never end
+            words, ok = _layer_expansion(words, range(len(keys)), limit, spent)
             values = _word_rows(sr, words)[1]
             steps = spent[0]
         solved.update(zip(keys, values))
@@ -402,50 +421,29 @@ def munchausen_sequence(
     b, S(b), S(S(b)), ... (`solver.sample_chain`), so the ladder remains
     only behind `grammar` and the oracles.  Over idempotent instances S
     is the completion step, and `budget` bounds each linear solve.
-    Otherwise S applies the completion grammar's word sums: its words
-    are coded from the compiled rows (variable j as the plug j, its
-    spine as ~j, a coefficient as a 1-tuple), expanded once in c
-    expansions (`_layer_expansion`) and written once as payload rows
-    (`_word_rows`); no grammar symbol is built.  Iterate k exists only
-    if 2^k * c <= budget, as for its ladder; a cycle of spines exhausts
-    any budget, so it is reported before expanding.  The default b is
-    the constant part; a custom one must cover exactly the variables,
-    and a warning says when it lies outside [constants, least solution]
-    or when plain iteration does not stabilize within the same budget.
-    On budget exhaustion the finished prefix is returned, flagged.
+    Otherwise S applies the completion grammar's word sums: its words,
+    spelled from the compiled rows (`_completion_words`), are expanded
+    once in c expansions (`_layer_expansion`) and written once as
+    payload rows (`_word_rows`); no grammar symbol is built.  Iterate k
+    exists only if 2^k * c <= budget, as for its ladder; a spine cycle
+    (y -> z when z occurs in f[y]) exhausts any budget, so it is
+    reported before spelling.  The default b is the constant part; a
+    custom one must cover exactly the variables, and a warning says
+    when it lies outside [constants, least solution] or when plain
+    iteration does not stabilize within the same budget.  On budget
+    exhaustion the finished prefix is returned, flagged.
     """
     if b is not None:
         sys.payloads(b)  # a missing or an extra variable is an InvariantError
         _check_b_vector(sys, b, budget)
     if sys.semiring.is_idempotent:
         return sample_chain(sys, _chain_step(sys, budget), b, n, lambda k: 1 << k)
-    # A spine cycle (y -> z when z occurs in f[y]) spells ever longer
-    # words, so the expansion could never finish: prune leaves to find one.
-    rows = sys.compiled[0]
-    live = set(range(len(rows)))
-    while leaves := {y for y in live if live.isdisjoint(z for _, fs in rows[y] for z, _ in fs)}:
-        live -= leaves
     sr, step, top = sys.semiring, None, -1  # top: last iterate whose ladder fits the budget
-    if not live:
-        # per monomial and occurrence, (c0,) j1 (c1,) ... with that occurrence
-        # as ~j, then the closing word (y,); a unit is spelled (one,), as the
-        # grammar spells it, so that the same words count once
-        one, rules = (sr._one(),), []
-        for y, row in enumerate(rows):
-            rule = []
-            for c0, factors in row:
-                spelled = [one if c0 is None else (c0,)]
-                for j, c in factors:
-                    spelled += (j, one if c is None else (c,))
-                for pos in range(1, len(spelled), 2):
-                    spelled[pos] = ~spelled[pos]
-                    rule.append(tuple(spelled))
-                    spelled[pos] = ~spelled[pos]
-            rule.append((y,))
-            rules.append(rule)
+    rows = sys.compiled[0]
+    if not _spine_cycle([{j for _, fs in row for j, _ in fs} for row in rows]):
         budget = DEFAULT_EXPANSION_BUDGET if budget is None else budget
         spent = [0]
-        words, ok = _layer_expansion(rules, range(len(rows)), budget, spent)
+        words, ok = _layer_expansion(_completion_words(sr, rows), range(len(rows)), budget, spent)
         while ok and top < n and spent[0] << (top + 1) <= budget:
             top += 1
     if top >= 0:  # otherwise the chain takes no step
@@ -584,6 +582,14 @@ def lincfg_to_json(lg: LinearCfg) -> dict:
     }
 
 
+def _lincfg_lines(lg: LinearCfg) -> list[str]:
+    """The text of a ladder: one line of alternatives per nonterminal."""
+    return [
+        f"{render_lsym(lhs)} -> " + " | ".join(" ".join(map(render_lsym, w)) for w in words)
+        for lhs, words in lg.rules.items()
+    ]
+
+
 def indexed_to_json(ig: IndexedGrammar) -> dict:
     def sym(s: LSym):
         if isinstance(s, Terminal):
@@ -601,3 +607,17 @@ def indexed_to_json(ig: IndexedGrammar) -> dict:
         ],
         "pop": list(ig.variables),
     }
+
+
+def _indexed_lines(ig: IndexedGrammar) -> list[str]:
+    """The text of an indexed grammar: its recursion words, then each pop rule."""
+
+    def spell(s: LSym) -> str:
+        if isinstance(s, Terminal):
+            return render_lsym(s)
+        return f"{s.var}[1.s]" if isinstance(s, NonTerm) else f"{s.var}[s]"
+
+    lines = [f"{y}[1.s] -> {' '.join(map(spell, w))}" for y, ws in ig.recursion.items() for w in ws]
+    for y in ig.variables:
+        lines += (f"{y}[1.s] -> {y}[s]", f"{y}[0] -> {y}")
+    return lines

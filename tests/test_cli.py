@@ -877,6 +877,7 @@ JSON_COMMANDS = [
 ]
 
 
+@pytest.mark.filterwarnings("ignore:newton iteration over non-idempotent")
 @pytest.mark.parametrize(
     "system,argv", JSON_COMMANDS, ids=lambda a: " ".join(a) if isinstance(a, list) else a
 )
@@ -936,8 +937,65 @@ def test_a_closed_pipe_exits_141_without_a_traceback(tmp_path):
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
     err = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+GRAMMAR_SYSTEM = "semiring min-plus;\nvars x y;\nx = 2*x*y + 1;\ny = x*3 + 4;\n"
+GRAMMAR_LADDER = [
+    "x^1 -> 2 x^1 0 y 0 | 2 x 0 y^1 0 | x",
+    "y^1 -> 0 x^1 3 | y",
+    "x^2 -> 2 x^2 0 y^1 0 | 2 x^1 0 y^2 0 | x^1",
+    "y^2 -> 0 x^2 3 | y^1",
+    "x^3 -> 2 x^3 0 y^2 0 | 2 x^2 0 y^3 0 | x^2",
+    "y^3 -> 0 x^3 3 | y^2",
+    "x^4 -> 2 x^4 0 y^3 0 | 2 x^3 0 y^4 0 | x^3",
+    "y^4 -> 0 x^4 3 | y^3",
+]
+
+
+VALUE = {t: {"kind": "value", "value": t} for t in "023"}
+SPINE = {v: {"kind": "spine", "name": v, "stack": "keep"} for v in "xy"}
+POP = {v: {"kind": "variable", "name": v, "stack": "pop"} for v in "xy"}
+GRAMMAR_INDEXED = {
+    "schema_version": "v1",
+    "command": "grammar",
+    "indexed": {
+        "variables": ["x", "y"],
+        "recursion": [
+            {"lhs": "x", "rhs": [VALUE["2"], SPINE["x"], VALUE["0"], POP["y"], VALUE["0"]]},
+            {"lhs": "x", "rhs": [VALUE["2"], POP["x"], VALUE["0"], SPINE["y"], VALUE["0"]]},
+            {"lhs": "y", "rhs": [VALUE["0"], SPINE["x"], VALUE["3"]]},
+        ],
+        "pop": ["x", "y"],
+    },
+}
+
+
+# what the grammar commands print on GRAMMAR_SYSTEM, as they printed it from decoded polynomials
+GRAMMAR_OUTPUTS = {
+    "completion --grammar": GRAMMAR_LADDER[:2],
+    "completion --left-linear": ["x^1 -> x^1 2 y 0 | y^1 2 x 0 | x", "y^1 -> x^1 3 | y"],
+    "grammar --level 2": GRAMMAR_LADDER,
+    "grammar --indexed --json": GRAMMAR_INDEXED,
+}
+
+
+@pytest.mark.parametrize("command", GRAMMAR_OUTPUTS)
+def test_grammar_commands_spell_from_the_payload_rows(tmp_path, capsys, monkeypatch, command):
+    def no_decode(*args):
+        raise AssertionError("a grammar command decoded the system's polynomials")
+
+    # the package exports a function named polynomial, which hides the module
+    monkeypatch.setattr(importlib.import_module("semifix.polynomial"), "_decode", no_decode)
+    name, *options = command.split()
+    assert main([name, write(tmp_path, GRAMMAR_SYSTEM), *options]) == 0
+    out = capsys.readouterr().out
+    if "--json" in options:
+        assert json.loads(out) == GRAMMAR_OUTPUTS[command]
+    else:
+        assert out.splitlines() == GRAMMAR_OUTPUTS[command]
 
 
 # An int beyond float range next to inf: math.inf + 10**400 raises OverflowError.

@@ -307,6 +307,26 @@ def test_cyclic_counting_system_exhausts_without_expanding():
     assert seq.iterates == [] and not seq.stabilized
 
 
+def test_a_ladder_layer_with_a_spine_cycle_is_refused_before_it_expands():
+    # x -> x and x -> y -> x are spine cycles, so the layer's words never run out
+    sys = parse("semiring counting;\nvars x y;\nx = 2*x*y + 1;\ny = x;\n")
+    start = time.perf_counter()
+    out = evaluate_grammar(munchausen_grammar(sys, 0), dict(sys.a))
+    assert time.perf_counter() - start < 0.5
+    assert not out.stabilized and out.steps_used == 0
+    # a cycle of bare words only revisits forms, and finishes
+    ct = COUNTING.value
+    x1, y1 = NonTerm("x", 1), NonTerm("y", 1)
+    b = {"x": ct(2), "y": ct(3)}
+    rules = {x1: ((y1,), (VarTerminal("x"),)), y1: ((x1,), (VarTerminal("y"),))}
+    out = evaluate_grammar(LinearCfg(COUNTING, ("x", "y"), 0, rules), b)
+    assert out.stabilized and out.value == {"x": ct(5), "y": ct(5)}
+    # one bare word on a cycle with a longer word: the forms grow by a 2 per round
+    rules[y1] = ((Terminal(ct(2)), x1), (VarTerminal("y"),))
+    out = evaluate_grammar(LinearCfg(COUNTING, ("x", "y"), 0, rules), b, budget=1000)
+    assert not out.stabilized and out.steps_used == 0
+
+
 def test_newton_stops_at_fixed_point_and_pads(monkeypatch):
     rng = random.Random(41)
     calls = []
