@@ -200,6 +200,9 @@ RECORDED_TEXTS = {
     "non-ascii-name": "semiring counting;\nvars x\u00e9 y;\nx\u00e9 = y*y + 1;\ny = 2*x\u00e9;\n",
     "superscript": "semiring counting;\nvars x;\nx = \u00b2*x + 1;\n",
     "crlf": "semiring min-plus;\r\nvars x y;\r\nx = 3*y + 7;\r\ny = x + 2;\r\n",
+    # line ends that text mode reads as "\n": a syntax error's line and column count them
+    "cr-error": "semiring boolean;\rvars x;\rx = x $ 1;\r",
+    "crlf-error": "semiring min-plus;\r\nvars x y;\r\nx = 3*z + 7;\r\ny = x;\r\n",
     "eof-comment": "semiring boolean;\nvars x;\nx = x + 1; # no newline",
     "eof-comment-open": "semiring boolean;\nvars x;\nx = x + 1 # no semicolon",
     "header": "semiring boolean 2;\nvars x;\nx = 1;\n",

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from collections import OrderedDict, namedtuple
 from pathlib import Path
 
 import pytest
@@ -514,6 +515,15 @@ def test_a_file_that_is_not_utf8_is_malformed_input(tmp_path, capsys):
     assert captured.err == f"{path}: not UTF-8: byte 0xff at offset 33\n"
 
 
+def test_a_byte_that_is_not_utf8_past_8_kib_is_named_by_its_file_offset(tmp_path, capsys):
+    path = tmp_path / "long.sfx"
+    path.write_bytes(b"semiring boolean;\r\nvars x;\r\nx = 1;\r\n# " + b"." * 10_000 + b"\n\xff\n")
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: not UTF-8: byte 0xff at offset 10039\n"
+
+
 def test_solve_by_newton(tmp_path, capsys):
     path = write(tmp_path, "semiring boolean;\nvars x y;\nx = x*y + 1;\ny = x;\n")
     assert main(["solve", path, "--method", "newton"]) == 0
@@ -891,6 +901,9 @@ def test_json_writer_matches_json_dumps_on_every_command(system, argv, tmp_path,
     assert cli._json(payload) == json.dumps(payload, indent=2)
 
 
+Point = namedtuple("Point", "x y")
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -911,6 +924,10 @@ def test_json_writer_matches_json_dumps_on_every_command(system, argv, tmp_path,
         'quote " and backslash \\ and slash /',
         {"é\"\\\n": ["é", "\\", '"']},
         {"t": (1, (2, 3)), "bools": [True, False, None], "n": [0, -1, 3]},
+        # subclasses of tuple and dict, which json.dumps writes as lists and objects
+        pytest.param(Point(1, [Point("a", None)]), id="namedtuple"),
+        pytest.param(OrderedDict([("b", 1), ("a", {"c": "d"})]), id="OrderedDict"),
+        pytest.param({f"x{i}": str(i * i) for i in range(50)}, id="str-dict-50"),
     ],
     ids=repr,
 )
