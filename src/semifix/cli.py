@@ -21,6 +21,15 @@ parser.  Every other argv goes to the argparse parser that
 `build_parser` builds from the same table, which writes every usage,
 help and error text.
 
+The runners are payload-level clients of the solver: a vector stays
+the payload list the solver computed from the parsed rows (`_iterate`,
+`solver._completion`, `ChainSamples.payload`) until `_rendered` writes
+its text with the instance's `_render`, and verdicts compare payload
+lists.  So `solve`, `compare` and `completion` build no `Value`;
+`tensor` and `oracle` unwrap their library results once, with
+`EquationSystem.payloads`.  A file is read as bytes and decoded as
+UTF-8, with "\r\n" and a lone "\r" read as "\n", as text mode does.
+
 A run loads only the modules its command runs: this one, `polynomial`,
 `semiring` and `solver` always; `munchausen` for `compare`, `solve
 --method munchausen`, `completion --grammar`, `--left-linear` and
@@ -39,6 +48,7 @@ import json as jsonlib
 import os
 import re
 import sys as _sys
+from collections.abc import Callable
 from functools import lru_cache
 
 from semifix.polynomial import (
@@ -48,17 +58,13 @@ from semifix.polynomial import (
     render_polynomial,
     rhs_poly,
 )
-from semifix.semiring import (
-    InstanceMismatchError,
-    NotFiniteError,
-    instance_by_name,
-    vector_eq,
-)
+from semifix.semiring import InstanceMismatchError, NotFiniteError, instance_by_name
 from semifix.solver import (
     DEFAULT_NODE_BUDGET,
+    STABILIZED,
     BudgetExhaustedError,
-    completion_via_differential_star,
-    kleene_solve,
+    _completion,
+    _iterate,
     newton_solve,
 )
 
@@ -344,8 +350,10 @@ def render(sys: EquationSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rendered(sys: EquationSystem, v) -> dict[str, str]:
-    return {x: sys.semiring.render(v[x]) for x in sys.variables}
+def _rendered(sys: EquationSystem, payloads: list) -> dict[str, str]:
+    """Each variable's text, from a vector's payload list in variable order."""
+    render = sys.semiring._render
+    return {x: render(p) for x, p in zip(sys.variables, payloads)}
 
 
 _encode_str = jsonlib.encoder.encode_basestring_ascii  # the encoder json.dumps uses for str
@@ -354,10 +362,11 @@ _encode_str = jsonlib.encoder.encode_basestring_ascii  # the encoder json.dumps 
 def _json(obj, pad: str = "\n") -> str:
     """obj as `json.dumps(obj, indent=2)` writes it, at the line break and indent pad.
 
-    Strings and the other scalars go through json's own C encoders;
-    dicts and lists get the separators and two-space indent of
-    json.dumps, so the text is byte for byte the same without its
-    pure-Python indenting encoder.
+    Strings and the other scalars go through json's own C encoders, a
+    str item without a call of its own; dicts and lists, and their
+    subclasses, get the separators and two-space indent of json.dumps,
+    so the text is byte for byte the same without its pure-Python
+    indenting encoder.
     """
     if type(obj) is str:
         return _encode_str(obj)
@@ -365,25 +374,30 @@ def _json(obj, pad: str = "\n") -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = (_encode_str(k) + ": " + _json(v, inner) for k, v in obj.items())
+        items = [
+            _encode_str(k) + ": " + (_encode_str(v) if type(v) is str else _json(v, inner))
+            for k, v in obj.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        return "[" + inner + ("," + inner).join(_json(v, inner) for v in obj) + pad + "]"
+        items = [_encode_str(v) if type(v) is str else _json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     return jsonlib.dumps(obj)
 
 
-def _emit(args, payload: dict, text_lines: list[str]):
+def _emit(args, payload: dict, text_lines: Callable[[], list[str]]):
     """Print the payload, behind the schema and command envelope, or the text.
 
     The payload is written by `_json`, as `json.dumps(..., indent=2)` would.
+    The text lines are built, by `text_lines()`, only without `--json`.
     """
     if args.json:
         envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}
         print(_json({**envelope, **payload}))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -418,18 +432,17 @@ class BadUsage(ValueError):
     pass
 
 
-def _verdict(a, b) -> str:
-    """OK or DIFFER for two vectors; "skipped" when either did not stabilize."""
+def _verdict(a: list | None, b: list | None) -> str:
+    """OK or DIFFER for two payload lists; "skipped" when either did not stabilize."""
     if a is None or b is None:
         return "skipped"
-    return "OK" if vector_eq(a, b) else "DIFFER"
+    return "OK" if a == b else "DIFFER"
 
 
 def _run_solve(args, sys: EquationSystem) -> int:
     budget = _budget(args)
     if args.method == "kleene":
-        out = kleene_solve(sys, budget)
-        values, status, steps = out.value, out.status, out.steps_used
+        values, status, steps = _iterate(sys.semiring, *sys.compiled, budget)
     else:
         if args.method == "newton":
             seq = newton_solve(sys, args.steps, budget)
@@ -437,7 +450,7 @@ def _run_solve(args, sys: EquationSystem) -> int:
             from semifix.munchausen import munchausen_sequence
 
             seq = munchausen_sequence(sys, args.steps, budget=budget)
-        values = seq.iterates[-1] if seq.iterates else None
+        values = seq.iterates.payload(-1) if seq.iterates else None
         status, steps = seq.status, max(len(seq.iterates) - 1, 0)
     shown = _rendered(sys, values) if values is not None else None
     payload = {
@@ -448,24 +461,27 @@ def _run_solve(args, sys: EquationSystem) -> int:
         "steps": steps,
         "values": shown,
     }
-    lines = [f"{x} = {shown[x]}" for x in sys.variables] if shown else []
-    lines.append(f"status: {status} after {steps} steps")
+
+    def lines():
+        text = [f"{x} = {shown[x]}" for x in sys.variables] if shown else []
+        text.append(f"status: {status} after {steps} steps")
+        return text
+
     _emit(args, payload, lines)
-    return 0 if status == "stabilized" else 3
+    return 0 if status == STABILIZED else 3
 
 
 def _run_compare(args, sys: EquationSystem) -> int:
     from semifix.munchausen import munchausen_sequence
 
     budget = _budget(args)
-    results = {}
-    out = kleene_solve(sys, budget)
-    results["kleene"] = (out.value if out.stabilized else None, out.status)
+    v, status, _ = _iterate(sys.semiring, *sys.compiled, budget)
+    results = {"kleene": (v if status == STABILIZED else None, status)}
     for method, seq in (
         ("newton", newton_solve(sys, args.steps, budget)),
         ("munchausen", munchausen_sequence(sys, args.steps, budget=budget)),
     ):
-        last = seq.iterates[-1] if seq.stabilized and seq.iterates else None
+        last = seq.iterates.payload(-1) if seq.stabilized and seq.iterates else None
         results[method] = (last, seq.status)
     methods = list(results)
     verdicts = [
@@ -473,21 +489,27 @@ def _run_compare(args, sys: EquationSystem) -> int:
         for i, a in enumerate(methods)
         for b in methods[i + 1 :]
     ]
+    shown = {
+        m: {"status": st, "values": _rendered(sys, v) if v is not None else None}
+        for m, (v, st) in results.items()
+    }
     payload = {
         "semiring": sys.semiring.name,
         "steps": args.steps,
-        "results": {
-            m: {"status": st, "values": _rendered(sys, v) if v is not None else None}
-            for m, (v, st) in results.items()
-        },
+        "results": shown,
         "verdicts": verdicts,
     }
-    lines = []
-    for m, (v, st) in results.items():
-        shown = " ".join(f"{x}={sys.semiring.render(v[x])}" for x in sys.variables) if v else st
-        lines.append(f"{m}: {shown}")
-    for v in verdicts:
-        lines.append(f"{v['pair'][0]} vs {v['pair'][1]}: {v['verdict']}")
+
+    def lines():
+        text = []
+        for m, r in shown.items():
+            values = r["values"]
+            row = " ".join(f"{x}={values[x]}" for x in sys.variables) if values else r["status"]
+            text.append(f"{m}: {row}")
+        for v in verdicts:
+            text.append(f"{v['pair'][0]} vs {v['pair'][1]}: {v['verdict']}")
+        return text
+
     _emit(args, payload, lines)
     return 0
 
@@ -498,6 +520,7 @@ def _run_oracle(args, sys: EquationSystem) -> int:
     g = grammar_with_constants(sys)
     at = None if args.complete else dict(sys.a)
     sums, all_stable = _tree_sums(g, args.dim, args.complete, at, args.node_budget)
+    sums = sys.payloads(sums)
     payload = {
         "semiring": sys.semiring.name,
         "dim": args.dim,
@@ -505,19 +528,23 @@ def _run_oracle(args, sys: EquationSystem) -> int:
         "stabilized": all_stable,
         "tree_sums": _rendered(sys, sums),
     }
-    lines = [f"{x} = {payload['tree_sums'][x]}" for x in sys.variables]
     if args.complete:
         seq = newton_solve(sys, args.dim)
         if seq.stabilized:
-            iterate = seq.iterates[args.dim]
+            iterate = seq.iterates.payload(args.dim)
             payload["iterate"] = _rendered(sys, iterate)
             payload["verdict"] = _verdict(sums if all_stable else None, iterate)
-            lines.append(
-                "vs iterate: " + " ".join(f"{x}={payload['iterate'][x]}" for x in sys.variables)
-            )
-            lines.append(f"verdict: {payload['verdict']}")
-    if not all_stable:
-        lines.append("status: budget-exhausted")
+
+    def lines():
+        text = [f"{x} = {payload['tree_sums'][x]}" for x in sys.variables]
+        if "iterate" in payload:
+            shown = payload["iterate"]
+            text.append("vs iterate: " + " ".join(f"{x}={shown[x]}" for x in sys.variables))
+            text.append(f"verdict: {payload['verdict']}")
+        if not all_stable:
+            text.append("status: budget-exhausted")
+        return text
+
     _emit(args, payload, lines)
     return 0 if all_stable else 3
 
@@ -535,7 +562,7 @@ def _run_completion(args, sys: EquationSystem) -> int:
 
         build = linear_completion_grammar if args.grammar else left_linear_completion_grammar
         lg = build(sys)
-        _emit(args, {"grammar": lincfg_to_json(lg)}, _lincfg_lines(lg))
+        _emit(args, {"grammar": lincfg_to_json(lg)}, lambda: _lincfg_lines(lg))
         return 0
     if args.table:
         from semifix.munchausen import completion_function_table
@@ -543,11 +570,10 @@ def _run_completion(args, sys: EquationSystem) -> int:
         table = completion_function_table(sys, _budget(args))
         fs = table[sys.variables[0]].semiring
         shown = {x: fs.render(table[x]) for x in sys.variables}
-        _emit(args, {"table": shown}, [f"{x}: {shown[x]}" for x in sys.variables])
+        _emit(args, {"table": shown}, lambda: [f"{x}: {shown[x]}" for x in sys.variables])
         return 0
-    values = completion_via_differential_star(sys, None, _budget(args))
-    shown = _rendered(sys, values)
-    _emit(args, {"values": shown}, [f"{x} = {shown[x]}" for x in sys.variables])
+    shown = _rendered(sys, _completion(sys, sys.compiled[1], _budget(args)))
+    _emit(args, {"values": shown}, lambda: [f"{x} = {shown[x]}" for x in sys.variables])
     return 0
 
 
@@ -566,7 +592,7 @@ def _run_grammar(args, sys: EquationSystem) -> int:
 
     if args.indexed:
         ig = indexed_grammar_of(sys)
-        _emit(args, {"indexed": indexed_to_json(ig)}, _indexed_lines(ig))
+        _emit(args, {"indexed": indexed_to_json(ig)}, lambda: _indexed_lines(ig))
         return 0
     limit = _budget(args)
     limit = DEFAULT_GRAMMAR_RULES if limit is None else limit
@@ -578,7 +604,7 @@ def _run_grammar(args, sys: EquationSystem) -> int:
             f"more than the rule budget of {limit}"
         )
     lg = munchausen_grammar(sys, args.level)
-    _emit(args, {"level": args.level, "grammar": lincfg_to_json(lg)}, _lincfg_lines(lg))
+    _emit(args, {"level": args.level, "grammar": lincfg_to_json(lg)}, lambda: _lincfg_lines(lg))
     return 0
 
 
@@ -588,17 +614,21 @@ def _run_tensor(args, sys: EquationSystem) -> int:
 
     if getattr(sys.semiring, "q", None) is None:
         raise BadUsage(f"tensor command needs a relation system, got {sys.semiring.name}")
-    got = tensor_pipeline(sys, args.level)
+    got = sys.payloads(tensor_pipeline(sys, args.level))
     seq = munchausen_sequence(sys, args.level, budget=_budget(args))
-    ref = seq.iterates[args.level] if seq.stabilized else None
+    ref = seq.iterates.payload(args.level) if seq.stabilized else None
     payload = {
         "level": args.level,
         "values": _rendered(sys, got),
         "reference": _rendered(sys, ref) if ref is not None else None,
         "verdict": _verdict(got, ref),
     }
-    lines = [f"{x} = {payload['values'][x]}" for x in sys.variables]
-    lines.append(f"verdict: {payload['verdict']}")
+
+    def lines():
+        text = [f"{x} = {payload['values'][x]}" for x in sys.variables]
+        text.append(f"verdict: {payload['verdict']}")
+        return text
+
     _emit(args, payload, lines)
     return 0 if ref is not None else 3
 
@@ -776,8 +806,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.file, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         print(f"cannot read {args.file}: {exc}", file=_sys.stderr)
         return 1
@@ -785,6 +815,8 @@ def main(argv=None) -> int:
         bad = exc.object[exc.start]
         print(f"{args.file}: not UTF-8: byte {bad:#04x} at offset {exc.start}", file=_sys.stderr)
         return 2
+    if "\r" in text:  # the line ends text mode reads as "\n"
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         sys = parse(text, args.file)
         code = _RUNNERS[args.command](args, sys)

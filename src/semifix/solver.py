@@ -18,11 +18,15 @@ point changes.
 `sample_chain` is the one chain loop: Newton, the accelerated iterates
 (over counting, a step applies compiled word sums) and the tensor
 cycles all step there.
-`Value` is the boundary of the module: public functions convert their
-vectors once on entry and wrap each result once, and `sample_chain`
-wraps a sample when it is read.  A missing budget becomes
-`DEFAULT_KLEENE_BUDGET`, read at call time, in `_iterate`, in
-`_second_round` and, for Newton's steps, in `newton_solve`.
+`Value` is the boundary of the module's public functions: they convert
+their vectors once on entry and wrap each result once, and a
+`ChainSamples` view wraps a sample when it is indexed.  The command
+line stays below that boundary, on payload lists from the parsed rows
+to the printed text: it calls `_iterate`, `_completion` and
+`ChainSamples.payload`, which the public functions wrap.  A missing
+budget becomes `DEFAULT_KLEENE_BUDGET`, read at call time, in
+`_iterate`, in `_second_round` and, for Newton's steps, in
+`newton_solve`.
 """
 
 from __future__ import annotations
@@ -66,10 +70,11 @@ class ChainSamples(Sequence):
     `payloads` holds the computed samples, and the view reads as
     `length` samples: every index past the last computed one reads the
     last, so a run that reached a fixed point stores it once and memory
-    does not grow with the number of samples.  Each read wraps the
-    sample in `Value`s (`EquationSystem.vector`), so a caller that reads
-    only the last sample wraps only that one.  `len` and indexing are
-    O(1); it compares equal to, and prints as, the list of the same
+    does not grow with the number of samples.  Indexing wraps the
+    sample that `payload` reads in `Value`s (`EquationSystem.vector`),
+    so a caller that reads only the last sample wraps only that one, and
+    one that reads `payload` wraps none.  `len`, `payload` and indexing
+    are O(1); it compares equal to, and prints as, the list of the same
     items.
     """
 
@@ -81,14 +86,22 @@ class ChainSamples(Sequence):
     def __len__(self) -> int:
         return self._length
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(self._length)[k]]
+    def payload(self, k: int) -> list:
+        """Sample k as the payload list the chain stored, to be read, not written.
+
+        A negative k counts from the end, and k past the last computed
+        sample reads the last; k outside the view is an `IndexError`.
+        """
         if k < 0:
             k += self._length
         if not 0 <= k < self._length:
             raise IndexError("chain sample index out of range")
-        return self._sys.vector(self._payloads[min(k, len(self._payloads) - 1)])
+        return self._payloads[min(k, len(self._payloads) - 1)]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(self._length)[k]]
+        return self._sys.vector(self.payload(k))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -300,13 +313,17 @@ def completion_via_differential_star(
     """Completion value at v through the star of the linearization at v.
 
     v defaults to the constants, read from the compiled system; the
-    result is wrapped once.
+    result (`_completion`) is wrapped once.
     """
-    at = sys.compiled[1] if v is None else sys.payloads(v)
+    return sys.vector(_completion(sys, sys.compiled[1] if v is None else sys.payloads(v), budget))
+
+
+def _completion(sys: EquationSystem, at: list, budget: int | None) -> list:
+    """The completion step's payload list at `at`; `BudgetExhaustedError` if it does not stabilize."""
     u, status, used = _completion_step(sys, at, budget)
     if status != STABILIZED:
         raise BudgetExhaustedError(f"linear solve did not stabilize within {used} iterations")
-    return sys.vector(u)
+    return u
 
 
 def _chain_step(sys: EquationSystem, max_linear_iters: int | None) -> Callable:

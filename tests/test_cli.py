@@ -23,7 +23,7 @@ from gen import instances_for_order_tests, random_system
 from semifix import cli, grammar
 from semifix.cli import EquationSyntaxError, main, parse, render
 from semifix.polynomial import EquationSystem
-from semifix.semiring import BOOLEAN, COUNTING, MIN_PLUS, relation_semiring
+from semifix.semiring import BOOLEAN, COUNTING, MIN_PLUS, Value, relation_semiring
 
 CHAIN = """\
 semiring counting;
@@ -572,7 +572,7 @@ def test_a_newton_solve_wraps_only_the_sample_it_prints(tmp_path, capsys, monkey
     data = json.loads(capsys.readouterr().out)
     assert (data["status"], data["steps"]) == ("stabilized", 8)
     assert set(data["values"].values()) == {"1"}
-    assert wrapped == [[True] * 6]
+    assert wrapped == []  # the command line prints the sample from its payload list
 
 
 def test_a_completion_wraps_only_the_vector_it_prints(tmp_path, capsys, monkeypatch):
@@ -586,7 +586,7 @@ def test_a_completion_wraps_only_the_vector_it_prints(tmp_path, capsys, monkeypa
     monkeypatch.setattr(EquationSystem, "vector", counted)
     assert main(["completion", path, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["values"] == {"x": "5", "y": "2"}
-    assert wrapped == [[5, 2]]
+    assert wrapped == []  # the command line prints the payload list of the step
 
 
 def test_linear_solve_budget_does_not_scale_with_constants(tmp_path, capsys):
@@ -899,6 +899,35 @@ def test_json_writer_matches_json_dumps_on_every_command(system, argv, tmp_path,
     payload = json.loads(printed)
     assert printed == json.dumps(payload, indent=2) + "\n"
     assert cli._json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.filterwarnings("ignore:newton iteration over non-idempotent")
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["solve", "--method", "newton"],
+        ["solve", "--method", "munchausen"],
+        ["compare"],
+        ["completion"],
+    ],
+    ids=" ".join,
+)
+@pytest.mark.parametrize("system", ["counting", "boolean", "relation", "non-ascii"])
+def test_payload_commands_build_no_value(system, argv, json_flag, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "s.sfx"
+    path.write_text(JSON_SYSTEMS[system], encoding="utf-8")
+    init, built = Value.__init__, []
+
+    def counted(self, semiring, payload):
+        built.append(payload)
+        init(self, semiring, payload)
+
+    monkeypatch.setattr(Value, "__init__", counted)
+    assert main([argv[0], str(path), *argv[1:], *json_flag]) in (0, 3)
+    assert capsys.readouterr().out
+    assert built == []
 
 
 Point = namedtuple("Point", "x y")

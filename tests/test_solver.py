@@ -244,6 +244,22 @@ def test_newton_iterates_on_boolean_chain():
     assert out.iterates[2] == {"x": t, "y": t, "z": t}
 
 
+def test_chain_samples_read_payloads_from_the_end_and_past_the_fixed_point():
+    sys = boolean_system_xyz()
+    samples = newton_solve(sys, 5).iterates
+    chain = [[False, False, True], [False, True, True], [True, True, True]]
+    assert len(samples) == 6
+    assert [samples.payload(k) for k in range(6)] == chain + [chain[-1]] * 3
+    assert [samples.payload(k) for k in range(-6, 0)] == chain + [chain[-1]] * 3
+    for k in range(-6, 6):
+        assert samples[k] == sys.vector(samples.payload(k))
+    for k in (6, -7):
+        with pytest.raises(IndexError):
+            samples.payload(k)
+        with pytest.raises(IndexError):
+            samples[k]
+
+
 def test_newton_reaches_kleene_fixed_point_when_it_settles():
     rng = random.Random(67)
     for sr in instances_for_order_tests():
