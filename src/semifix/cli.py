@@ -475,8 +475,8 @@ def _run_compare(args, sys: EquationSystem) -> int:
     from semifix.munchausen import munchausen_sequence
 
     budget = _budget(args)
-    v, status, _ = _iterate(sys.semiring, *sys.compiled, budget)
-    results = {"kleene": (v if status == STABILIZED else None, status)}
+    kleene, status, _ = _iterate(sys.semiring, *sys.compiled, budget)
+    results = {"kleene": (kleene if status == STABILIZED else None, status)}
     for method, seq in (
         ("newton", newton_solve(sys, args.steps, budget)),
         ("munchausen", munchausen_sequence(sys, args.steps, budget=budget)),
